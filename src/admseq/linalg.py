@@ -1,18 +1,15 @@
-"""Exact rational linear algebra: echelon forms, kernels, cokernels.
+"""Exact rational linear algebra: echelon forms and kernels.
 
 Matrices are lists of row lists with Fraction (or int) entries; all
 shapes are passed explicitly so that zero-dimensional matrices behave.
-Pivoting is deterministic (leftmost column, smallest row), so kernel and
-cokernel bases are reproducible across runs.
+Pivoting is deterministic (leftmost column, smallest row), so kernel
+bases are reproducible across runs.  A cokernel is the transposed kernel
+of the transpose; ``invert`` serves only ``weyl.WeylElement.inverse``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
 
 
 def identity(n):
@@ -33,10 +30,6 @@ def matmul(a, b, n, k, m):
         [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(n)
     ]
-
-
-def matvec(a, v, n, k):
-    return [sum((a[i][t] * v[t] for t in range(k)), Fraction(0)) for i in range(n)]
 
 
 def rref(m, rows, cols):
@@ -101,22 +94,12 @@ def invert(m, n):
 def cokernel_projection(m, rows, cols):
     """Projection onto a complement of the column space.
 
-    Returns a (rows - rank) x rows matrix C with C @ m = 0; the quotient
-    coordinates are taken along the standard basis vectors at non-pivot
-    positions of the column space, so the result is deterministic.
+    Returns a (rows - rank) x rows matrix C with C @ m = 0: the transpose
+    of the kernel basis of m^T, so each row has a 1 at its own non-pivot
+    position of the column space and the result is deterministic.
     """
-    col_basis_rows, pivots = rref(transpose(m, rows, cols), cols, rows)
-    rk = len(pivots)
-    comp = [i for i in range(rows) if i not in set(pivots)]
-    # columns of B: column-space basis first, then the complement vectors
-    b = zeros(rows, rows)
-    for j in range(rk):
-        for i in range(rows):
-            b[i][j] = col_basis_rows[j][i]
-    for j, c in enumerate(comp):
-        b[c][rk + j] = Fraction(1)
-    binv = invert(b, rows)
-    return [binv[rk + j] for j in range(len(comp))]
+    kernel = nullspace(transpose(m, rows, cols), cols, rows)  # rows x k
+    return transpose(kernel, rows, len(kernel[0]) if rows else 0)
 
 
 def is_zero(m):

@@ -4,9 +4,10 @@ A representation stores one matrix per arrow instance, shaped
 dims(target) x dims(source), with Fraction entries.  The positive
 reflection functor replaces the space at a sink by the kernel of the
 assembled incoming map; the negative functor replaces the space at a
-source by the cokernel of the assembled outgoing map.  Kernel and
-cokernel bases come from deterministic echelon forms, so results are
-bit-reproducible.
+source by the cokernel of the assembled outgoing map.  Both functors
+share one kernel path: the cokernel is taken as the transposed kernel
+of the transposed map.  Bases come from deterministic echelon forms, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -103,6 +104,35 @@ def projective_dims(quiver):
     return out
 
 
+def _kernel_blocks(dx, maps, widths):
+    """Kernel of the maps into V(x) laid side by side.
+
+    ``maps[i]`` is dx x widths[i]; returns the kernel dimension k and the
+    kernel basis split into one widths[i] x k row block per map.
+    """
+    total = sum(widths)
+    h = [[a for m in maps for a in m[r]] for r in range(dx)]
+    kernel = linalg.nullspace(h, dx, total)  # total x k
+    k = len(kernel[0]) if total else 0
+    blocks = []
+    offset = 0
+    for w in widths:
+        blocks.append(kernel[offset:offset + w])
+        offset += w
+    return k, blocks
+
+
+def _reflected(rep, x, k, arrows, new_maps):
+    """The representation on rep.quiver.reflect(x) with dimension k at x
+    and new_maps on the given (now reversed) arrows."""
+    dims = list(rep.dims)
+    dims[x - 1] = k
+    maps = list(rep.maps)
+    for i, m in zip(arrows, new_maps):
+        maps[i] = m
+    return Representation(rep.quiver.reflect(x), dims, maps)
+
+
 def reflect_plus(rep, x):
     """Positive reflection functor at a sink x.
 
@@ -114,38 +144,9 @@ def reflect_plus(rep, x):
     if not q.is_sink(x):
         raise NotSinkError(f"{x} is not a sink")
     incoming = [i for i, (s, e) in enumerate(q.arrows) if e == x]
-    block_dims = [rep.dims[q.arrows[i][0] - 1] for i in incoming]
-    total = sum(block_dims)
-    dx = rep.dim(x)
-    # h : direct sum of sources -> V(x), blocks side by side
-    h = [[Fraction(0)] * total for _ in range(dx)]
-    offset = 0
-    for i, bd in zip(incoming, block_dims):
-        m = rep.maps[i]
-        for r in range(dx):
-            for c in range(bd):
-                h[r][offset + c] = m[r][c]
-        offset += bd
-    kernel = linalg.nullspace(h, dx, total)  # total x k
-    k = len(kernel[0]) if total else 0
-    new_quiver = q.reflect(x)
-    new_dims = list(rep.dims)
-    new_dims[x - 1] = k
-    new_maps = []
-    offsets = {}
-    offset = 0
-    for i, bd in zip(incoming, block_dims):
-        offsets[i] = offset
-        offset += bd
-    for i, (s, e) in enumerate(q.arrows):
-        if i in offsets:
-            # reversed arrow x -> old source; rows of the kernel basis
-            y = q.arrows[i][0]
-            off, bd = offsets[i], rep.dims[y - 1]
-            new_maps.append([kernel[off + r][:k] for r in range(bd)])
-        else:
-            new_maps.append(rep.maps[i])
-    return Representation(new_quiver, new_dims, new_maps)
+    widths = [rep.dim(q.arrows[i][0]) for i in incoming]
+    k, blocks = _kernel_blocks(rep.dim(x), [rep.maps[i] for i in incoming], widths)
+    return _reflected(rep, x, k, incoming, blocks)
 
 
 def reflect_minus(rep, x):
@@ -153,46 +154,20 @@ def reflect_minus(rep, x):
 
     The space at x becomes the cokernel of the map assembled from all
     arrows out of x; the new maps into x are inclusion followed by the
-    quotient projection.
+    quotient projection.  Computed as F_x^- = D F_x^+ D for the transpose
+    duality D: the cokernel projection is the transposed kernel of the
+    transposed outgoing maps.
     """
     q = rep.quiver
     if not q.is_source(x):
         raise NotSourceError(f"{x} is not a source")
     outgoing = [i for i, (s, e) in enumerate(q.arrows) if s == x]
-    block_dims = [rep.dims[q.arrows[i][1] - 1] for i in outgoing]
-    total = sum(block_dims)
+    widths = [rep.dim(q.arrows[i][1]) for i in outgoing]
     dx = rep.dim(x)
-    # h' : V(x) -> direct sum of targets, blocks stacked
-    h = [[Fraction(0)] * dx for _ in range(total)]
-    offset = 0
-    for i, bd in zip(outgoing, block_dims):
-        m = rep.maps[i]
-        for r in range(bd):
-            for c in range(dx):
-                h[offset + r][c] = m[r][c]
-        offset += bd
-    proj = linalg.cokernel_projection(h, total, dx)  # (total - rank) x total
-    k = len(proj)
-    new_quiver = q.reflect(x)
-    new_dims = list(rep.dims)
-    new_dims[x - 1] = k
-    new_maps = []
-    offsets = {}
-    offset = 0
-    for i, bd in zip(outgoing, block_dims):
-        offsets[i] = offset
-        offset += bd
-    for i, (s, e) in enumerate(q.arrows):
-        if i in offsets:
-            # reversed arrow old target -> x; columns of the projection
-            y = q.arrows[i][1]
-            off, bd = offsets[i], rep.dims[y - 1]
-            new_maps.append(
-                [[proj[r][off + c] for c in range(bd)] for r in range(k)]
-            )
-        else:
-            new_maps.append(rep.maps[i])
-    return Representation(new_quiver, new_dims, new_maps)
+    duals = [linalg.transpose(rep.maps[i], w, dx) for i, w in zip(outgoing, widths)]
+    k, blocks = _kernel_blocks(dx, duals, widths)
+    new_maps = [linalg.transpose(b, w, k) for b, w in zip(blocks, widths)]
+    return _reflected(rep, x, k, outgoing, new_maps)
 
 
 def apply_sequence(rep, seq):
@@ -208,14 +183,7 @@ def apply_sequence(rep, seq):
 def canonical_complete_sequence(quiver):
     """Complete admissible sequence taking the smallest-id current sink
     at every step."""
-    letters = []
-    running = quiver
-    remaining = set(quiver.vertices())
-    while remaining:
-        x = min(v for v in remaining if running.is_sink(v))
-        letters.append(x)
-        remaining.remove(x)
-        running = running.reflect(x)
+    letters, _ = seqmod._emit_segment(quiver, quiver.vertices())
     return AdmissibleSeq(quiver, letters)
 
 

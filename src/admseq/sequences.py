@@ -25,16 +25,20 @@ from .errors import (
 class AdmissibleSeq:
     """A (+)-admissible vertex sequence on a fixed base quiver.
 
-    Validates the sink condition letter by letter at construction; the
-    final orientation is available as ``final_quiver``.
+    Validates the vertex range and the sink condition letter by letter at
+    construction; this is the one place where letters are range-checked.
+    The final orientation is available as ``final_quiver``.
     """
 
     __slots__ = ("quiver", "letters", "final_quiver")
 
     def __init__(self, quiver, letters):
         letters = tuple(int(x) for x in letters)
+        n = quiver.n
         running = quiver
         for i, x in enumerate(letters, start=1):
+            if not 1 <= x <= n:
+                raise AdmseqError(f"letter {x} at position {i} is not a vertex 1..{n}")
             if not running.is_sink(x):
                 raise NotAdmissibleError(i, x)
             running = running.reflect(x)
@@ -149,6 +153,17 @@ def _emit_segment(quiver, support):
     return letters, running
 
 
+def _emit_levels(quiver, filters):
+    """Segments emitted level set by level set, each on the quiver left
+    by the ones before it."""
+    segments = []
+    running = quiver
+    for f in filters:
+        seg, running = _emit_segment(running, f)
+        segments.append(seg)
+    return segments
+
+
 def level_sets(m):
     """Level sets F_i = {v : m(v) >= i}, i = 1..max(m)."""
     r = max(m, default=0)
@@ -174,12 +189,7 @@ def seq_from_multiplicities(quiver, m):
             raise InvalidMultiplicityError(
                 i + 2, "hull of level set is not contained in the previous one"
             )
-    letters = []
-    running = quiver
-    for f in filters:
-        seg, running = _emit_segment(running, f)
-        letters.extend(seg)
-    return AdmissibleSeq(quiver, letters)
+    return CanonicalForm(quiver, _emit_levels(quiver, filters)).sequence()
 
 
 def canonical_form(s):
@@ -190,12 +200,7 @@ def canonical_form(s):
     """
     if len(s) == 0:
         raise EmptySequenceError("empty sequence has no canonical form")
-    m = s.multiplicities()
-    segments = []
-    running = s.quiver
-    for f in level_sets(m):
-        seg, running = _emit_segment(running, f)
-        segments.append(seg)
+    segments = _emit_levels(s.quiver, level_sets(s.multiplicities()))
     return CanonicalForm(s.quiver, segments)
 
 
@@ -249,12 +254,7 @@ def principal(quiver, r, x):
     for _ in range(r - 1):
         filters.append(quiver.hull(filters[-1]))
     filters.reverse()
-    letters = []
-    running = quiver
-    for f in filters:
-        seg, running = _emit_segment(running, f)
-        letters.extend(seg)
-    return AdmissibleSeq(quiver, letters)
+    return CanonicalForm(quiver, _emit_levels(quiver, filters)).sequence()
 
 
 def is_principal(s):

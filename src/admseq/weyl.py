@@ -131,40 +131,54 @@ def word_of(seq):
     return WeylWord(seq.quiver.graph.cartan(), seq.letters)
 
 
+def _has_right_descent(matrix, v):
+    """Whether l(w sigma_v) < l(w), w the element with this matrix: w
+    sends the simple root e_v to a negative root."""
+    return any(row[v - 1] < 0 for row in matrix)
+
+
+def _peel(w, scan):
+    """Peel right descents off w in passes over the letters of scan.
+
+    Each peel w -> w sigma_v drops the length by one; returns one block
+    of peeled letters per pass, and stops as soon as w is the identity.
+    """
+    blocks = []
+    while not w.is_identity():
+        block = []
+        for v in scan:
+            if _has_right_descent(w.matrix, v):
+                w = w * simple_reflection(w.cartan, v)
+                block.append(v)
+                if w.is_identity():
+                    break
+        if not block:
+            raise AdmseqError("stuck peel: element is not in the Weyl group span")
+        blocks.append(block)
+    return blocks
+
+
 def is_reduced(word):
     """Incremental reducedness test.
 
     Appending a letter x to a word with element u increases length
-    exactly when u^{-1}(e_x) is a positive root; the inverse is tracked
-    as a running product, so no group tables are needed.
+    exactly when x is not a right descent of u^{-1}; the inverse is
+    tracked as a running product, so no group tables are needed.
     """
     n = len(word.cartan)
     inv = _int_identity(n)
     for x in word.letters:
-        if any(inv[k][x - 1] < 0 for k in range(n)):
+        if _has_right_descent(inv, x):
             return False
         inv = _int_matmul(inv, simple_reflection_matrix(word.cartan, x))
     return True
 
 
 def length_of_word(word):
-    """Length of the element the word evaluates to, by peeling simple
-    reflections off the left (each peel drops the length by one)."""
-    n = len(word.cartan)
-    w = word.evaluate()
-    winv = w.inverse()
-    total = 0
-    while not w.is_identity():
-        for v in range(1, n + 1):
-            if any(winv.matrix[k][v - 1] < 0 for k in range(n)):
-                s = simple_reflection(word.cartan, v)
-                w = s * w
-                winv = winv * s
-                total += 1
-                break
-        else:
-            raise AdmseqError("no left descent found for a non-identity element")
-    return total
+    """Length of the element the word evaluates to: the number of right
+    descents peeled off before reaching the identity."""
+    blocks = _peel(word.evaluate(), range(1, len(word.cartan) + 1))
+    return sum(len(b) for b in blocks)
 
 
 def principal_reduced_criterion(seq):
@@ -275,29 +289,12 @@ def c_sorting_word(c_word, target):
 
     Scans the Coxeter word letters cyclically in acting order (last
     letter of the word first); a letter v is taken whenever sigma_v
-    shortens the current remainder.
+    shortens the current remainder.  Left descents of the target are the
+    right descents of its inverse, so the inverse is peeled.
     """
     if c_word.cartan != target.cartan:
         raise AdmseqError("word and element over different Cartan matrices")
-    n = len(c_word.cartan)
-    scan = list(reversed(c_word.letters))
-    w = target
-    winv = target.inverse()
-    blocks = []
-    while not w.is_identity():
-        block = []
-        for v in scan:
-            if any(winv.matrix[k][v - 1] < 0 for k in range(n)):
-                s = simple_reflection(c_word.cartan, v)
-                w = s * w
-                winv = winv * s
-                block.append(v)
-                if w.is_identity():
-                    break
-        if not block:
-            raise AdmseqError("stuck peel: element is not in the Weyl group span")
-        blocks.append(block)
-    return SortingWord(blocks)
+    return SortingWord(_peel(target.inverse(), list(reversed(c_word.letters))))
 
 
 def is_c_sortable(c_word, target):

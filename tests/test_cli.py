@@ -237,6 +237,16 @@ class TestErrors:
         code, _, err = run(capsys, "canon", "-q", str(p), "-s", "3")
         assert code == 2
 
+    def test_sequence_letter_out_of_range(self, capsys, q3_file):
+        code, out, err = run(capsys, "mult", "-q", q3_file, "-s", "99")
+        assert (code, out) == (2, "")
+        assert "letter 99 at position 1" in err
+
+    def test_principal_vertex_out_of_range(self, capsys, q3_file):
+        code, out, err = run(capsys, "principal", "-q", q3_file, "-r", "2", "-x", "7")
+        assert (code, out) == (2, "")
+        assert "letter 7" in err
+
     def test_unknown_verb(self, q3_file):
         with pytest.raises(SystemExit):
             main(["frobnicate", "-q", q3_file])

@@ -1,6 +1,7 @@
 import pytest
 
 from admseq.errors import (
+    AdmseqError,
     BaseQuiverMismatchError,
     EmptySequenceError,
     InvalidMultiplicityError,
@@ -50,6 +51,13 @@ class TestCheckAdmissible:
         with pytest.raises(NotAdmissibleError) as exc:
             check_admissible(q3, [3, 2, 2])
         assert exc.value.index == 3
+
+    def test_letter_out_of_vertex_range(self, q3):
+        # vertex 0 used to be accepted and counted as vertex n
+        with pytest.raises(AdmseqError, match="letter 0 at position 1"):
+            AdmissibleSeq(q3, [0, 3])
+        with pytest.raises(AdmseqError, match="letter 4 at position 2"):
+            AdmissibleSeq(q3, [3, 4])
 
 
 class TestMultiplicities:
