@@ -317,7 +317,7 @@ def _add_common(p, quiver=True, cartan=False, seq=False, other=False, word=False
         p.add_argument("-t", "--other", help="second sequence/word literal")
     if word:
         p.add_argument("-w", "--word", required=True, help="word literal, first letter acts first")
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    p.add_argument("--format", choices=["text", "json"], default="text")
 
 
 def build_parser():
@@ -374,7 +374,7 @@ def build_parser():
             p.add_argument("-m", "--power", type=int, default=64)
         if name == "sm-brute":
             p.add_argument("-t", "--other", help="known annihilating sequence")
-        p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+        p.add_argument("--format", choices=["text", "json"], default="text")
     p = add("component", cmd_component)
     p.add_argument("--levels", type=int, required=True)
     return parser

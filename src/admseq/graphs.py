@@ -26,7 +26,7 @@ class Graph:
     pairs encode edge multiplicity.
     """
 
-    __slots__ = ("n", "edges", "_mult")
+    __slots__ = ("n", "edges", "_mult", "_adj")
 
     def __init__(self, n, edges):
         if n < 2:
@@ -41,9 +41,14 @@ class Graph:
             a, b = (u, v) if u < v else (v, u)
             norm.append((a, b))
             mult[(a, b)] = mult.get((a, b), 0) + 1
+        adj = [[] for _ in range(n + 1)]
+        for a, b in mult:
+            adj[a].append(b)
+            adj[b].append(a)
         self.n = n
         self.edges = tuple(sorted(norm))
         self._mult = mult
+        self._adj = tuple(map(tuple, adj))  # neighbours by vertex; slot 0 unused
         if not self._is_connected():
             raise IndecomposabilityError("graph is disconnected")
 
@@ -51,12 +56,10 @@ class Graph:
         seen = {1}
         queue = deque([1])
         while queue:
-            u = queue.popleft()
-            for a, b in self.edges:
-                for w, z in ((a, b), (b, a)):
-                    if w == u and z not in seen:
-                        seen.add(z)
-                        queue.append(z)
+            for z in self._adj[queue.popleft()]:
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
         return len(seen) == self.n
 
     def edge_mult(self, u, v):
@@ -66,13 +69,8 @@ class Graph:
         return self._mult.get((a, b), 0)
 
     def neighbors(self, u):
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return out
+        """The vertices joined to u by an edge; empty for an id outside 1..n."""
+        return set(self._adj[u]) if 0 < u <= self.n else set()
 
     def cartan(self):
         """The symmetric generalized Cartan matrix: 2 on the diagonal,
@@ -117,14 +115,40 @@ def graph_from_cartan(A):
     return Graph(n, edges)
 
 
+def _arrow_index(n, arrows):
+    """Positions in ``arrows`` of the arrows out of and into each vertex,
+    as two tuples indexed by vertex (slot 0 unused)."""
+    out = [[] for _ in range(n + 1)]
+    into = [[] for _ in range(n + 1)]
+    for i, (s, e) in enumerate(arrows):
+        out[s].append(i)
+        into[e].append(i)
+    return tuple(map(tuple, out)), tuple(map(tuple, into))
+
+
 class Quiver:
     """A graph together with an acyclic orientation.
 
     ``arrows`` is a tuple of ordered pairs (source, target), one entry
-    per edge instance.
+    per edge instance.  Each quiver indexes, once, the positions in
+    ``arrows`` of the arrows out of and into every vertex; sink, source,
+    reachability and topological-order queries read that index.
+
+    ``reflect(x)`` at a sink or a source is trusted: reversing the
+    arrows there keeps the multiplicities and cannot close a cycle
+    (Bernstein-Gelfand-Ponomarev), so the result is built without
+    validation.  At any other vertex the result is fully validated and
+    may raise AcyclicityError.
+
+    Equality compares the graph and the arrow tuple in order: the same
+    orientation with its arrows listed in another order is a different
+    quiver, because representations attach one matrix per arrow position.
+
+    Queries about an id outside 1..n answer as for a vertex with no
+    arrows: it is a sink and a source and reaches only itself.
     """
 
-    __slots__ = ("graph", "arrows")
+    __slots__ = ("graph", "arrows", "_out", "_in")
 
     def __init__(self, graph, arrows):
         arrows = tuple((int(s), int(e)) for s, e in arrows)
@@ -143,8 +167,17 @@ class Quiver:
             raise InvalidCartanError("arrow on a non-edge")
         self.graph = graph
         self.arrows = arrows
+        self._out, self._in = _arrow_index(graph.n, arrows)
         if self._topological_order() is None:
             raise AcyclicityError("orientation has an oriented cycle")
+
+    @classmethod
+    def _trusted(cls, graph, arrows, out, into):
+        """The quiver of arrows already known to orient ``graph``
+        acyclically, with their index: installed without validation."""
+        q = object.__new__(cls)
+        q.graph, q.arrows, q._out, q._in = graph, arrows, out, into
+        return q
 
     @property
     def n(self):
@@ -153,20 +186,27 @@ class Quiver:
     def vertices(self):
         return range(1, self.n + 1)
 
+    def arrows_out(self, x):
+        """Positions in ``arrows`` of the arrows out of x, in order."""
+        return self._out[x] if 0 < x < len(self._out) else ()
+
+    def arrows_in(self, x):
+        """Positions in ``arrows`` of the arrows into x, in order."""
+        return self._in[x] if 0 < x < len(self._in) else ()
+
     def _topological_order(self):
-        indeg = {v: 0 for v in self.vertices()}
-        for _, e in self.arrows:
-            indeg[e] += 1
+        arrows, out = self.arrows, self._out
+        indeg = [len(into) for into in self._in]
         queue = deque(v for v in self.vertices() if indeg[v] == 0)
         order = []
         while queue:
             u = queue.popleft()
             order.append(u)
-            for s, e in self.arrows:
-                if s == u:
-                    indeg[e] -= 1
-                    if indeg[e] == 0:
-                        queue.append(e)
+            for i in out[u]:
+                e = arrows[i][1]
+                indeg[e] -= 1
+                if indeg[e] == 0:
+                    queue.append(e)
         return order if len(order) == self.n else None
 
     def topological_order(self):
@@ -176,29 +216,42 @@ class Quiver:
 
     def sinks(self):
         """Vertices with no outgoing arrow."""
-        starts = {s for s, _ in self.arrows}
-        return {v for v in self.vertices() if v not in starts}
+        out = self._out
+        return {v for v in self.vertices() if not out[v]}
 
     def sources(self):
-        ends = {e for _, e in self.arrows}
-        return {v for v in self.vertices() if v not in ends}
+        into = self._in
+        return {v for v in self.vertices() if not into[v]}
 
     def is_sink(self, x):
-        return all(s != x for s, _ in self.arrows)
+        return not (0 < x < len(self._out) and self._out[x])
 
     def is_source(self, x):
-        return all(e != x for _, e in self.arrows)
+        return not (0 < x < len(self._in) and self._in[x])
 
     def reflect(self, x):
         """The quiver with every arrow incident to ``x`` reversed.
 
-        Involutive.  Raises AcyclicityError when the result has an
-        oriented cycle (possible only if x is neither sink nor source).
+        Involutive.  Trusted at a sink or a source; elsewhere validated,
+        raising AcyclicityError when the result has an oriented cycle.
         """
-        arrows = tuple(
-            (e, s) if s == x or e == x else (s, e) for s, e in self.arrows
-        )
-        return Quiver(self.graph, arrows)
+        if not 0 < x < len(self._out):
+            return self  # no arrow is incident to x
+        into, out = self._in[x], self._out[x]
+        arrows = list(self.arrows)
+        for i in into + out:
+            s, e = arrows[i]
+            arrows[i] = (e, s)
+        if into and out:
+            return Quiver(self.graph, arrows)
+        # Only x and its neighbours change their arrows out and in.
+        new_out, new_in = list(self._out), list(self._in)
+        new_out[x], new_in[x] = into, out
+        for w in self.graph._adj[x]:
+            incident = sorted(self._out[w] + self._in[w])
+            new_out[w] = tuple([i for i in incident if arrows[i][0] == w])
+            new_in[w] = tuple([i for i in incident if arrows[i][1] == w])
+        return Quiver._trusted(self.graph, tuple(arrows), tuple(new_out), tuple(new_in))
 
     def leq(self, u, v):
         """Path order: u <= v iff there is a (possibly empty) path u -> v."""
@@ -206,11 +259,14 @@ class Quiver:
 
     def reachable(self, u):
         seen = {u}
+        if not 0 < u < len(self._out):
+            return seen
+        arrows, out = self.arrows, self._out
         queue = deque([u])
         while queue:
-            w = queue.popleft()
-            for s, e in self.arrows:
-                if s == w and e not in seen:
+            for i in out[queue.popleft()]:
+                e = arrows[i][1]
+                if e not in seen:
                     seen.add(e)
                     queue.append(e)
         return seen

@@ -29,7 +29,20 @@ from . import weyl as weylmod
 
 
 def _freeze(matrix):
-    return tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    """The matrix as a tuple of tuples of Fractions.  One that already is,
+    such as a map a functor carries over, is kept as it is."""
+    if type(matrix) is tuple and all(
+        type(row) is tuple and all(type(x) is Fraction for x in row) for row in matrix
+    ):
+        return matrix
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in matrix
+    )
+
+
+def _require_vertex(quiver, x):
+    if not 1 <= x <= quiver.n:
+        raise AdmseqError(f"{x} is not a vertex 1..{quiver.n}")
 
 
 class Representation:
@@ -81,6 +94,7 @@ def zero_rep(quiver):
 
 def simple(quiver, x):
     """The simple representation concentrated at x."""
+    _require_vertex(quiver, x)
     dims = tuple(int(v == x) for v in quiver.vertices())
     maps = []
     for s, e in quiver.arrows:
@@ -92,14 +106,14 @@ def projective_dims(quiver):
     """Dimension vectors of the indecomposable projectives: the x-th
     counts paths from x to each vertex.  Unitriangular in a topological
     order, so the vectors are pairwise distinct."""
+    order = quiver.topological_order()
     out = []
     for x in quiver.vertices():
         counts = {v: 0 for v in quiver.vertices()}
         counts[x] = 1
-        for u in quiver.topological_order():
-            for s, e in quiver.arrows:
-                if s == u:
-                    counts[e] += counts[u]
+        for u in order:
+            for i in quiver.arrows_out(u):
+                counts[quiver.arrows[i][1]] += counts[u]
         out.append(tuple(counts[v] for v in quiver.vertices()))
     return out
 
@@ -141,9 +155,10 @@ def reflect_plus(rep, x):
     kernel inclusion.
     """
     q = rep.quiver
+    _require_vertex(q, x)
     if not q.is_sink(x):
         raise NotSinkError(f"{x} is not a sink")
-    incoming = [i for i, (s, e) in enumerate(q.arrows) if e == x]
+    incoming = q.arrows_in(x)
     widths = [rep.dim(q.arrows[i][0]) for i in incoming]
     k, blocks = _kernel_blocks(rep.dim(x), [rep.maps[i] for i in incoming], widths)
     return _reflected(rep, x, k, incoming, blocks)
@@ -159,9 +174,10 @@ def reflect_minus(rep, x):
     transposed outgoing maps.
     """
     q = rep.quiver
+    _require_vertex(q, x)
     if not q.is_source(x):
         raise NotSourceError(f"{x} is not a source")
-    outgoing = [i for i, (s, e) in enumerate(q.arrows) if s == x]
+    outgoing = q.arrows_out(x)
     widths = [rep.dim(q.arrows[i][1]) for i in outgoing]
     dx = rep.dim(x)
     duals = [linalg.transpose(rep.maps[i], w, dx) for i, w in zip(outgoing, widths)]
@@ -203,12 +219,9 @@ def build_module(seq):
     if not weylmod.is_reduced(weylmod.word_of(seq)):
         raise NotReducedError("word of the sequence is not reduced")
     letters = seq.letters
-    running = seq.quiver
-    quivers = [running]  # quivers[i] carries sigma_{x_i} ... sigma_{x_1} Lambda
-    for x in letters[:-1]:
-        running = running.reflect(x)
-        quivers.append(running)
-    m = simple(quivers[-1], letters[-1])
+    # Reflection is an involution, so this is the orientation
+    # sigma_{x_{s-1}} ... sigma_{x_1} Lambda on which x_s is a sink.
+    m = simple(seq.final_quiver.reflect(letters[-1]), letters[-1])
     for x in reversed(letters[:-1]):
         m = reflect_minus(m, x)
     assert m.quiver == seq.quiver

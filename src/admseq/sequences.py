@@ -342,12 +342,9 @@ def nq_arrows_from(quiver, node):
     opposite orientation: each arrow u -> v of the quiver contributes
     (n, v) -> (n, u) and (n, u) -> (n + 1, v)."""
     level, w = node
-    out = []
-    for u, v in quiver.arrows:
-        if v == w:
-            out.append((level, u))
-        if u == w:
-            out.append((level + 1, v))
+    arrows = quiver.arrows
+    out = [(level, arrows[i][0]) for i in quiver.arrows_in(w)]
+    out.extend((level + 1, arrows[i][1]) for i in quiver.arrows_out(w))
     return out
 
 

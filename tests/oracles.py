@@ -22,6 +22,35 @@ def raw_reflect(arrows, x):
     return tuple((e, s) if x in (s, e) else (s, e) for s, e in arrows)
 
 
+def raw_reachable(arrows, u):
+    seen = {u}
+    grew = True
+    while grew:
+        grew = False
+        for s, e in arrows:
+            if s in seen and e not in seen:
+                seen.add(e)
+                grew = True
+    return seen
+
+
+def raw_topological_order(n, arrows):
+    """Kahn's algorithm by whole-list scans: a queue seeded with the
+    in-degree-0 vertices in increasing order, each vertex releasing its
+    targets in arrow order."""
+    indeg = {v: 0 for v in range(1, n + 1)}
+    for _, e in arrows:
+        indeg[e] += 1
+    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
+    for u in queue:
+        for s, e in arrows:
+            if s == u:
+                indeg[e] -= 1
+                if indeg[e] == 0:
+                    queue.append(e)
+    return queue
+
+
 def raw_enumerate(n, arrows, max_len):
     """All admissible letter tuples of length <= max_len, with the final
     orientation of each."""

@@ -247,6 +247,12 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "letter 7" in err
 
+    def test_format_dot_rejected(self, q3_file, l1_file):
+        for argv in (["canon", "-q", q3_file, "-s", "3"], ["sm", "--module", l1_file]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", "dot"])
+            assert exc.value.code == 2
+
     def test_unknown_verb(self, q3_file):
         with pytest.raises(SystemExit):
             main(["frobnicate", "-q", q3_file])

@@ -90,6 +90,11 @@ class TestQuiver:
                 except AcyclicityError:
                     pass
 
+    def test_equality_compares_arrow_order(self):
+        a = quiver_from_arrows(3, [(1, 2), (2, 3)])
+        b = quiver_from_arrows(3, [(2, 3), (1, 2)])
+        assert a.graph == b.graph and a != b
+
     def test_reflect_interior_cycle(self):
         # reflecting at the middle of 1 -> 2 -> 3 with a chord 1 -> 3
         q = quiver_from_arrows(3, [(1, 2), (2, 3), (1, 3)])

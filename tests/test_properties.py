@@ -8,10 +8,11 @@ random vertex ranking (so it is acyclic).
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from admseq.graphs import quiver_from_arrows
+from admseq.graphs import Quiver, quiver_from_arrows
 from admseq.reps import build_module, reflect_minus, reflect_plus, simple
 from admseq.sequences import principal
 from admseq.weyl import is_reduced, simple_reflection, word_of
+from oracles import raw_reachable, raw_reflect, raw_topological_order
 
 # Larger modules cost seconds each in exact arithmetic; the identities are
 # checked on modules up to this total dimension.
@@ -64,3 +65,23 @@ def test_reflect_plus_undoes_reflect_minus(case):
         if m == simple(q, x):
             continue
         assert reflect_plus(reflect_minus(m, x), x).dims == m.dims
+
+
+@PROPERTY_SETTINGS
+@given(quivers())
+def test_trusted_reflection_matches_validated(q):
+    # reflect at a sink or a source skips validation and rebuilds the arrow
+    # index only at x and its neighbours; it must agree with a fully
+    # validated construction and with plain scans of the reflected arrows
+    for x in sorted(q.sinks() | q.sources()):
+        r = q.reflect(x)
+        arrows = raw_reflect(q.arrows, x)
+        assert r == Quiver(q.graph, arrows)
+        for v in r.vertices():
+            assert r.arrows_out(v) == tuple(i for i, (s, _) in enumerate(arrows) if s == v)
+            assert r.arrows_in(v) == tuple(i for i, (_, e) in enumerate(arrows) if e == v)
+            assert r.is_sink(v) == all(s != v for s, _ in arrows)
+            assert r.is_source(v) == all(e != v for _, e in arrows)
+            assert r.reachable(v) == raw_reachable(arrows, v)
+        assert r.topological_order() == raw_topological_order(r.n, arrows)
+        assert r.reflect(x) == q

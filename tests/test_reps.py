@@ -53,6 +53,11 @@ class TestBasics:
         assert simple(q3, 1).dims == (1, 0, 0)
         assert simple(qk, 2).dims == (0, 1)
 
+    def test_simple_rejects_vertex_out_of_range(self, q3):
+        for x in (0, 7):
+            with pytest.raises(AdmseqError, match=f"{x} is not a vertex"):
+                simple(q3, x)
+
     def test_shape_validation(self, q3):
         with pytest.raises(AdmseqError):
             Representation(q3, (1, 1, 0), [((1,), (1,)), ()])
@@ -139,6 +144,13 @@ class TestReflectMinus:
     def test_rejects_non_source(self, q3):
         with pytest.raises(NotSourceError):
             reflect_minus(simple(q3, 3), 3)
+
+
+@pytest.mark.parametrize("functor", [reflect_plus, reflect_minus])
+@pytest.mark.parametrize("x", [0, 7])
+def test_functors_reject_vertex_out_of_range(q3, functor, x):
+    with pytest.raises(AdmseqError, match=f"{x} is not a vertex"):
+        functor(simple(q3, 2), x)
 
 
 class TestApplySequence:
