@@ -306,7 +306,8 @@ def cmd_component(args):
     return 0
 
 
-def _add_common(p, quiver=True, cartan=False, seq=False, other=False, word=False):
+def _add_common(p, quiver=True, cartan=False, seq=False, other=False, word=False,
+                output=True):
     if quiver:
         p.add_argument("-q", "--quiver", help="quiver JSON file")
     if cartan:
@@ -317,7 +318,8 @@ def _add_common(p, quiver=True, cartan=False, seq=False, other=False, word=False
         p.add_argument("-t", "--other", help="second sequence/word literal")
     if word:
         p.add_argument("-w", "--word", required=True, help="word literal, first letter acts first")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    if output:
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
 
 def build_parser():
@@ -375,7 +377,7 @@ def build_parser():
         if name == "sm-brute":
             p.add_argument("-t", "--other", help="known annihilating sequence")
         p.add_argument("--format", choices=["text", "json"], default="text")
-    p = add("component", cmd_component)
+    p = add("component", cmd_component, output=False)
     p.add_argument("--levels", type=int, required=True)
     return parser
 

@@ -5,6 +5,14 @@ sigma_i(e_j) = e_j - a_ij e_i.  Words follow the convention that the
 first letter acts first, matching the reading order of admissible
 sequences.  All matrix entries are Python ints, so nothing overflows for
 infinite types.
+
+Walking a word keeps a product P as a list of columns and steps by
+P -> P sigma_x (``_right_reflect``): column j of P sigma_x is
+column j - a_xj column x, so one letter updates only column x and the
+columns of its neighbours, O(n deg x) integer operations.  Reducedness,
+Coxeter powers, word evaluation and the descent peels are all such
+walks; full matrix products serve only ``WeylElement.__mul__`` and
+``preserves_form``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,21 @@ def _int_matmul(a, b):
         tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def _int_identity_cols(n):
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _right_reflect(cartan, cols, x):
+    """Turn the columns of P into those of P sigma_x, in place: column j
+    loses a_xj times column x, and column x changes sign."""
+    i = x - 1
+    cx = cols[i]
+    for j, f in enumerate(cartan[i]):
+        if f and j != i:
+            cols[j] = [p - f * q for p, q in zip(cols[j], cx)]
+    cols[i] = [-q for q in cx]
 
 
 def _int_matvec(a, v):
@@ -113,10 +136,10 @@ class WeylWord:
         return len(self.letters)
 
     def evaluate(self):
-        m = _int_identity(len(self.cartan))
-        for x in self.letters:
-            m = _int_matmul(simple_reflection_matrix(self.cartan, x), m)
-        return WeylElement(self.cartan, m)
+        cols = _int_identity_cols(len(self.cartan))
+        for x in reversed(self.letters):
+            _right_reflect(self.cartan, cols, x)
+        return WeylElement(self.cartan, zip(*cols))
 
     def __repr__(self):
         return f"WeylWord({','.join(map(str, self.letters))})"
@@ -131,26 +154,25 @@ def word_of(seq):
     return WeylWord(seq.quiver.graph.cartan(), seq.letters)
 
 
-def _has_right_descent(matrix, v):
-    """Whether l(w sigma_v) < l(w), w the element with this matrix: w
-    sends the simple root e_v to a negative root."""
-    return any(row[v - 1] < 0 for row in matrix)
-
-
 def _peel(w, scan):
     """Peel right descents off w in passes over the letters of scan.
 
+    v is a right descent of w when w sends the simple root e_v to a
+    negative root, that is when column v of w has a negative entry.
     Each peel w -> w sigma_v drops the length by one; returns one block
     of peeled letters per pass, and stops as soon as w is the identity.
     """
+    cartan = w.cartan
+    cols = [list(c) for c in zip(*w.matrix)]
+    ident = _int_identity_cols(len(cols))
     blocks = []
-    while not w.is_identity():
+    while cols != ident:
         block = []
         for v in scan:
-            if _has_right_descent(w.matrix, v):
-                w = w * simple_reflection(w.cartan, v)
+            if any(c < 0 for c in cols[v - 1]):
+                _right_reflect(cartan, cols, v)
                 block.append(v)
-                if w.is_identity():
+                if cols == ident:
                     break
         if not block:
             raise AdmseqError("stuck peel: element is not in the Weyl group span")
@@ -158,20 +180,31 @@ def _peel(w, scan):
     return blocks
 
 
+def _first_non_reduced(cartan, letters):
+    """1-based position of the first letter x_k whose root
+    sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) has a negative entry, or
+    None when every such root is positive.  The prefix product is kept
+    by columns, so the root is column x_k and one letter costs one
+    column update."""
+    cols = _int_identity_cols(len(cartan))
+    for k, x in enumerate(letters, start=1):
+        if any(c < 0 for c in cols[x - 1]):
+            return k
+        _right_reflect(cartan, cols, x)
+    return None
+
+
 def is_reduced(word):
     """Incremental reducedness test.
 
     Appending a letter x to a word with element u increases length
-    exactly when x is not a right descent of u^{-1}; the inverse is
-    tracked as a running product, so no group tables are needed.
+    exactly when x is not a right descent of u^{-1}, that is when
+    u^{-1}(e_x) = sigma_{x_1} ... sigma_{x_{k-1}}(e_x) is a positive
+    root.  u^{-1} is kept as a list of columns and updated by one
+    column step per letter, so no matrix product or group table is
+    needed.
     """
-    n = len(word.cartan)
-    inv = _int_identity(n)
-    for x in word.letters:
-        if _has_right_descent(inv, x):
-            return False
-        inv = _int_matmul(inv, simple_reflection_matrix(word.cartan, x))
-    return True
+    return _first_non_reduced(word.cartan, word.letters) is None
 
 
 def length_of_word(word):
@@ -193,12 +226,13 @@ def principal_reduced_criterion(seq):
         raise NotPrincipalError("criterion applies to principal sequences only")
     cartan = seq.quiver.graph.cartan()
     letters = seq.letters
-    s = len(letters)
-    n = len(cartan)
-    v = tuple(int(j == letters[-1] - 1) for j in range(n))
-    for i in range(s - 2, -1, -1):
-        v = _int_matvec(simple_reflection_matrix(cartan, letters[i]), v)
-        if any(c < 0 for c in v):
+    v = [int(j == letters[-1] - 1) for j in range(len(cartan))]
+    for x in reversed(letters[:-1]):
+        # sigma_x(v) = v - <row x of A, v> e_x changes entry x only, and
+        # every other entry is already known to be non-negative
+        i = x - 1
+        v[i] -= sum(a * c for a, c in zip(cartan[i], v))
+        if v[i] < 0:
             return False
     return True
 
@@ -244,16 +278,21 @@ def weyl_is_finite(graph):
 
 
 def coxeter_powers_reduced(seq, m_max):
-    """For each power of the Coxeter word of a complete sequence, report
-    (m, reduced?, word length m * n)."""
+    """For each power c^m, m = 1..m_max, of the Coxeter word of a
+    complete sequence, report (m, reduced?, word length m * n).
+
+    One column-update pass over the letters of c^{m_max} finds the first
+    letter that breaks reducedness.  A word with a non-reduced prefix is
+    not reduced, so c^m is reduced exactly when that letter lies beyond
+    its m n letters: the cost is O(m_max n) letters, not O(m_max^2 n).
+    """
+    if m_max < 1:
+        raise AdmseqError(f"power bound must be at least 1, got {m_max}")
     if not seq.is_complete():
         raise NotCompleteError("sequence is not complete")
-    cartan = seq.quiver.graph.cartan()
-    out = []
-    for m in range(1, m_max + 1):
-        word = WeylWord(cartan, seq.letters * m)
-        out.append((m, is_reduced(word), len(word)))
-    return out
+    n = len(seq.letters)
+    bad = _first_non_reduced(seq.quiver.graph.cartan(), seq.letters * m_max)
+    return [(m, bad is None or bad > m * n, m * n) for m in range(1, m_max + 1)]
 
 
 class SortingWord:

@@ -137,6 +137,18 @@ def word_matrix(cartan, letters):
     return m
 
 
+def matrix_first_non_reduced(cartan, letters):
+    """1-based position of the first letter x_k whose root
+    sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) has a negative entry, or
+    None.  Each prefix product is formed afresh as a full matrix product
+    (the reversed prefix, since the first letter of a word acts first)."""
+    for k, x in enumerate(letters, start=1):
+        prefix = word_matrix(cartan, tuple(reversed(letters[: k - 1])))
+        if any(row[x - 1] < 0 for row in prefix):
+            return k
+    return None
+
+
 @lru_cache(maxsize=None)
 def bfs_lengths(cartan):
     """Word length of every element of a finite Weyl group, by

@@ -253,6 +253,17 @@ class TestErrors:
                 main(argv + ["--format", "dot"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("power", ["0", "-3"])
+    def test_coxeter_check_power_below_one(self, capsys, q3_file, power):
+        code, out, err = run(capsys, "coxeter-check", "-q", q3_file, "-s", "3,2,1", "-m", power)
+        assert (code, out) == (2, "")
+        assert "at least 1" in err
+
+    def test_component_takes_no_format(self, q3_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["component", "-q", q3_file, "--levels", "1", "--format", "json"])
+        assert exc.value.code == 2
+
     def test_unknown_verb(self, q3_file):
         with pytest.raises(SystemExit):
             main(["frobnicate", "-q", q3_file])

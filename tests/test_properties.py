@@ -10,9 +10,24 @@ from hypothesis import strategies as st
 
 from admseq.graphs import Quiver, quiver_from_arrows
 from admseq.reps import build_module, reflect_minus, reflect_plus, simple
-from admseq.sequences import principal
-from admseq.weyl import is_reduced, simple_reflection, word_of
-from oracles import raw_reachable, raw_reflect, raw_topological_order
+from admseq.sequences import AdmissibleSeq, principal
+from admseq.weyl import (
+    WeylWord,
+    coxeter_powers_reduced,
+    is_reduced,
+    length_of_word,
+    simple_reflection,
+    weyl_is_finite,
+    word_of,
+)
+from oracles import (
+    bfs_lengths,
+    matrix_first_non_reduced,
+    raw_reachable,
+    raw_reflect,
+    raw_topological_order,
+    word_matrix,
+)
 
 # Larger modules cost seconds each in exact arithmetic; the identities are
 # checked on modules up to this total dimension.
@@ -28,6 +43,27 @@ def quivers(draw):
     rank = draw(st.permutations(range(1, n + 1)))
     arrows = [(u, v) if rank[u - 1] < rank[v - 1] else (v, u) for u, v in edges]
     return quiver_from_arrows(n, arrows)
+
+
+@st.composite
+def words(draw):
+    """(quiver, word) with a random word of at most 30 letters."""
+    q = draw(quivers())
+    letters = draw(st.lists(st.integers(1, q.n), max_size=30))
+    return q, WeylWord(q.graph.cartan(), letters)
+
+
+@st.composite
+def complete_sequences(draw):
+    """A complete admissible sequence: a sink of each successive
+    reflection, drawn at random."""
+    q = draw(quivers())
+    letters, cur = [], q
+    for _ in range(q.n):
+        x = draw(st.sampled_from(sorted(cur.sinks() - set(letters))))
+        letters.append(x)
+        cur = cur.reflect(x)
+    return AdmissibleSeq(q, letters)
 
 
 @st.composite
@@ -85,3 +121,40 @@ def test_trusted_reflection_matches_validated(q):
             assert r.reachable(v) == raw_reachable(arrows, v)
         assert r.topological_order() == raw_topological_order(r.n, arrows)
         assert r.reflect(x) == q
+
+
+@PROPERTY_SETTINGS
+@given(words())
+def test_is_reduced_matches_matrix_oracle(case):
+    # the column-update scan against full prefix products
+    _, word = case
+    expected = matrix_first_non_reduced(word.cartan, word.letters) is None
+    assert is_reduced(word) == expected
+
+
+@PROPERTY_SETTINGS
+@given(words())
+def test_evaluate_matches_matrix_product(case):
+    _, word = case
+    assert word.evaluate().matrix == word_matrix(word.cartan, word.letters)
+
+
+@PROPERTY_SETTINGS
+@given(complete_sequences(), st.integers(1, 6))
+def test_coxeter_powers_match_separate_checks(seq, m_max):
+    # one pass over c^{m_max} must agree with checking every c^m on its own
+    cartan = seq.quiver.graph.cartan()
+    expected = [
+        (m, is_reduced(WeylWord(cartan, seq.letters * m)), m * seq.quiver.n)
+        for m in range(1, m_max + 1)
+    ]
+    assert coxeter_powers_reduced(seq, m_max) == expected
+
+
+@PROPERTY_SETTINGS
+@given(words())
+def test_length_of_word_matches_bfs(case):
+    q, word = case
+    assume(weyl_is_finite(q.graph))
+    lengths = bfs_lengths(word.cartan)
+    assert length_of_word(word) == lengths[word_matrix(word.cartan, word.letters)]

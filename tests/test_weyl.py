@@ -1,6 +1,6 @@
 import pytest
 
-from admseq.errors import NotCompleteError, NotPrincipalError
+from admseq.errors import AdmseqError, NotCompleteError, NotPrincipalError
 from admseq.graphs import Graph, acyclic_orientations, graph_from_cartan
 from admseq.sequences import AdmissibleSeq, enumerate_admissible, principal
 from admseq.weyl import (
@@ -181,6 +181,11 @@ class TestCoxeterPowers:
     def test_a3_fails(self, q3):
         rows = coxeter_powers_reduced(AdmissibleSeq(q3, (3, 2, 1)), 4)
         assert not all(ok for _, ok, _ in rows)
+
+    @pytest.mark.parametrize("m_max", [0, -3])
+    def test_rejects_power_bound_below_one(self, qk, m_max):
+        with pytest.raises(AdmseqError, match="at least 1"):
+            coxeter_powers_reduced(AdmissibleSeq(qk, (2, 1)), m_max)
 
 
 class TestSorting:
