@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -45,6 +46,262 @@ def l1_file(tmp_path_factory):
         )
     )
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The input files the golden rows name by placeholder."""
+    base = tmp_path_factory.mktemp("golden")
+    data = {
+        "q3": {"n": 3, "arrows": [[1, 2], [2, 3]]},
+        "qk": {"n": 2, "arrows": [[1, 2], [1, 2]]},
+        "wild": {"n": 3, "arrows": [[1, 2], [1, 2], [2, 3], [1, 3]]},
+        "a4": {"cartan": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]},
+        "l1": {"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [1, 0, 0], "maps": []},
+        # a regular Kronecker module: never annihilated, never preprojective
+        "kr": {
+            "quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]},
+            "dims": [1, 1],
+            "maps": [{"arrow": 0, "matrix": [[1]]}, {"arrow": 1, "matrix": [[1]]}],
+        },
+    }
+    out = {}
+    for name, content in data.items():
+        path = base / f"{name}.json"
+        path.write_text(json.dumps(content))
+        out[name] = str(path)
+    return out
+
+
+# (argv, exit code, stdout without its final newline, or None when
+# nothing is printed) of every verb, in text and JSON, error exits
+# included; {name} stands for a file of ``files``.
+GOLDEN = [
+    ('check-seq -q {q3} -s 3,2,3', 0, 'admissible; final arrows [(2, 1), (3, 2)]'),
+    ('check-seq -q {q3} -s 3,2,3 --format json', 0,
+     '{"admissible": true, "final_arrows": [[2, 1], [3, 2]]}'),
+    ('check-seq -q {q3} -s 3,1', 1, 'not admissible: letter 1 at position 2 is not a sink'),
+    ('check-seq -q {q3} -s 3,1 --format json', 1, '{"admissible": false, "index": 2}'),
+    ('canon -q {q3} -s 3,2,1,3', 0, '3,2,1 | 3'),
+    ('canon -q {q3} -s 3,2,1,3 --format json', 0, '{"segments": [[3, 2, 1], [3]]}'),
+    ('mult -q {q3} -s 3,2,3', 0, '(0,1,2)'),
+    ('mult -q {q3} -s 3,2,3 --format json', 0, '{"multiplicities": [0, 1, 2]}'),
+    ('equiv -q {q3} -s 3,2,1,3 -t 3,2,3,1', 0, 'true'),
+    ('equiv -q {q3} -s 3,2,1,3 -t 3,2,3,1 --format json', 0, '{"equivalent": true}'),
+    ('equiv -q {q3} -s 3,2,3 -t 3,2,1', 1, 'false'),
+    ('equiv -q {q3} -s 3,2,3 -t 3,2,1 --format json', 1, '{"equivalent": false}'),
+    ('preceq -q {q3} -s 3,2 -t 3,2,3', 0, 'true'),
+    ('preceq -q {q3} -s 3,2 -t 3,2,3 --format json', 0, '{"precedes": true}'),
+    ('preceq -q {q3} -s 3,2,3 -t 3,2,1', 1, 'false'),
+    ('preceq -q {q3} -s 3,2,3 -t 3,2,1 --format json', 1, '{"precedes": false}'),
+    ('meet -q {q3} -s 3,2,3 -t 3,2,1', 0, '3,2'),
+    ('meet -q {q3} -s 3,2,3 -t 3,2,1 --format json', 0, '{"letters": [3, 2]}'),
+    ('join -q {q3} -s 3,2,3 -t 3,2,1', 0, '3,2,1,3'),
+    ('join -q {q3} -s 3,2,3 -t 3,2,1 --format json', 0, '{"letters": [3, 2, 1, 3]}'),
+    ('complement -q {q3} -s 3,2,3 -t 3,2,1', 0, 'meet 3,2; U 3; V 1'),
+    ('complement -q {q3} -s 3,2,3 -t 3,2,1 --format json', 0,
+     '{"meet": [3, 2], "u": [3], "v": [1], "base_arrows": [[2, 1], [2, 3]]}'),
+    ('principal -q {q3} -r 3 -x 3', 0, '3,2,1,3,2,3'),
+    ('principal -q {q3} -r 3 -x 3 --format json', 0, '{"letters": [3, 2, 1, 3, 2, 3]}'),
+    ('principal -q {wild} -r 2 -x 1', 0, '3,2,1,3,2,1'),
+    ('principal -q {wild} -r 2 -x 1 --format json', 0, '{"letters": [3, 2, 1, 3, 2, 1]}'),
+    ('decompose -q {q3} -s 3,2,1,3', 0, '(1,1); (2,3)'),
+    ('decompose -q {q3} -s 3,2,1,3 --format json', 0, '{"pairs": [[1, 1], [2, 3]]}'),
+    ('tail -q {q3} -s 3,2,3', 0, 'T 2,3 on arrows [(1, 2), (3, 2)]; (1,3)'),
+    ('tail -q {q3} -s 3,2,3 --format json', 0,
+     '{"tail": [2, 3], "arrows": [[1, 2], [3, 2]], "size": 1, "vertex": 3}'),
+    ('psi -r 3 -x 1', 0, '(2,1)'),
+    ('psi -r 3 -x 1 --format json', 0, '{"level": 2, "vertex": 1}'),
+    ('word -q {q3} -s 3,2', 0, '3,2'),
+    ('word -q {q3} -s 3,2 --format json', 0,
+     '{"letters": [3, 2], "matrix": [[1, 0, 0], [1, 0, -1], [0, 1, -1]]}'),
+    ('reduced --cartan {a4} -w 2,3,2', 0, 'reduced (length 3)'),
+    ('reduced --cartan {a4} -w 2,3,2 --format json', 0, '{"reduced": true, "length": 3}'),
+    ('reduced --cartan {a4} -w 2,2', 1, 'not reduced'),
+    ('reduced --cartan {a4} -w 2,2 --format json', 1, '{"reduced": false, "length": 2}'),
+    ('reduced -q {qk} -w 2,1,2,1', 0, 'reduced (length 4)'),
+    ('reduced -q {qk} -w 2,1,2,1 --format json', 0, '{"reduced": true, "length": 4}'),
+    ('principal-reduced -q {q3} -s 3,2,3', 0, 'true'),
+    ('principal-reduced -q {q3} -s 3,2,3 --format json', 0, '{"reduced": true}'),
+    ('principal-reduced -q {q3} -s 3,2,1,3,2,3,1,2', 1, 'false'),
+    ('principal-reduced -q {q3} -s 3,2,1,3,2,3,1,2 --format json', 1, '{"reduced": false}'),
+    ('coxeter-check -q {q3} -s 3,2,1 -m 4', 1,
+     'm=1: reduced (word length 3)\n'
+     'm=2: not reduced (word length 6)\n'
+     'm=3: not reduced (word length 9)\n'
+     'm=4: not reduced (word length 12)'),
+    ('coxeter-check -q {q3} -s 3,2,1 -m 4 --format json', 1,
+     '{"powers": [{"m": 1, "reduced": true, "length": 3}, {"m": 2, '
+     '"reduced": false, "length": 6}, {"m": 3, "reduced": false, "length": 9}, '
+     '{"m": 4, "reduced": false, "length": 12}]}'),
+    ('coxeter-check -q {qk} -s 2,1 -m 5', 0,
+     'm=1: reduced (word length 2)\n'
+     'm=2: reduced (word length 4)\n'
+     'm=3: reduced (word length 6)\n'
+     'm=4: reduced (word length 8)\n'
+     'm=5: reduced (word length 10)'),
+    ('coxeter-check -q {qk} -s 2,1 -m 5 --format json', 0,
+     '{"powers": [{"m": 1, "reduced": true, "length": 2}, {"m": 2, '
+     '"reduced": true, "length": 4}, {"m": 3, "reduced": true, "length": 6}, '
+     '{"m": 4, "reduced": true, "length": 8}, {"m": 5, "reduced": true, "length": 10}]}'),
+    ('coxeter-check -q {wild} -s 3,2,1 -m 3', 0,
+     'm=1: reduced (word length 3)\n'
+     'm=2: reduced (word length 6)\n'
+     'm=3: reduced (word length 9)'),
+    ('coxeter-check -q {wild} -s 3,2,1 -m 3 --format json', 0,
+     '{"powers": [{"m": 1, "reduced": true, "length": 3}, {"m": 2, '
+     '"reduced": true, "length": 6}, {"m": 3, "reduced": true, "length": 9}]}'),
+    ('finite -q {q3}', 0, 'true'),
+    ('finite -q {q3} --format json', 0, '{"finite": true}'),
+    ('finite -q {qk}', 1, 'false'),
+    ('finite -q {qk} --format json', 1, '{"finite": false}'),
+    ('finite --cartan {a4}', 0, 'true'),
+    ('finite --cartan {a4} --format json', 0, '{"finite": true}'),
+    ('sorting-word -q {q3} -w 3,2,1 -t 3,2,1', 0, '1,2,3'),
+    ('sorting-word -q {q3} -w 3,2,1 -t 3,2,1 --format json', 0, '{"blocks": [[1, 2, 3]]}'),
+    ('sorting-word --cartan {a4} -w 1,2,3,4 -t 2,1,3,2', 0, '2,1 | 3,2'),
+    ('sorting-word --cartan {a4} -w 1,2,3,4 -t 2,1,3,2 --format json', 0,
+     '{"blocks": [[2, 1], [3, 2]]}'),
+    ('sorting-word -q {q3} -w 3,2,1 -t 2,2', 0, ''),
+    ('sorting-word -q {q3} -w 3,2,1 -t 2,2 --format json', 0, '{"blocks": []}'),
+    ('sorting-word -q {q3} -w 3,2,1 --other=', 0, ''),
+    ('sorting-word -q {q3} -w 3,2,1 --other= --format json', 0, '{"blocks": []}'),
+    ('sortable -q {q3} -w 3,2,1 -t 3,2,1', 0, 'true'),
+    ('sortable -q {q3} -w 3,2,1 -t 3,2,1 --format json', 0, '{"sortable": true}'),
+    ('sortable -q {q3} -w 3,2,1 -t 2,2', 0, 'true'),
+    ('sortable -q {q3} -w 3,2,1 -t 2,2 --format json', 0, '{"sortable": true}'),
+    ('sortable -q {q3} -w 1,2,3 -t 1,3,2', 1, 'false'),
+    ('sortable -q {q3} -w 1,2,3 -t 1,3,2 --format json', 1, '{"sortable": false}'),
+    ('module -q {q3} -s 3,2,3', 0, 'dims (0, 1, 0)'),
+    ('module -q {q3} -s 3,2,3 --format json', 0,
+     '{"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [0, 1, 0], '
+     '"maps": [{"arrow": 0, "matrix": [[]]}, {"arrow": 1, "matrix": []}]}'),
+    ('module -q {qk} -s 2,1,2', 0, 'dims (2, 3)'),
+    ('module -q {qk} -s 2,1,2 --format json', 0,
+     '{"quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]}, "dims": [2, 3], '
+     '"maps": [{"arrow": 0, "matrix": [["0", "1"], ["0", "0"], ["-1", "0"]]}, '
+     '{"arrow": 1, "matrix": [["0", "0"], ["1", "0"], ["0", "1"]]}]}'),
+    ('apply --module {l1} -s 3,2,1,3,2,3', 0, 'dims (0, 0, 0)'),
+    ('apply --module {l1} -s 3,2,1,3,2,3 --format json', 0,
+     '{"quiver": {"n": 3, "arrows": [[2, 1], [3, 2]]}, "dims": [0, 0, 0], '
+     '"maps": [{"arrow": 0, "matrix": []}, {"arrow": 1, "matrix": []}]}'),
+    ('apply --module {l1} -s 3,2', 0, 'dims (1, 1, 0)'),
+    ('apply --module {l1} -s 3,2 --format json', 0,
+     '{"quiver": {"n": 3, "arrows": [[2, 1], [2, 3]]}, "dims": [1, 1, 0], '
+     '"maps": [{"arrow": 0, "matrix": [["1"]]}, {"arrow": 1, "matrix": []}]}'),
+    ('phi-plus --module {l1}', 0, 'dims (0, 1, 0)'),
+    ('phi-plus --module {l1} --format json', 0,
+     '{"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [0, 1, 0], '
+     '"maps": [{"arrow": 0, "matrix": [[]]}, {"arrow": 1, "matrix": []}]}'),
+    ('phi-plus --module {kr}', 0, 'dims (1, 1)'),
+    ('phi-plus --module {kr} --format json', 0,
+     '{"quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]}, "dims": [1, 1], '
+     '"maps": [{"arrow": 0, "matrix": [["1"]]}, {"arrow": 1, "matrix": [["1"]]}]}'),
+    ('preproj --module {l1}', 0, 'preprojective(3)'),
+    ('preproj --module {l1} --format json', 0, '{"preprojective": true, "power": 3}'),
+    ('preproj --module {kr} -m 5', 1, 'undecided'),
+    ('preproj --module {kr} -m 5 --format json', 1, '{"preprojective": null}'),
+    ('sm --module {l1}', 0, '3,2,1,3,2,3'),
+    ('sm --module {l1} --format json', 0, '{"letters": [3, 2, 1, 3, 2, 3]}'),
+    ('sm-brute --module {l1} -m 8', 0, '3,2,1,3,2,3'),
+    ('sm-brute --module {l1} -m 8 --format json', 0, '{"letters": [3, 2, 1, 3, 2, 3]}'),
+    ('sm-brute --module {l1} -t 3,2,1,3,2,3,1,2,3', 0, '3,2,1,3,2,3'),
+    ('sm-brute --module {l1} -t 3,2,1,3,2,3,1,2,3 --format json', 0,
+     '{"letters": [3, 2, 1, 3, 2, 3]}'),
+    ('canon -q {q3} --seq=', 2, None),
+    ('canon -q {q3} --seq= --format json', 2, None),
+    ('decompose -q {q3} --seq=', 2, None),
+    ('decompose -q {q3} --seq= --format json', 2, None),
+    ('mult -q {q3} -s 1', 2, None),
+    ('mult -q {q3} -s 1 --format json', 2, None),
+    ('module -q {q3} -s 2', 2, None),
+    ('module -q {q3} -s 2 --format json', 2, None),
+    ('coxeter-check -q {q3} -s 3,2,1 -m 0', 2, None),
+    ('coxeter-check -q {q3} -s 3,2,1 -m 0 --format json', 2, None),
+    ('coxeter-check -q {q3} -s 3,2', 2, None),
+    ('coxeter-check -q {q3} -s 3,2 --format json', 2, None),
+    ('principal-reduced -q {q3} -s 3,2,1,3', 2, None),
+    ('principal-reduced -q {q3} -s 3,2,1,3 --format json', 2, None),
+    ('principal -q {q3} -r 0 -x 1', 2, None),
+    ('principal -q {q3} -r 0 -x 1 --format json', 2, None),
+    ('sm --module {kr} -m 5', 2, None),
+    ('sm --module {kr} -m 5 --format json', 2, None),
+    ('sm-brute --module {kr} -m 3', 2, None),
+    ('sm-brute --module {kr} -m 3 --format json', 2, None),
+    ('meet -q {q3} -s 3,2 -t 3,1', 2, None),
+    ('meet -q {q3} -s 3,2 -t 3,1 --format json', 2, None),
+    ('component -q {q3} --levels 3', 0,
+     'digraph component {\n'
+     '  rankdir=LR;\n'
+     '  "n0_1" [label="(0,1)\\nS=3,2,1\\nreduced, dim (1, 1, 1)"];\n'
+     '  "n0_2" [label="(0,2)\\nS=3,2\\nreduced, dim (0, 1, 1)"];\n'
+     '  "n0_3" [label="(0,3)\\nS=3\\nreduced, dim (0, 0, 1)"];\n'
+     '  "n1_1" [label="(1,1)\\nS=3,2,1,3,2,1\\nnot reduced"];\n'
+     '  "n1_2" [label="(1,2)\\nS=3,2,1,3,2\\nreduced, dim (1, 1, 0)"];\n'
+     '  "n1_3" [label="(1,3)\\nS=3,2,3\\nreduced, dim (0, 1, 0)"];\n'
+     '  "n2_1" [label="(2,1)\\nS=3,2,1,3,2,1,3,2,1\\nnot reduced"];\n'
+     '  "n2_2" [label="(2,2)\\nS=3,2,1,3,2,1,3,2\\nnot reduced"];\n'
+     '  "n2_3" [label="(2,3)\\nS=3,2,1,3,2,3\\nreduced, dim (1, 0, 0)"];\n'
+     '  "n0_2" -> "n0_1";\n'
+     '  "n0_1" -> "n1_2";\n'
+     '  "n0_3" -> "n0_2";\n'
+     '  "n0_2" -> "n1_3";\n'
+     '  "n1_2" -> "n1_1";\n'
+     '  "n1_1" -> "n2_2";\n'
+     '  "n1_3" -> "n1_2";\n'
+     '  "n1_2" -> "n2_3";\n'
+     '  "n2_2" -> "n2_1";\n'
+     '  "n2_3" -> "n2_2";\n'
+     '}'),
+    ('component -q {qk} --levels 2', 0,
+     'digraph component {\n'
+     '  rankdir=LR;\n'
+     '  "n0_1" [label="(0,1)\\nS=2,1\\nreduced, dim (1, 2)"];\n'
+     '  "n0_2" [label="(0,2)\\nS=2\\nreduced, dim (0, 1)"];\n'
+     '  "n1_1" [label="(1,1)\\nS=2,1,2,1\\nreduced, dim (3, 4)"];\n'
+     '  "n1_2" [label="(1,2)\\nS=2,1,2\\nreduced, dim (2, 3)"];\n'
+     '  "n0_2" -> "n0_1";\n'
+     '  "n0_1" -> "n1_2";\n'
+     '  "n0_2" -> "n0_1";\n'
+     '  "n0_1" -> "n1_2";\n'
+     '  "n1_2" -> "n1_1";\n'
+     '  "n1_2" -> "n1_1";\n'
+     '}'),
+    ('component -q {wild} --levels 2', 0,
+     'digraph component {\n'
+     '  rankdir=LR;\n'
+     '  "n0_1" [label="(0,1)\\nS=3,2,1\\nreduced, dim (1, 2, 3)"];\n'
+     '  "n0_2" [label="(0,2)\\nS=3,2\\nreduced, dim (0, 1, 1)"];\n'
+     '  "n0_3" [label="(0,3)\\nS=3\\nreduced, dim (0, 0, 1)"];\n'
+     '  "n1_1" [label="(1,1)\\nS=3,2,1,3,2,1\\nreduced, dim (6, 13, 16)"];\n'
+     '  "n1_2" [label="(1,2)\\nS=3,2,1,3,2\\nreduced, dim (3, 6, 8)"];\n'
+     '  "n1_3" [label="(1,3)\\nS=3,2,1,3\\nreduced, dim (1, 3, 3)"];\n'
+     '  "n0_2" -> "n0_1";\n'
+     '  "n0_1" -> "n1_2";\n'
+     '  "n0_2" -> "n0_1";\n'
+     '  "n0_1" -> "n1_2";\n'
+     '  "n0_3" -> "n0_2";\n'
+     '  "n0_2" -> "n1_3";\n'
+     '  "n0_3" -> "n0_1";\n'
+     '  "n0_1" -> "n1_3";\n'
+     '  "n1_2" -> "n1_1";\n'
+     '  "n1_2" -> "n1_1";\n'
+     '  "n1_3" -> "n1_2";\n'
+     '  "n1_3" -> "n1_1";\n'
+     '}'),
+    ('canon -s 3', 2, None),
+    ('reduced -w 1', 2, None),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN)
+def test_golden(capsys, files, argv, code, stdout):
+    try:
+        got = main(argv.format(**files).split())
+    except SystemExit as exc:  # argparse rejects the command line
+        got = exc.code
+    expected = "" if stdout is None else stdout + "\n"
+    assert (got, capsys.readouterr().out) == (code, expected)
 
 
 def run(capsys, *argv):
@@ -267,3 +524,26 @@ class TestErrors:
     def test_unknown_verb(self, q3_file):
         with pytest.raises(SystemExit):
             main(["frobnicate", "-q", q3_file])
+
+
+LABEL = re.compile(r'\[label="\(\d+,\d+\)\\nS=([\d,]+)\\n(?:reduced, dim \(([\d, ]+)\)|not reduced)"\]')
+
+
+@pytest.mark.parametrize("n,arrows", [
+    (2, [(1, 2), (1, 2)]),                  # Kronecker
+    (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # affine A_3
+    (3, [(1, 2), (1, 2), (2, 3), (1, 3)]),  # wild
+])
+def test_component_labels_are_module_dims(n, arrows):
+    from admseq.graphs import quiver_from_arrows
+    from admseq.reps import build_module
+    from admseq.sequences import AdmissibleSeq, parse_letters
+
+    q = quiver_from_arrows(n, arrows)
+    labels = LABEL.findall(export_component(q, 3))
+    assert len(labels) == 3 * n
+    reduced = [(s, dims) for s, dims in labels if dims]
+    assert reduced
+    for s, dims in reduced:
+        module = build_module(AdmissibleSeq(q, parse_letters(s)))
+        assert module.dims == tuple(map(int, dims.split(", ")))
