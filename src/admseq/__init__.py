@@ -41,6 +41,7 @@ from .weyl import (
     is_c_sortable,
     is_reduced,
     principal_reduced_criterion,
+    principal_root,
     simple_reflection,
     weyl_is_finite,
     word_of,

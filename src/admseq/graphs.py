@@ -93,14 +93,18 @@ class Graph:
 def graph_from_cartan(A):
     """Build the graph whose Cartan matrix is ``A``.
 
-    Raises InvalidCartanError for a matrix that is not a symmetric
-    generalized Cartan matrix, IndecomposabilityError when it splits
-    into blocks.
+    Raises InvalidCartanError for anything but a square list of integer
+    rows that form a symmetric generalized Cartan matrix,
+    IndecomposabilityError when it splits into blocks.
     """
+    if not isinstance(A, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and len(row) == len(A)
+        and all(type(a) is int for a in row)
+        for row in A
+    ):
+        raise InvalidCartanError("matrix is not a square list of integer rows")
     n = len(A)
     for i in range(n):
-        if len(A[i]) != n:
-            raise InvalidCartanError("matrix is not square")
         if A[i][i] != 2:
             raise InvalidCartanError(f"diagonal entry a_{i + 1}{i + 1} != 2")
         for j in range(n):

@@ -262,7 +262,7 @@ def is_principal(s):
     None otherwise."""
     if len(s) == 0:
         return None
-    supports = [frozenset(seg) for seg in canonical_form(s).segments]
+    supports = level_sets(s.multiplicities())
     r = len(supports)
     top = supports[-1]
     gens = [x for x in top if s.quiver.principal_filter(x) == top]
@@ -277,11 +277,11 @@ def is_principal(s):
 
 def principal_precedes(pair, s):
     """Whether the principal sequence S_{q,y} precedes s, decided on the
-    canonical form alone: q <= r and y in the q-th segment support."""
+    level sets of s alone: q <= r and y in the q-th level set."""
     q, y = pair
     if len(s) == 0:
         return False
-    supports = [frozenset(seg) for seg in canonical_form(s).segments]
+    supports = level_sets(s.multiplicities())
     return q <= len(supports) and y in supports[q - 1]
 
 
@@ -295,7 +295,7 @@ def principal_decomposition(s):
     if len(s) == 0:
         raise EmptySequenceError("empty sequence has no principal decomposition")
     q = s.quiver
-    supports = [frozenset(seg) for seg in canonical_form(s).segments]
+    supports = level_sets(s.multiplicities())
     supports.append(frozenset())
     out = []
     for h in range(1, len(supports)):

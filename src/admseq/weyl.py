@@ -214,11 +214,11 @@ def length_of_word(word):
     return sum(len(b) for b in blocks)
 
 
-def principal_reduced_criterion(seq):
-    """Positivity test for principal sequences: all partial right
-    products applied to the last simple root stay positive.
-
-    Agrees with is_reduced(word_of(seq)) on principal sequences.
+def principal_root(seq):
+    """The root sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s}) of a principal
+    sequence, or None as soon as an entry turns negative (the word is
+    then not reduced).  For a reduced principal sequence this root is
+    dim M(S) (Bernstein-Gelfand-Ponomarev).
     """
     from .sequences import is_principal
 
@@ -233,8 +233,17 @@ def principal_reduced_criterion(seq):
         i = x - 1
         v[i] -= sum(a * c for a, c in zip(cartan[i], v))
         if v[i] < 0:
-            return False
-    return True
+            return None
+    return tuple(v)
+
+
+def principal_reduced_criterion(seq):
+    """Positivity test for principal sequences: all partial right
+    products applied to the last simple root stay positive.
+
+    Agrees with is_reduced(word_of(seq)) on principal sequences.
+    """
+    return principal_root(seq) is not None
 
 
 def coxeter_element(seq):
@@ -339,6 +348,4 @@ def c_sorting_word(c_word, target):
 def is_c_sortable(c_word, target):
     """Whether the divider blocks of the c-sorting word are weakly
     decreasing under inclusion."""
-    if target.is_identity():
-        return True
     return c_sorting_word(c_word, target).is_sortable()

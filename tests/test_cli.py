@@ -521,6 +521,33 @@ class TestErrors:
             main(["component", "-q", q3_file, "--levels", "1", "--format", "json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("verb", ["equiv", "preceq", "meet", "join", "complement"])
+    def test_second_sequence_required(self, capsys, q3_file, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "-q", q3_file, "-s", "3,2,3"])
+        assert exc.value.code == 2
+        assert "-t/--other" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cartan", [
+        [[2, -1], [-1]],
+        [[2, -1], [-2, 2]],
+        [[2, -1.5], [-1.5, 2]],
+        [[2, -1], []],
+        5,
+    ], ids=["ragged", "asymmetric", "float", "empty-row", "scalar"])
+    @pytest.mark.parametrize("verb", [
+        ["reduced", "-w", "1,2,1"],
+        ["finite"],
+        ["sorting-word", "-w", "1,2", "-t", "2,1"],
+        ["sortable", "-w", "1,2", "-t", "2,1"],
+    ], ids=lambda verb: verb[0])
+    def test_malformed_cartan_file(self, capsys, tmp_path, cartan, verb):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"cartan": cartan}))
+        code, out, err = run(capsys, verb[0], "--cartan", str(path), *verb[1:])
+        assert (code, out) == (2, "")
+        assert "error" in err
+
     def test_unknown_verb(self, q3_file):
         with pytest.raises(SystemExit):
             main(["frobnicate", "-q", q3_file])
@@ -547,3 +574,22 @@ def test_component_labels_are_module_dims(n, arrows):
     for s, dims in reduced:
         module = build_module(AdmissibleSeq(q, parse_letters(s)))
         assert module.dims == tuple(map(int, dims.split(", ")))
+
+
+def test_component_on_a_wild_quiver_reads_roots():
+    """Six levels of a wild quiver, where building the modules of the
+    last level is out of reach: every label is the column x_s of the
+    prefix product sigma_{x_1} ... sigma_{x_{s-1}}."""
+    from admseq.graphs import quiver_from_arrows
+
+    from oracles import word_matrix
+
+    q = quiver_from_arrows(3, [(1, 2), (1, 2), (2, 3), (1, 3)])
+    cartan = q.graph.cartan()
+    labels = LABEL.findall(export_component(q, 6))
+    assert len(labels) == 18
+    for s, dims in labels:
+        letters = tuple(map(int, s.split(",")))
+        prefix = word_matrix(cartan, letters[-2::-1])
+        assert dims == ", ".join(str(row[letters[-1] - 1]) for row in prefix)
+    assert labels[-1] == ("3,2,1,3,2,1,3,2,1,3,2,1,3,2,1,3", "1537, 3219, 4059")

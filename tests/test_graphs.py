@@ -39,6 +39,12 @@ class TestGraphFromCartan:
             [[2, -1], [-2, 2]],  # not symmetric
             [[1, -1], [-1, 2]],  # wrong diagonal
             [[2, 1], [1, 2]],  # positive off-diagonal
+            [[2, -1], [-1]],  # ragged
+            [[2, -1], []],  # empty row
+            [[2, -1.5], [-1.5, 2]],  # not integer
+            [[2, True], [True, 2]],  # not integer
+            5,  # not a list of rows
+            [2, -1],  # rows are not lists
         ],
     )
     def test_invalid_cartan(self, bad):

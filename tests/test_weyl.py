@@ -13,6 +13,7 @@ from admseq.weyl import (
     is_reduced,
     length_of_word,
     principal_reduced_criterion,
+    principal_root,
     simple_reflection,
     weyl_is_finite,
     word_of,
@@ -125,6 +126,27 @@ class TestPrincipalReducedCriterion:
                 for x in q.vertices():
                     s = principal(q, r, x)
                     assert principal_reduced_criterion(s) == is_reduced(word_of(s))
+
+
+class TestPrincipalRoot:
+    def test_is_a_column_of_the_prefix_product(self, q3, qk, a4_orientations,
+                                               triangle_orientations):
+        for q in [q3, qk, *a4_orientations, *triangle_orientations]:
+            cartan = q.graph.cartan()
+            for r in range(1, 4):
+                for x in q.vertices():
+                    s = principal(q, r, x)
+                    root = principal_root(s)
+                    if not is_reduced(word_of(s)):
+                        assert root is None
+                        continue
+                    # sigma_{x_1} ... sigma_{x_{s-1}} acts last letter first
+                    prefix = word_matrix(cartan, tuple(reversed(s.letters[:-1])))
+                    assert root == tuple(row[s.letters[-1] - 1] for row in prefix)
+
+    def test_rejects_non_principal(self, q3):
+        with pytest.raises(NotPrincipalError):
+            principal_root(AdmissibleSeq(q3, (3, 2, 1, 3)))
 
 
 class TestCoxeterElement:
