@@ -99,7 +99,7 @@ def graph_from_cartan(A):
     """
     if not isinstance(A, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) and len(row) == len(A)
-        and all(type(a) is int for a in row)
+        and all(type(a) is int for a in row)  # not isinstance: bool is an int
         for row in A
     ):
         raise InvalidCartanError("matrix is not a square list of integer rows")

@@ -218,7 +218,8 @@ def principal_root(seq):
     """The root sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s}) of a principal
     sequence, or None as soon as an entry turns negative (the word is
     then not reduced).  For a reduced principal sequence this root is
-    dim M(S) (Bernstein-Gelfand-Ponomarev).
+    dim M(S) (Bernstein-Gelfand-Ponomarev).  Raises NotPrincipalError
+    for a sequence that is not principal.
     """
     from .sequences import is_principal
 

@@ -294,7 +294,7 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,code,stdout", GOLDEN)
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN, ids=[row[0] for row in GOLDEN])
 def test_golden(capsys, files, argv, code, stdout):
     try:
         got = main(argv.format(**files).split())
@@ -553,7 +553,11 @@ class TestErrors:
             main(["frobnicate", "-q", q3_file])
 
 
-LABEL = re.compile(r'\[label="\(\d+,\d+\)\\nS=([\d,]+)\\n(?:reduced, dim \(([\d, ]+)\)|not reduced)"\]')
+# a DOT node label: (letters, dims) with dims empty on "not reduced"
+LABEL = re.compile(
+    r'\[label="\(\d+,\d+\)\\nS=([\d,]+)\\n'
+    r'(?:reduced, dim \(([\d, ]+)\)|not reduced)"\]'
+)
 
 
 @pytest.mark.parametrize("n,arrows", [
