@@ -172,6 +172,37 @@ def bfs_lengths(cartan):
     return lengths
 
 
+def ade_is_finite(n, edges):
+    """ADE classification of a connected multigraph on 1..n given by its
+    edge pairs: the Weyl group is finite exactly for the simply laced
+    Dynkin diagrams A_n, D_n, E6, E7, E8."""
+    pairs = [tuple(sorted(e)) for e in edges]
+    if len(set(pairs)) != len(pairs) or len(pairs) != n - 1:
+        return False  # a multiple edge, or a cycle in a connected graph
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    if any(len(nb) > 3 for nb in adj.values()):
+        return False
+    branch = [v for v, nb in adj.items() if len(nb) == 3]
+    if not branch:
+        return True  # path: type A
+    if len(branch) > 1:
+        return False
+    arms = []
+    for start in adj[branch[0]]:
+        length, prev, cur = 1, branch[0], start
+        while len(adj[cur]) == 2:
+            prev, cur = cur, (adj[cur] - {prev}).pop()
+            length += 1
+        arms.append(length)
+    a, c, d = sorted(arms)
+    if a == 1 and c == 1:
+        return True  # type D
+    return (a, c, d) in {(1, 2, 2), (1, 2, 3), (1, 2, 4)}  # E6, E7, E8
+
+
 def lex_first_sorting_word(cartan, scan, target):
     """Exhaustive lexicographically-first subsequence search.
 

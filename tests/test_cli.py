@@ -6,6 +6,9 @@ import pytest
 from admseq.cli import export_component, main
 
 
+Q3 = {"n": 3, "arrows": [[1, 2], [2, 3]]}
+
+
 @pytest.fixture(scope="module")
 def q3_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "q3.json"
@@ -547,6 +550,26 @@ class TestErrors:
         code, out, err = run(capsys, verb[0], "--cartan", str(path), *verb[1:])
         assert (code, out) == (2, "")
         assert "error" in err
+
+    @pytest.mark.parametrize("verb,flag,data", [
+        (["finite"], "--cartan", [[2, -1], [-1, 2]]),
+        (["canon", "-s", "3"], "-q", [[1, 2], [2, 3]]),
+        (["canon", "-s", "3"], "-q", {"n": 3, "arrows": 5}),
+        (["phi-plus"], "--module", [[1, 0, 0]]),
+        (["phi-plus"], "--module", {"quiver": Q3, "dims": 5}),
+        (["phi-plus"], "--module",
+         {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 7, "matrix": [[1]]}]}),
+        (["phi-plus"], "--module",
+         {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["1/0"]]}]}),
+    ], ids=["cartan-list", "quiver-list", "arrows-int", "module-list", "dims-int",
+            "arrow-out-of-range", "zero-denominator"])
+    def test_malformed_json_shape(self, capsys, tmp_path, verb, flag, data):
+        # valid JSON of the wrong shape is an input error, not a crash
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, verb[0], flag, str(path), *verb[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_verb(self, q3_file):
         with pytest.raises(SystemExit):

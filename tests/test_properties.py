@@ -2,13 +2,14 @@
 
 A quiver is drawn as a random spanning tree plus a few extra edges (so
 it is connected, and multiple edges give wild types), oriented along a
-random vertex ranking (so it is acyclic).
+random vertex ranking (so it is acyclic).  Finiteness of the Weyl group
+is checked on graphs drawn the same way with up to 10 vertices.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from admseq.graphs import Quiver, quiver_from_arrows
+from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import build_module, reflect_minus, reflect_plus, simple
 from admseq.sequences import AdmissibleSeq, principal
 from admseq.weyl import (
@@ -21,6 +22,7 @@ from admseq.weyl import (
     word_of,
 )
 from oracles import (
+    ade_is_finite,
     bfs_lengths,
     matrix_first_non_reduced,
     raw_reachable,
@@ -35,11 +37,18 @@ MAX_TOTAL_DIM = 40
 
 
 @st.composite
-def quivers(draw):
-    n = draw(st.integers(2, 5))
+def graph_edges(draw, max_n):
+    """(n, edges): a random tree on 1..n plus at most two extra edges."""
+    n = draw(st.integers(2, max_n))
     edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    return n, edges
+
+
+@st.composite
+def quivers(draw):
+    n, edges = draw(graph_edges(5))
     rank = draw(st.permutations(range(1, n + 1)))
     arrows = [(u, v) if rank[u - 1] < rank[v - 1] else (v, u) for u, v in edges]
     return quiver_from_arrows(n, arrows)
@@ -158,3 +167,11 @@ def test_length_of_word_matches_bfs(case):
     assume(weyl_is_finite(q.graph))
     lengths = bfs_lengths(word.cartan)
     assert length_of_word(word) == lengths[word_matrix(word.cartan, word.letters)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_edges(10))
+def test_weyl_is_finite_matches_ade_classification(case):
+    # the Coxeter-power criterion against the Dynkin diagram classifier
+    n, edges = case
+    assert weyl_is_finite(Graph(n, edges)) == ade_is_finite(n, edges)

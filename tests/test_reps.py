@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from admseq import reps
 from admseq.errors import (
     AdmseqError,
     NotReducedError,
@@ -212,6 +213,18 @@ class TestCoxeter:
         assert is_preprojective(simple(q3, 1), 8) == Preprojective(3)
         assert is_preprojective(qk_regular(qk), 16) == Undecided()
         assert is_preprojective(zero_rep(q3)) == Preprojective(0)
+
+    def test_budget_counts_coxeter_calls(self, qk, monkeypatch):
+        # a budget of 16 steps applies the Coxeter functor exactly 16 times
+        calls = []
+
+        def counted(rep):
+            calls.append(rep.dims)
+            return coxeter_plus(rep)
+
+        monkeypatch.setattr(reps, "coxeter_plus", counted)
+        assert is_preprojective(qk_regular(qk), 16) == Undecided()
+        assert len(calls) == 16
 
 
 class TestBuildModule:

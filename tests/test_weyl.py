@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from admseq.errors import AdmseqError, NotCompleteError, NotPrincipalError
@@ -187,6 +189,18 @@ class TestFiniteness:
         assert not weyl_is_finite(affine_e7_like)
         star4 = Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
         assert not weyl_is_finite(star4)
+        # E7, affine E6, affine E8: a branch vertex with three paths of
+        # the given lengths, all vertices numbered in a shuffled order
+        for arms, finite in [((1, 2, 3), True), ((2, 2, 2), False), ((1, 2, 5), False)]:
+            n = 1 + sum(arms)
+            label = random.Random(n).sample(range(1, n + 1), n)
+            edges, v = [], 1
+            for length in arms:
+                prev = 0
+                for _ in range(length):
+                    edges.append((label[prev], label[v]))
+                    prev, v = v, v + 1
+            assert weyl_is_finite(Graph(n, edges)) is finite, arms
 
     def test_matches_bfs_boundedness(self):
         # finite types have bounded BFS; Kronecker words keep growing
