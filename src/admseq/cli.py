@@ -37,7 +37,10 @@ def _graph(args):
     else that of the -q quiver file."""
     if args.cartan:
         with open(args.cartan) as fh:
-            return graphs.graph_from_cartan(json.load(fh)["cartan"])
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise AdmseqError('a Cartan file holds {"cartan": [[...]]}')
+        return graphs.graph_from_cartan(data.get("cartan"))
     if args.quiver:
         return graphs.load_quiver(args.quiver).graph
     raise AdmseqError("a Cartan file (--cartan) or quiver file (-q) is required")
@@ -149,20 +152,18 @@ def _apply(args):
 
 
 def _sm_brute(args):
-    """Brute-force shortest annihilator inside -t, or else inside the
-    first power (at most -m) of the canonical complete sequence that
-    annihilates the module."""
+    """Brute-force shortest annihilator inside -t, or else inside k^p
+    for the canonical complete sequence k and the least annihilating
+    power p of the Coxeter functor, found within -m steps."""
     m = reps.load_rep(args.module)
     if args.other:
         ann = sequences.AdmissibleSeq(m.quiver, parse(args.other))
     else:
+        power = reps.is_preprojective(m, args.power)
+        if not isinstance(power, reps.Preprojective):
+            raise AdmseqError(f"not annihilated within {args.power} Coxeter steps")
         k = reps.canonical_complete_sequence(m.quiver).letters
-        for p in range(1, args.power + 1):
-            ann = sequences.AdmissibleSeq(m.quiver, k * p)
-            if reps.apply_sequence(m, ann).is_zero():
-                break
-        else:
-            raise AdmseqError("no annihilating power of the complete sequence found")
+        ann = sequences.AdmissibleSeq(m.quiver, k * power.m)
     return reps.shortest_annihilator_bruteforce(m, ann)
 
 

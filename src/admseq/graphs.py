@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .errors import (
     AcyclicityError,
+    AdmseqError,
     FilterViolationError,
     IndecomposabilityError,
     InvalidCartanError,
@@ -90,6 +91,19 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
+def _int_rows(value, width=None):
+    """Whether value is a list of integer rows of the given width (by
+    default as many as there are rows)."""
+    if not isinstance(value, (list, tuple)):
+        return False
+    width = len(value) if width is None else width
+    return all(
+        isinstance(row, (list, tuple)) and len(row) == width
+        and all(type(a) is int for a in row)  # not isinstance: bool is an int
+        for row in value
+    )
+
+
 def graph_from_cartan(A):
     """Build the graph whose Cartan matrix is ``A``.
 
@@ -97,11 +111,7 @@ def graph_from_cartan(A):
     rows that form a symmetric generalized Cartan matrix,
     IndecomposabilityError when it splits into blocks.
     """
-    if not isinstance(A, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and len(row) == len(A)
-        and all(type(a) is int for a in row)  # not isinstance: bool is an int
-        for row in A
-    ):
+    if not _int_rows(A):
         raise InvalidCartanError("matrix is not a square list of integer rows")
     n = len(A)
     for i in range(n):
@@ -337,13 +347,16 @@ def quiver_from_dict(data):
 
     Either {"n": int, "arrows": [[s, e], ...]} or
     {"cartan": [[...]], "arrows": [[s, e], ...]}; in the latter case the
-    arrow multiplicities must agree with the Cartan matrix.
+    arrow multiplicities must agree with the Cartan matrix.  Raises
+    AdmseqError for any other shape.
     """
+    if not (isinstance(data, dict) and _int_rows(data.get("arrows"), 2)
+            and ("cartan" in data or type(data.get("n")) is int)):
+        raise AdmseqError('a quiver is {"n": int or "cartan": [[...]], "arrows": [[s, e]]}')
     arrows = [tuple(a) for a in data["arrows"]]
     if "cartan" in data:
-        g = graph_from_cartan(data["cartan"])
-        return Quiver(g, arrows)
-    return quiver_from_arrows(int(data["n"]), arrows)
+        return Quiver(graph_from_cartan(data["cartan"]), arrows)
+    return quiver_from_arrows(data["n"], arrows)
 
 
 def load_quiver(path):

@@ -251,15 +251,26 @@ class Undecided:
         return "Undecided()"
 
 
+def _annihilating_power(rep, max_iter):
+    """The least p with (Phi^+)^p rep = 0, that is the number of nonzero
+    images in the Coxeter orbit of rep, and the last of them (None when
+    p = 0).  Applies the Coxeter functor at most max_iter times and
+    raises UndecidedError when the orbit is still nonzero then."""
+    p, last, cur = 0, None, rep
+    while not cur.is_zero():
+        if p >= max_iter:
+            raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
+        p, last, cur = p + 1, cur, coxeter_plus(cur)
+    return p, last
+
+
 def is_preprojective(rep, max_iter=64):
-    """Iterate the Coxeter functor up to max_iter times; report the
-    least annihilating power or Undecided."""
-    cur = rep
-    for m in range(max_iter + 1):
-        if cur.is_zero():
-            return Preprojective(m)
-        cur = coxeter_plus(cur)
-    return Undecided()
+    """The least annihilating power of the Coxeter functor, applied at
+    most max_iter times, or Undecided."""
+    try:
+        return Preprojective(_annihilating_power(rep, max_iter)[0])
+    except UndecidedError:
+        return Undecided()
 
 
 def shortest_annihilator_indec(rep, max_iter=64):
@@ -270,29 +281,19 @@ def shortest_annihilator_indec(rep, max_iter=64):
     projective, identified by its dimension vector, and the answer is
     the principal sequence at that vertex.
     """
-    if rep.is_zero():
+    p, last = _annihilating_power(rep, max_iter)
+    if p == 0:
         return AdmissibleSeq(rep.quiver, ())
-    trail = [rep]
-    cur = rep
-    for _ in range(max_iter):
-        cur = coxeter_plus(cur)
-        if cur.is_zero():
-            break
-        trail.append(cur)
-    else:
-        raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
-    nu = len(trail) - 1
-    last = trail[-1]
-    projectives = projective_dims(rep.quiver)
     matches = [
-        x for x, pd in zip(rep.quiver.vertices(), projectives) if pd == last.dims
+        x for x, pd in zip(rep.quiver.vertices(), projective_dims(rep.quiver))
+        if pd == last.dims
     ]
     if len(matches) != 1:
         raise AdmseqError(
             "last nonzero Coxeter image is not a projective; "
             "the module is not indecomposable preprojective"
         )
-    return seqmod.principal(rep.quiver, nu + 1, matches[0])
+    return seqmod.principal(rep.quiver, p, matches[0])
 
 
 def shortest_annihilator_bruteforce(rep, annihilator):
@@ -385,15 +386,33 @@ def rep_to_dict(rep):
 
 
 def rep_from_dict(data):
+    """Parse the JSON module format; raises AdmseqError for any other
+    shape."""
     from .graphs import quiver_from_dict
 
-    q = quiver_from_dict(data["quiver"])
-    dims = data["dims"]
+    if not isinstance(data, dict):
+        raise AdmseqError('a module is {"quiver": ..., "dims": [...], "maps": [...]}')
+    q = quiver_from_dict(data.get("quiver"))
+    dims = data.get("dims")
+    lists = (list, tuple)
+    if not (isinstance(dims, lists) and len(dims) == q.n
+            and all(type(d) is int for d in dims)):
+        raise AdmseqError(f"dims must be a list of {q.n} integers")
     maps = [tuple(() for _ in range(dims[e - 1])) for s, e in q.arrows]
-    for entry in data.get("maps", []):
-        maps[entry["arrow"]] = [
-            [Fraction(str(x)) for x in row] for row in entry["matrix"]
-        ]
+    entries = data.get("maps", [])
+    if not isinstance(entries, lists) or not all(
+        isinstance(e, dict) and isinstance(e.get("matrix"), lists)
+        and all(isinstance(row, lists) for row in e["matrix"]) for e in entries
+    ):
+        raise AdmseqError('maps must be a list of {"arrow": i, "matrix": [[...]]}')
+    for entry in entries:
+        i = entry.get("arrow")
+        if type(i) is not int or not 0 <= i < len(maps):
+            raise AdmseqError(f"arrow {i!r} is not an arrow index 0..{len(maps) - 1}")
+        try:
+            maps[i] = [[Fraction(str(x)) for x in row] for row in entry["matrix"]]
+        except ZeroDivisionError:
+            raise AdmseqError(f"matrix of arrow {i} has a zero denominator") from None
     return Representation(q, dims, maps)
 
 

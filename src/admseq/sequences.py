@@ -72,10 +72,6 @@ class AdmissibleSeq:
     def support(self):
         return frozenset(self.letters)
 
-    def concat(self, other_letters):
-        """The sequence followed by more letters (validated)."""
-        return AdmissibleSeq(self.quiver, self.letters + tuple(other_letters))
-
     def is_complete(self):
         return self.multiplicities() == (1,) * self.quiver.n
 
@@ -88,10 +84,6 @@ class CanonicalForm:
     def __init__(self, quiver, segments):
         self.quiver = quiver
         self.segments = tuple(tuple(seg) for seg in segments)
-
-    @property
-    def r(self):
-        return len(self.segments)
 
     def supports(self):
         return [frozenset(seg) for seg in self.segments]

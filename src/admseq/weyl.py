@@ -10,9 +10,9 @@ Walking a word keeps a product P as a list of columns and steps by
 P -> P sigma_x (``_right_reflect``): column j of P sigma_x is
 column j - a_xj column x, so one letter updates only column x and the
 columns of its neighbours, O(n deg x) integer operations.  Reducedness,
-Coxeter powers, word evaluation and the descent peels are all such
-walks; full matrix products serve only ``WeylElement.__mul__`` and
-``preserves_form``.
+Coxeter powers, finiteness of W, word evaluation and the descent peels
+are all such walks; full matrix products serve only
+``WeylElement.__mul__`` and ``preserves_form``.
 """
 
 from __future__ import annotations
@@ -53,19 +53,6 @@ def _right_reflect(cartan, cols, x):
 def _int_matvec(a, v):
     n = len(a)
     return tuple(sum(a[i][t] * v[t] for t in range(n)) for i in range(n))
-
-
-def simple_reflection_matrix(cartan, i):
-    """Matrix of sigma_i: identity except row i - 1, which is
-    delta_ij - a_ij."""
-    n = len(cartan)
-    return tuple(
-        tuple(
-            int(r == j) - cartan[i - 1][j] if r == i - 1 else int(r == j)
-            for j in range(n)
-        )
-        for r in range(n)
-    )
 
 
 class WeylElement:
@@ -146,7 +133,7 @@ class WeylWord:
 
 
 def simple_reflection(cartan, i):
-    return WeylElement(cartan, simple_reflection_matrix(cartan, i))
+    return WeylWord(cartan, (i,)).evaluate()
 
 
 def word_of(seq):
@@ -180,16 +167,20 @@ def _peel(w, scan):
     return blocks
 
 
-def _first_non_reduced(cartan, letters):
+def _first_non_reduced(cartan, letters, cap=None):
     """1-based position of the first letter x_k whose root
     sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) has a negative entry, or
     None when every such root is positive.  The prefix product is kept
     by columns, so the root is column x_k and one letter costs one
-    column update."""
+    column update.  Given a cap, the walk also ends with None at the
+    first root with an entry above it (see ``weyl_is_finite``)."""
     cols = _int_identity_cols(len(cartan))
     for k, x in enumerate(letters, start=1):
-        if any(c < 0 for c in cols[x - 1]):
+        root = cols[x - 1]
+        if min(root) < 0:
             return k
+        if cap is not None and max(root) > cap:
+            return None
         _right_reflect(cartan, cols, x)
     return None
 
@@ -255,36 +246,17 @@ def coxeter_element(seq):
 
 
 def weyl_is_finite(graph):
-    """ADE recognizer: the Weyl group is finite exactly for simply laced
-    Dynkin diagrams A_n, D_n, E6, E7, E8."""
+    """Whether the Weyl group is finite, by the Coxeter-power theorem: W
+    is infinite exactly when every power of a Coxeter element c is
+    reduced.  A finite W has Coxeter number h <= max(2n - 2, 30) and a
+    longest element of length nh/2, so c^m is not reduced once m > h/2;
+    one walk over c^m, c = 1, 2, ..., n and m = max(n, 15) + 1, looks
+    for its first non-reduced letter.  The roots of a finite simply
+    laced type have entries at most 6 (the highest root of E8), so a
+    larger entry proves W infinite and ends the walk early."""
     n = graph.n
-    if any(graph.edge_mult(u, v) > 1 for u, v in set(graph.edges)):
-        return False
-    if len(graph.edges) != n - 1:
-        return False  # connected with n-1 edges means tree; more means a cycle
-    deg = {v: len([e for e in graph.edges if v in e]) for v in range(1, n + 1)}
-    if any(d > 3 for d in deg.values()):
-        return False
-    branch = [v for v, d in deg.items() if d == 3]
-    if not branch:
-        return True  # path: type A
-    if len(branch) > 1:
-        return False
-    b = branch[0]
-    arms = []
-    for start in graph.neighbors(b):
-        length = 1
-        prev, cur = b, start
-        while deg[cur] == 2:
-            nxt = (graph.neighbors(cur) - {prev}).pop()
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    a, c, d = arms
-    if a == 1 and c == 1:
-        return True  # type D
-    return (a, c, d) in {(1, 2, 2), (1, 2, 3), (1, 2, 4)}  # E6, E7, E8
+    letters = tuple(range(1, n + 1)) * (max(n, 15) + 1)
+    return _first_non_reduced(graph.cartan(), letters, cap=6) is not None
 
 
 def coxeter_powers_reduced(seq, m_max):
