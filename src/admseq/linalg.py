@@ -1,10 +1,14 @@
 """Exact rational linear algebra: echelon forms and kernels.
 
-Matrices are lists of row lists with Fraction (or int) entries; all
+Matrices are sequences of rows with int or Fraction entries; all
 shapes are passed explicitly so that zero-dimensional matrices behave.
-Pivoting is deterministic (leftmost column, smallest row), so kernel
-bases are reproducible across runs.  A cokernel is the transposed kernel
-of the transpose; ``invert`` serves only ``weyl.WeylElement.inverse``.
+Elimination is integer-first: an integral entry is held as an ``int``
+and only a non-integral one as a ``Fraction``, so matrices of small
+integers, the common case for quiver representations, are reduced
+without building a single Fraction.  Pivoting is deterministic
+(leftmost column, smallest row), so kernel bases are reproducible
+across runs.  A cokernel is the transposed kernel of the transpose;
+``invert`` serves only ``weyl.WeylElement.inverse``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ def copy(m):
 
 
 def transpose(m, rows, cols):
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
+    return [list(col) for col in zip(*m)] if rows else [[] for _ in range(cols)]
 
 
 def matmul(a, b, n, k, m):
@@ -33,8 +37,16 @@ def matmul(a, b, n, k, m):
 
 
 def rref(m, rows, cols):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = copy(m)
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Entries of the result are ``int`` where integral and ``Fraction``
+    otherwise.  The RREF of a matrix is unique, so the values do not
+    depend on how entries are held.  A pivot row is scaled only when its
+    pivot is not +-1, and other rows are updated only in the columns
+    where the pivot row is nonzero.
+    """
+    m = [[x if type(x) is int else x.numerator if x.denominator == 1 else x for x in row]
+         for row in m]
     pivots = []
     r = 0
     for c in range(cols):
@@ -42,18 +54,31 @@ def rref(m, rows, cols):
             break
         pivot_row = None
         for i in range(r, rows):
-            if m[i][c] != 0:
+            if m[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row = m[r]
+        # Entries left of c are zero in every row from r on.
+        support = [j for j in range(c, cols) if row[j]]
+        p = row[c]
+        if p == -1:
+            for j in support:
+                row[j] = -row[j]
+        elif p != 1:
+            inv = 1 / Fraction(p)
+            for j in support:
+                x = row[j] * inv
+                row[j] = x.numerator if x.denominator == 1 else x
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            target = m[i]
+            f = target[c]
+            if i != r and f:
+                for j in support:
+                    x = target[j] - f * row[j]
+                    target[j] = x if type(x) is int else x.numerator if x.denominator == 1 else x
         pivots.append(c)
         r += 1
     return m, pivots
@@ -74,12 +99,12 @@ def nullspace(m, rows, cols):
     free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [0] * cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -r[i][f]
         basis.append(v)
-    return [[basis[j][i] for j in range(len(basis))] for i in range(cols)]
+    return transpose(basis, len(basis), cols)
 
 
 def invert(m, n):

@@ -1,13 +1,19 @@
 """Quiver representations over the rationals and reflection functors.
 
 A representation stores one matrix per arrow instance, shaped
-dims(target) x dims(source), with Fraction entries.  The positive
-reflection functor replaces the space at a sink by the kernel of the
-assembled incoming map; the negative functor replaces the space at a
-source by the cokernel of the assembled outgoing map.  Both functors
-share one kernel path: the cokernel is taken as the transposed kernel
-of the transposed map.  Bases come from deterministic echelon forms, so
-results are bit-reproducible.
+dims(target) x dims(source).  Its public ``maps`` hold Fraction
+entries; beside them it keeps the same matrices as private
+integer-first rows, with an ``int`` wherever an entry is integral.
+The positive reflection functor replaces the space at a sink by the
+kernel of the assembled incoming map; the negative functor replaces the
+space at a source by the cokernel of the assembled outgoing map.  Both
+are one private step on raw rows: the cokernel is taken as the
+transposed kernel of the transposed map.  A chain of reflections, such
+as a sequence, a Coxeter functor or the build of M(S), is one fold of
+that step, so the rows stay integer-first from letter to letter and the
+Fraction view is built once, for the representation the fold returns.
+Bases come from deterministic echelon forms, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,15 +34,27 @@ from . import sequences as seqmod
 from . import weyl as weylmod
 
 
+class _FractionOf(dict):
+    """Entry -> the Fraction of its value.  Small integers, which make up
+    almost every entry a functor produces, are looked up; any other
+    entry is converted."""
+
+    def __missing__(self, x):
+        return x if type(x) is Fraction else Fraction(x)
+
+
+_fraction_of = _FractionOf((v, Fraction(v)) for v in range(-16, 17)).__getitem__
+
+
 def _freeze(matrix):
-    """The matrix as a tuple of tuples of Fractions.  One that already is,
-    such as a map a functor carries over, is kept as it is."""
-    if type(matrix) is tuple and all(
-        type(row) is tuple and all(type(x) is Fraction for x in row) for row in matrix
-    ):
-        return matrix
+    """The matrix as a tuple of tuples of Fractions."""
+    return tuple(tuple(map(_fraction_of, row)) for row in matrix)
+
+
+def _zero_rows(quiver, dims):
+    """The zero matrix dims(target) x dims(source) of every arrow."""
     return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in matrix
+        tuple((0,) * dims[s - 1] for _ in range(dims[e - 1])) for s, e in quiver.arrows
     )
 
 
@@ -46,9 +64,14 @@ def _require_vertex(quiver, x):
 
 
 class Representation:
-    """Spaces and maps over a fixed quiver; immutable."""
+    """Spaces and maps over a fixed quiver; immutable.
 
-    __slots__ = ("quiver", "dims", "maps")
+    ``maps`` holds tuples of Fractions.  ``_rows`` holds the same
+    matrices with integral entries as ``int``; the functors read and
+    build these, and never change them in place.
+    """
+
+    __slots__ = ("quiver", "dims", "maps", "_rows")
 
     def __init__(self, quiver, dims, maps):
         dims = tuple(int(d) for d in dims)
@@ -66,6 +89,20 @@ class Representation:
         self.quiver = quiver
         self.dims = dims
         self.maps = maps
+        self._rows = tuple(
+            tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in m)
+            for m in maps
+        )
+
+    @classmethod
+    def _trusted(cls, quiver, dims, rows):
+        """The representation of rows a functor fold produced, already
+        known to fit the quiver: installed without validation, with its
+        Fraction maps built here."""
+        rep = object.__new__(cls)
+        rep.quiver, rep.dims, rep._rows = quiver, dims, rows
+        rep.maps = tuple(_freeze(m) for m in rows)
+        return rep
 
     def dim(self, x):
         return self.dims[x - 1]
@@ -96,10 +133,7 @@ def simple(quiver, x):
     """The simple representation concentrated at x."""
     _require_vertex(quiver, x)
     dims = tuple(int(v == x) for v in quiver.vertices())
-    maps = []
-    for s, e in quiver.arrows:
-        maps.append(tuple(() for _ in range(dims[e - 1])))
-    return Representation(quiver, dims, maps)
+    return Representation(quiver, dims, _zero_rows(quiver, dims))
 
 
 def projective_dims(quiver):
@@ -118,82 +152,73 @@ def projective_dims(quiver):
     return out
 
 
-def _kernel_blocks(dx, maps, widths):
-    """Kernel of the maps into V(x) laid side by side.
+def _step(quiver, dims, rows, x, plus):
+    """One reflection functor on raw rows: F_x^+ at a sink x when
+    ``plus``, else F_x^- at a source x.  Returns (quiver, dims, rows) on
+    the reflected quiver.
 
-    ``maps[i]`` is dx x widths[i]; returns the kernel dimension k and the
-    kernel basis split into one widths[i] x k row block per map.
+    F_x^+ stacks the maps into x side by side; the space at x becomes
+    their kernel, and the new maps out of x are the block components of
+    the kernel inclusion.  F_x^- is D F_x^+ D for the transpose duality
+    D: the maps out of x are transposed, stacked the same way, and the
+    blocks of the kernel transposed back give the quotient projection.
     """
+    _require_vertex(quiver, x)
+    if plus:
+        if not quiver.is_sink(x):
+            raise NotSinkError(f"{x} is not a sink")
+        arrows, other = quiver.arrows_in(x), 0
+    else:
+        if not quiver.is_source(x):
+            raise NotSourceError(f"{x} is not a source")
+        arrows, other = quiver.arrows_out(x), 1
+    dx = dims[x - 1]
+    widths = [dims[quiver.arrows[i][other] - 1] for i in arrows]
+    if plus:
+        blocks = [rows[i] for i in arrows]
+    else:
+        blocks = [linalg.transpose(rows[i], w, dx) for i, w in zip(arrows, widths)]
+    h = [[a for b in blocks for a in b[r]] for r in range(dx)]
     total = sum(widths)
-    h = [[a for m in maps for a in m[r]] for r in range(dx)]
     kernel = linalg.nullspace(h, dx, total)  # total x k
     k = len(kernel[0]) if total else 0
-    blocks = []
+    new_rows = list(rows)
     offset = 0
-    for w in widths:
-        blocks.append(kernel[offset:offset + w])
+    for i, w in zip(arrows, widths):
+        block = kernel[offset:offset + w]
         offset += w
-    return k, blocks
+        new_rows[i] = tuple(map(tuple, block if plus else linalg.transpose(block, w, k)))
+    new_dims = dims[:x - 1] + (k,) + dims[x:]
+    return quiver.reflect(x), new_dims, tuple(new_rows)
 
 
-def _reflected(rep, x, k, arrows, new_maps):
-    """The representation on rep.quiver.reflect(x) with dimension k at x
-    and new_maps on the given (now reversed) arrows."""
-    dims = list(rep.dims)
-    dims[x - 1] = k
-    maps = list(rep.maps)
-    for i, m in zip(arrows, new_maps):
-        maps[i] = m
-    return Representation(rep.quiver.reflect(x), dims, maps)
+def _fold(quiver, dims, rows, letters, plus):
+    """(quiver, dims, rows) after one functor step per letter, in order."""
+    for x in letters:
+        quiver, dims, rows = _step(quiver, dims, rows, x, plus)
+    return quiver, dims, rows
+
+
+def _functor(rep, letters, plus):
+    return Representation._trusted(*_fold(rep.quiver, rep.dims, rep._rows, letters, plus))
 
 
 def reflect_plus(rep, x):
-    """Positive reflection functor at a sink x.
-
-    The space at x becomes the kernel of the map assembled from all
-    arrows into x; the new maps out of x are the block components of the
-    kernel inclusion.
-    """
-    q = rep.quiver
-    _require_vertex(q, x)
-    if not q.is_sink(x):
-        raise NotSinkError(f"{x} is not a sink")
-    incoming = q.arrows_in(x)
-    widths = [rep.dim(q.arrows[i][0]) for i in incoming]
-    k, blocks = _kernel_blocks(rep.dim(x), [rep.maps[i] for i in incoming], widths)
-    return _reflected(rep, x, k, incoming, blocks)
+    """Positive reflection functor at a sink x."""
+    return _functor(rep, (x,), True)
 
 
 def reflect_minus(rep, x):
-    """Negative reflection functor at a source x.
-
-    The space at x becomes the cokernel of the map assembled from all
-    arrows out of x; the new maps into x are inclusion followed by the
-    quotient projection.  Computed as F_x^- = D F_x^+ D for the transpose
-    duality D: the cokernel projection is the transposed kernel of the
-    transposed outgoing maps.
-    """
-    q = rep.quiver
-    _require_vertex(q, x)
-    if not q.is_source(x):
-        raise NotSourceError(f"{x} is not a source")
-    outgoing = q.arrows_out(x)
-    widths = [rep.dim(q.arrows[i][1]) for i in outgoing]
-    dx = rep.dim(x)
-    duals = [linalg.transpose(rep.maps[i], w, dx) for i, w in zip(outgoing, widths)]
-    k, blocks = _kernel_blocks(dx, duals, widths)
-    new_maps = [linalg.transpose(b, w, k) for b, w in zip(blocks, widths)]
-    return _reflected(rep, x, k, outgoing, new_maps)
+    """Negative reflection functor at a source x: the cokernel of the
+    map assembled from all arrows out of x, computed as D F_x^+ D."""
+    return _functor(rep, (x,), False)
 
 
 def apply_sequence(rep, seq):
     """Left-to-right fold of the positive reflection functor."""
     if seq.quiver != rep.quiver:
         raise AdmseqError("sequence and representation live on different quivers")
-    out = rep
-    for x in seq.letters:
-        out = reflect_plus(out, x)
-    return out
+    return _functor(rep, seq.letters, True)
 
 
 def canonical_complete_sequence(quiver):
@@ -204,9 +229,12 @@ def canonical_complete_sequence(quiver):
 
 
 def coxeter_plus(rep):
-    """The positive Coxeter functor: apply_sequence along the canonical
-    complete sequence.  Lands back on the same quiver."""
-    return apply_sequence(rep, canonical_complete_sequence(rep.quiver))
+    """The positive Coxeter functor: one fold along the canonical complete
+    sequence.  Lands back on the same quiver.  The letters come straight
+    from the emitter, which yields sinks only, and every step checks its
+    sink again."""
+    q = rep.quiver
+    return _functor(rep, seqmod._emit_segment(q, q.vertices())[0], True)
 
 
 def build_module(seq):
@@ -221,11 +249,11 @@ def build_module(seq):
     letters = seq.letters
     # Reflection is an involution, so this is the orientation
     # sigma_{x_{s-1}} ... sigma_{x_1} Lambda on which x_s is a sink.
-    m = simple(seq.final_quiver.reflect(letters[-1]), letters[-1])
-    for x in reversed(letters[:-1]):
-        m = reflect_minus(m, x)
-    assert m.quiver == seq.quiver
-    return m
+    q = seq.final_quiver.reflect(letters[-1])
+    dims = tuple(int(v == letters[-1]) for v in q.vertices())
+    q, dims, rows = _fold(q, dims, _zero_rows(q, dims), reversed(letters[:-1]), False)
+    assert q == seq.quiver
+    return Representation._trusted(q, dims, rows)
 
 
 class Preprojective:
@@ -398,7 +426,7 @@ def rep_from_dict(data):
     if not (isinstance(dims, lists) and len(dims) == q.n
             and all(type(d) is int for d in dims)):
         raise AdmseqError(f"dims must be a list of {q.n} integers")
-    maps = [tuple(() for _ in range(dims[e - 1])) for s, e in q.arrows]
+    maps = list(_zero_rows(q, dims))
     entries = data.get("maps", [])
     if not isinstance(entries, lists) or not all(
         isinstance(e, dict) and isinstance(e.get("matrix"), lists)

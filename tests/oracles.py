@@ -74,6 +74,52 @@ def raw_mult(n, letters):
     return tuple(m)
 
 
+# ---------------------------------------------------------- linear algebra
+
+
+def fraction_rref(m, rows, cols):
+    """Plain Gauss-Jordan over Fraction: every entry is converted, every
+    pivot row is scaled and every other row is updated in full.  Returns
+    (matrix, pivot column list)."""
+    m = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def fraction_nullspace(m, rows, cols):
+    """Kernel basis as the columns of a cols x k matrix, one vector per
+    free column with a 1 in its own free coordinate."""
+    r, pivots = fraction_rref(m, rows, cols)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return [[v[i] for v in basis] for i in range(cols)]
+
+
 # ---------------------------------------------------- swap-closure classes
 
 

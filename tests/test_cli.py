@@ -443,6 +443,13 @@ class TestModuleVerbs:
         code, out, _ = run(capsys, "phi-plus", "--module", l1_file)
         assert (code, out) == (0, "dims (0, 1, 0)")
 
+    def test_phi_plus_left_out_map(self, capsys, tmp_path):
+        # no "maps": the map 1 -> 2 between two nonzero spaces is zero
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"quiver": Q3, "dims": [1, 1, 0]}))
+        code, out, _ = run(capsys, "phi-plus", "--module", str(path))
+        assert (code, out) == (0, "dims (0, 1, 1)")
+
     def test_preproj(self, capsys, l1_file):
         code, out, _ = run(capsys, "preproj", "--module", l1_file)
         assert (code, out) == (0, "preprojective(3)")

@@ -1,4 +1,5 @@
-"""Property-based checks over random connected acyclic quivers (n <= 5).
+"""Property-based checks over random connected acyclic quivers (n <= 5),
+and of exact elimination against a plain Fraction Gauss-Jordan.
 
 A quiver is drawn as a random spanning tree plus a few extra edges (so
 it is connected, and multiple edges give wild types), oriented along a
@@ -6,9 +7,12 @@ random vertex ranking (so it is acyclic).  Finiteness of the Weyl group
 is checked on graphs drawn the same way with up to 10 vertices.
 """
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from admseq import linalg
 from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import build_module, reflect_minus, reflect_plus, simple
 from admseq.sequences import AdmissibleSeq, principal
@@ -24,6 +28,8 @@ from admseq.weyl import (
 from oracles import (
     ade_is_finite,
     bfs_lengths,
+    fraction_nullspace,
+    fraction_rref,
     matrix_first_non_reduced,
     raw_reachable,
     raw_reflect,
@@ -175,3 +181,41 @@ def test_weyl_is_finite_matches_ade_classification(case):
     # the Coxeter-power criterion against the Dynkin diagram classifier
     n, edges = case
     assert weyl_is_finite(Graph(n, edges)) == ade_is_finite(n, edges)
+
+
+# Entries that make pivots other than +-1, given as int or as Fraction
+# (integral ones too), mostly zero as in the maps of a module.
+NON_UNIT = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(5, 3), Fraction(-3), Fraction(1)]
+)
+
+
+@st.composite
+def matrices(draw):
+    """(m, rows, cols) with rows <= 6 and cols <= 8, 0 included."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entry = draw(st.sampled_from([NON_UNIT, st.integers(-4, 4)]))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], rows, cols
+
+
+def _integer_first(matrix):
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1)
+        for row in matrix for x in row
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_and_nullspace_match_fraction_elimination(case):
+    m, rows, cols = case
+    before = [list(row) for row in m]
+    red, pivots = linalg.rref(m, rows, cols)
+    expected, expected_pivots = fraction_rref(m, rows, cols)
+    assert pivots == expected_pivots
+    assert red == expected
+    assert _integer_first(red)
+    kernel = linalg.nullspace(m, rows, cols)
+    assert kernel == fraction_nullspace(m, rows, cols)
+    assert _integer_first(kernel)
+    assert m == before

@@ -344,3 +344,42 @@ class TestSerialization:
             {"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [1, 0, 0]}
         )
         assert back == simple(q3, 1)
+        # a left-out map between two nonzero spaces is the zero matrix
+        both = rep_from_dict(
+            {"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [1, 1, 0]}
+        )
+        assert both.maps == (((Fraction(0),),), ())
+        assert both == direct_sum([simple(q3, 1), simple(q3, 2)])
+
+
+def _entries(rep):
+    return [x for m in rep.maps for row in m for x in row]
+
+
+def test_maps_hold_fractions(q3, qk):
+    """Map entries are Fractions whatever the functors hold inside, and
+    digests and rep_to_dict read them."""
+    nonunit = Representation(
+        qk, (2, 1), [((2, Fraction(1, 3)),), ((-3, 1),)]
+    )
+    l1 = simple(q3, 1)
+    outs = [
+        reflect_plus(nonunit, 2),
+        reflect_plus(p2_on_q3(q3), 3),
+        reflect_minus(reflect_plus(nonunit, 2), 2),
+        apply_sequence(l1, AdmissibleSeq(q3, (3, 2, 1, 3))),
+        apply_sequence(l1, AdmissibleSeq(q3, ())),
+        coxeter_plus(nonunit),
+        coxeter_plus(qk_regular(qk)),
+        build_module(principal(qk, 3, 1)),
+        build_module(AdmissibleSeq(q3, (3, 2, 1, 3, 2, 3))),
+        simple(qk, 1),
+        direct_sum([nonunit, qk_regular(qk)]),
+        rep_from_dict(rep_to_dict(nonunit)),
+        rep_from_dict({"quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]}, "dims": [2, 3]}),
+        Representation(qk, (1, 1), [((1,),), ((Fraction(4, 2),),)]),
+    ]
+    for rep in outs:
+        entries = _entries(rep)
+        assert all(type(x) is Fraction for x in entries), rep
+    assert any(x.denominator != 1 for x in _entries(outs[0]))
