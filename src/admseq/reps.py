@@ -1,19 +1,15 @@
 """Quiver representations over the rationals and reflection functors.
 
 A representation stores one matrix per arrow instance, shaped
-dims(target) x dims(source).  Its public ``maps`` hold Fraction
-entries; beside them it keeps the same matrices as private
-integer-first rows, with an ``int`` wherever an entry is integral.
-The positive reflection functor replaces the space at a sink by the
-kernel of the assembled incoming map; the negative functor replaces the
-space at a source by the cokernel of the assembled outgoing map.  Both
-are one private step on raw rows: the cokernel is taken as the
-transposed kernel of the transposed map.  A chain of reflections, such
-as a sequence, a Coxeter functor or the build of M(S), is one fold of
-that step, so the rows stay integer-first from letter to letter and the
-Fraction view is built once, for the representation the fold returns.
-Bases come from deterministic echelon forms, so results are
-bit-reproducible.
+dims(target) x dims(source): as Fractions in the public ``maps``, and as
+private integer-first rows (``int`` wherever an entry is integral).  The
+positive reflection functor replaces the space at a sink by the kernel
+of the assembled incoming map; the negative functor replaces the space
+at a source by the cokernel of the assembled outgoing map, taken as the
+transposed kernel of the transposed map.  Both are one private step on
+rows, and every functor call is one fold of that step, so a chain of
+reflections stays in integers and builds the Fraction view once.  Bases
+come from deterministic echelon forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from . import weyl as weylmod
 class _FractionOf(dict):
     """Entry -> the Fraction of its value.  Small integers, which make up
     almost every entry a functor produces, are looked up; any other
-    entry is converted."""
+    entry is converted and not stored, so the table never grows."""
 
     def __missing__(self, x):
         return x if type(x) is Fraction else Fraction(x)
@@ -153,16 +149,10 @@ def projective_dims(quiver):
 
 
 def _step(quiver, dims, rows, x, plus):
-    """One reflection functor on raw rows: F_x^+ at a sink x when
-    ``plus``, else F_x^- at a source x.  Returns (quiver, dims, rows) on
-    the reflected quiver.
-
-    F_x^+ stacks the maps into x side by side; the space at x becomes
-    their kernel, and the new maps out of x are the block components of
-    the kernel inclusion.  F_x^- is D F_x^+ D for the transpose duality
-    D: the maps out of x are transposed, stacked the same way, and the
-    blocks of the kernel transposed back give the quotient projection.
-    """
+    """F_x^+ at a sink x when ``plus``, else F_x^- at a source x, on raw
+    rows; returns (quiver, dims, rows) on the reflected quiver.  F_x^- is
+    D F_x^+ D: the maps out of x are transposed going in, and the kernel
+    blocks transposed coming out."""
     _require_vertex(quiver, x)
     if plus:
         if not quiver.is_sink(x):
@@ -200,17 +190,27 @@ def _fold(quiver, dims, rows, letters, plus):
 
 
 def _functor(rep, letters, plus):
+    """The fold of one functor over the letters, as a Representation."""
     return Representation._trusted(*_fold(rep.quiver, rep.dims, rep._rows, letters, plus))
 
 
 def reflect_plus(rep, x):
-    """Positive reflection functor at a sink x."""
+    """Positive reflection functor at a sink x.
+
+    The space at x becomes the kernel of the map assembled from all
+    arrows into x; the new maps out of x are the block components of the
+    kernel inclusion.
+    """
     return _functor(rep, (x,), True)
 
 
 def reflect_minus(rep, x):
-    """Negative reflection functor at a source x: the cokernel of the
-    map assembled from all arrows out of x, computed as D F_x^+ D."""
+    """Negative reflection functor at a source x.
+
+    The space at x becomes the cokernel of the map assembled from all
+    arrows out of x; the new maps into x are inclusion followed by the
+    quotient projection.  Computed as F_x^- = D F_x^+ D.
+    """
     return _functor(rep, (x,), False)
 
 
@@ -230,9 +230,8 @@ def canonical_complete_sequence(quiver):
 
 def coxeter_plus(rep):
     """The positive Coxeter functor: one fold along the canonical complete
-    sequence.  Lands back on the same quiver.  The letters come straight
-    from the emitter, which yields sinks only, and every step checks its
-    sink again."""
+    sequence, whose letters every step checks as sinks.  Lands back on
+    the same quiver."""
     q = rep.quiver
     return _functor(rep, seqmod._emit_segment(q, q.vertices())[0], True)
 
