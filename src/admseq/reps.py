@@ -8,14 +8,18 @@ of the assembled incoming map; the negative functor replaces the space
 at a source by the cokernel of the assembled outgoing map, taken as the
 transposed kernel of the transposed map.  Both are one private step on
 rows, and every functor call is one fold of that step, so a chain of
-reflections stays in integers and builds the Fraction view once.  Bases
-come from deterministic echelon forms, so results are bit-reproducible.
+reflections stays in integers and builds the Fraction view once.  The
+Coxeter functor returns to its quiver, so its letters and the quivers
+they act on are built once per call as a cycle; the Coxeter orbit loop
+runs pass after pass of it on raw rows and reads only dims.  Bases come
+from deterministic echelon forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate, product
 
 from . import linalg
 from .errors import (
@@ -150,9 +154,9 @@ def projective_dims(quiver):
 
 def _step(quiver, dims, rows, x, plus):
     """F_x^+ at a sink x when ``plus``, else F_x^- at a source x, on raw
-    rows; returns (quiver, dims, rows) on the reflected quiver.  F_x^- is
-    D F_x^+ D: the maps out of x are transposed going in, and the kernel
-    blocks transposed coming out."""
+    rows over ``quiver``; returns (dims, rows), which live on
+    quiver.reflect(x).  F_x^- is D F_x^+ D: the maps out of x are
+    transposed going in, and the kernel blocks transposed coming out."""
     _require_vertex(quiver, x)
     if plus:
         if not quiver.is_sink(x):
@@ -179,13 +183,14 @@ def _step(quiver, dims, rows, x, plus):
         offset += w
         new_rows[i] = tuple(map(tuple, block if plus else linalg.transpose(block, w, k)))
     new_dims = dims[:x - 1] + (k,) + dims[x:]
-    return quiver.reflect(x), new_dims, tuple(new_rows)
+    return new_dims, tuple(new_rows)
 
 
 def _fold(quiver, dims, rows, letters, plus):
     """(quiver, dims, rows) after one functor step per letter, in order."""
     for x in letters:
-        quiver, dims, rows = _step(quiver, dims, rows, x, plus)
+        dims, rows = _step(quiver, dims, rows, x, plus)
+        quiver = quiver.reflect(x)
     return quiver, dims, rows
 
 
@@ -221,19 +226,28 @@ def apply_sequence(rep, seq):
     return _functor(rep, seq.letters, True)
 
 
+def _coxeter_cycle(quiver):
+    """The canonical complete sequence, taking the smallest-id current
+    sink at every step, as (quiver before the letter, letter) pairs.  It
+    ends back on ``quiver``, so one cycle serves a whole Coxeter orbit."""
+    letters = seqmod._emit_segment(quiver, quiver.vertices())[0]
+    return list(zip(accumulate(letters, lambda q, x: q.reflect(x), initial=quiver), letters))
+
+
 def canonical_complete_sequence(quiver):
     """Complete admissible sequence taking the smallest-id current sink
     at every step."""
-    letters, _ = seqmod._emit_segment(quiver, quiver.vertices())
-    return AdmissibleSeq(quiver, letters)
+    return AdmissibleSeq(quiver, [x for _, x in _coxeter_cycle(quiver)])
 
 
 def coxeter_plus(rep):
-    """The positive Coxeter functor: one fold along the canonical complete
+    """The positive Coxeter functor: one pass along the canonical complete
     sequence, whose letters every step checks as sinks.  Lands back on
     the same quiver."""
-    q = rep.quiver
-    return _functor(rep, seqmod._emit_segment(q, q.vertices())[0], True)
+    dims, rows = rep.dims, rep._rows
+    for q, x in _coxeter_cycle(rep.quiver):
+        dims, rows = _step(q, dims, rows, x, True)
+    return Representation._trusted(rep.quiver, dims, rows)
 
 
 def build_module(seq):
@@ -279,15 +293,17 @@ class Undecided:
 
 
 def _annihilating_power(rep, max_iter):
-    """The least p with (Phi^+)^p rep = 0, that is the number of nonzero
-    images in the Coxeter orbit of rep, and the last of them (None when
-    p = 0).  Applies the Coxeter functor at most max_iter times and
-    raises UndecidedError when the orbit is still nonzero then."""
-    p, last, cur = 0, None, rep
-    while not cur.is_zero():
+    """The least p with (Phi^+)^p rep = 0 and the dims of the last nonzero
+    image (None when p = 0), from at most max_iter raw passes over one
+    cycle; raises UndecidedError when the orbit is still nonzero then."""
+    cycle = _coxeter_cycle(rep.quiver)
+    p, last, dims, rows = 0, None, rep.dims, rep._rows
+    while any(dims):
         if p >= max_iter:
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
-        p, last, cur = p + 1, cur, coxeter_plus(cur)
+        p, last = p + 1, dims
+        for q, x in cycle:
+            dims, rows = _step(q, dims, rows, x, True)
     return p, last
 
 
@@ -313,7 +329,7 @@ def shortest_annihilator_indec(rep, max_iter=64):
         return AdmissibleSeq(rep.quiver, ())
     matches = [
         x for x, pd in zip(rep.quiver.vertices(), projective_dims(rep.quiver))
-        if pd == last.dims
+        if pd == last
     ]
     if len(matches) != 1:
         raise AdmseqError(
@@ -332,8 +348,6 @@ def shortest_annihilator_bruteforce(rep, annihilator):
     unique minimum; a non-unique minimum would contradict uniqueness of
     the shortest sequence and raises.
     """
-    from itertools import product
-
     if not apply_sequence(rep, annihilator).is_zero():
         raise AdmseqError("given sequence does not annihilate the module")
     if rep.is_zero():
@@ -345,7 +359,7 @@ def shortest_annihilator_bruteforce(rep, annihilator):
             s = seq_from_multiplicities(rep.quiver, vec)
         except AdmseqError:
             continue
-        if apply_sequence(rep, s).is_zero():
+        if not any(_fold(rep.quiver, rep.dims, rep._rows, s.letters, True)[1]):
             killing.append((vec, s))
     minima = [
         (vec, s)

@@ -12,9 +12,19 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from admseq import linalg
+from admseq import linalg, reps
 from admseq.graphs import Graph, Quiver, quiver_from_arrows
-from admseq.reps import build_module, reflect_minus, reflect_plus, simple
+from admseq.reps import (
+    Preprojective,
+    build_module,
+    coxeter_plus,
+    is_preprojective,
+    projective_dims,
+    reflect_minus,
+    reflect_plus,
+    shortest_annihilator_indec,
+    simple,
+)
 from admseq.sequences import AdmissibleSeq, principal
 from admseq.weyl import (
     WeylWord,
@@ -83,16 +93,18 @@ def complete_sequences(draw):
 
 @st.composite
 def principal_modules(draw):
-    """(sequence, M(S)) for a principal sequence S with reduced word."""
+    """(S, dim M(S), r) for a principal sequence S = S_{r,x} with reduced
+    word."""
     q = draw(quivers())
-    s = principal(q, draw(st.integers(1, 3)), draw(st.integers(1, q.n)))
+    r = draw(st.integers(1, 3))
+    s = principal(q, r, draw(st.integers(1, q.n)))
     assume(is_reduced(word_of(s)))
     cartan = q.graph.cartan()
     root = tuple(int(v == s.letters[-1]) for v in q.vertices())
     for x in reversed(s.letters[:-1]):
         root = simple_reflection(cartan, x).apply(root)
     assume(sum(root) <= MAX_TOTAL_DIM)
-    return s, root
+    return s, root, r
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -102,20 +114,37 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 @given(principal_modules())
 def test_module_dims_equal_weyl_root(case):
     # dim M(S) = sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s})
-    s, root = case
+    s, root, _ = case
     assert build_module(s).dims == root
 
 
 @PROPERTY_SETTINGS
 @given(principal_modules())
 def test_reflect_plus_undoes_reflect_minus(case):
-    s, _ = case
+    s, _, _ = case
     m = build_module(s)
     q = m.quiver
     for x in sorted(q.sources()):
         if m == simple(q, x):
             continue
         assert reflect_plus(reflect_minus(m, x), x).dims == m.dims
+
+
+@PROPERTY_SETTINGS
+@given(principal_modules())
+def test_principal_module_annihilated_by_its_sequence(case):
+    # M(S_{r,x}) with reduced word is preprojective of power r, and S_{r,x}
+    # is its shortest annihilator; p and the last nonzero dims agree with a
+    # plain loop of the public Coxeter functor
+    s, _, r = case
+    m = build_module(s)
+    assert is_preprojective(m) == Preprojective(r)
+    assert shortest_annihilator_indec(m).multiplicities() == s.multiplicities()
+    p, last, cur = 0, None, m
+    while not cur.is_zero():
+        p, last, cur = p + 1, cur.dims, coxeter_plus(cur)
+    assert reps._annihilating_power(m, 64) == (p, last)
+    assert p == r and last in projective_dims(m.quiver)
 
 
 @PROPERTY_SETTINGS

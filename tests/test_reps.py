@@ -8,6 +8,7 @@ from admseq.errors import (
     NotReducedError,
     NotSinkError,
     NotSourceError,
+    UndecidedError,
 )
 from admseq.reps import (
     Preprojective,
@@ -215,16 +216,23 @@ class TestCoxeter:
         assert is_preprojective(zero_rep(q3)) == Preprojective(0)
 
     def test_budget_counts_coxeter_calls(self, qk, monkeypatch):
-        # a budget of 16 steps applies the Coxeter functor exactly 16 times
-        calls = []
+        # a budget of 16 applies the Coxeter functor exactly 16 times: on the
+        # Kronecker quiver that is 16 x 2 functor steps, counted at the one
+        # per-letter step that every functor call goes through
+        steps = []
+        step = reps._step
 
-        def counted(rep):
-            calls.append(rep.dims)
-            return coxeter_plus(rep)
+        def counted(quiver, dims, rows, x, plus):
+            steps.append(plus)
+            return step(quiver, dims, rows, x, plus)
 
-        monkeypatch.setattr(reps, "coxeter_plus", counted)
+        monkeypatch.setattr(reps, "_step", counted)
         assert is_preprojective(qk_regular(qk), 16) == Undecided()
-        assert len(calls) == 16
+        assert steps == [True] * 32
+        steps.clear()
+        with pytest.raises(UndecidedError):
+            shortest_annihilator_indec(qk_regular(qk), 16)
+        assert steps == [True] * 32
 
 
 class TestBuildModule:
