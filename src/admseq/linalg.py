@@ -1,39 +1,27 @@
-"""Exact rational linear algebra: echelon forms and kernels.
+"""Exact rational linear algebra: one elimination and its two readers.
 
 Matrices are sequences of rows with int or Fraction entries; all
 shapes are passed explicitly so that zero-dimensional matrices behave.
-Elimination is integer-first: an integral entry is held as an ``int``
-and only a non-integral one as a ``Fraction``, so matrices of small
-integers, the common case for quiver representations, are reduced
-without building a single Fraction.  Pivoting is deterministic
-(leftmost column, smallest row), so kernel bases are reproducible
-across runs.  A cokernel is the transposed kernel of the transpose;
-``invert`` serves only ``weyl.WeylElement.inverse``.
+``rref`` is the only elimination.  It is integer-first: an integral
+entry is held as an ``int`` and only a non-integral one as a
+``Fraction``, so matrices of small integers, the common case for quiver
+representations and Weyl group elements, are reduced without building a
+single Fraction.  Pivoting is deterministic (leftmost column, smallest
+row), so kernel bases are reproducible across runs.  ``nullspace``
+reads a kernel basis off the echelon form, and ``invert`` reads the
+right half of the echelon form of [m | I]; it serves only
+``weyl.WeylElement.inverse``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def copy(m):
-    return [[Fraction(x) for x in row] for row in m]
+from .errors import AdmseqError
 
 
 def transpose(m, rows, cols):
     return [list(col) for col in zip(*m)] if rows else [[] for _ in range(cols)]
-
-
-def matmul(a, b, n, k, m):
-    """Product of an n x k and a k x m matrix."""
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def rref(m, rows, cols):
@@ -84,10 +72,6 @@ def rref(m, rows, cols):
     return m, pivots
 
 
-def rank(m, rows, cols):
-    return len(rref(m, rows, cols)[1])
-
-
 def nullspace(m, rows, cols):
     """Basis of the kernel, as columns of a cols x k matrix.
 
@@ -108,24 +92,10 @@ def nullspace(m, rows, cols):
 
 
 def invert(m, n):
-    """Inverse of a nonsingular n x n matrix by Gauss-Jordan."""
-    aug = [list(row) + ident_row for row, ident_row in zip(copy(m), identity(n))]
+    """Inverse of a nonsingular n x n matrix: the right half of the rref
+    of [m | I].  Raises AdmseqError when m is singular."""
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     red, pivots = rref(aug, n, 2 * n)
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
+        raise AdmseqError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def cokernel_projection(m, rows, cols):
-    """Projection onto a complement of the column space.
-
-    Returns a (rows - rank) x rows matrix C with C @ m = 0: the transpose
-    of the kernel basis of m^T, so each row has a 1 at its own non-pivot
-    position of the column space and the result is deterministic.
-    """
-    kernel = nullspace(transpose(m, rows, cols), cols, rows)  # rows x k
-    return transpose(kernel, rows, len(kernel[0]) if rows else 0)
-
-
-def is_zero(m):
-    return all(x == 0 for row in m for x in row)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 from . import linalg
 from .errors import (
@@ -230,8 +230,7 @@ def _coxeter_cycle(quiver):
     """The canonical complete sequence, taking the smallest-id current
     sink at every step, as (quiver before the letter, letter) pairs.  It
     ends back on ``quiver``, so one cycle serves a whole Coxeter orbit."""
-    letters = seqmod._emit_segment(quiver, quiver.vertices())[0]
-    return list(zip(accumulate(letters, lambda q, x: q.reflect(x), initial=quiver), letters))
+    return seqmod._emit_segment(quiver, quiver.vertices())[0]
 
 
 def canonical_complete_sequence(quiver):

@@ -127,11 +127,12 @@ def _emit_segment(quiver, support):
     """Admissible ordering of a support set: repeatedly take the
     smallest-id vertex of the pool that is a sink of the running quiver.
 
-    Returns (letters, quiver after reflecting them all).  Raises when no
-    pool vertex is a sink, which cannot happen for valid level sets.
+    Returns ((quiver before the letter, letter) pairs, quiver after
+    reflecting them all).  Raises when no pool vertex is a sink, which
+    cannot happen for valid level sets.
     """
     pool = set(support)
-    letters = []
+    steps = []
     running = quiver
     while pool:
         for x in sorted(pool):
@@ -139,10 +140,10 @@ def _emit_segment(quiver, support):
                 break
         else:
             raise InvalidMultiplicityError(0, f"no sink available in pool {sorted(pool)}")
-        letters.append(x)
+        steps.append((running, x))
         pool.remove(x)
         running = running.reflect(x)
-    return letters, running
+    return steps, running
 
 
 def _emit_levels(quiver, filters):
@@ -151,8 +152,8 @@ def _emit_levels(quiver, filters):
     segments = []
     running = quiver
     for f in filters:
-        seg, running = _emit_segment(running, f)
-        segments.append(seg)
+        steps, running = _emit_segment(running, f)
+        segments.append([x for _, x in steps])
     return segments
 
 

@@ -13,18 +13,17 @@ columns of its neighbours, O(n deg x) integer operations.  Reducedness,
 Coxeter powers, finiteness of W, word evaluation and the descent peels
 are all such walks; full matrix products serve only
 ``WeylElement.__mul__`` and ``preserves_form``.
+
+``WeylElement.inverse`` hands the integer matrix straight to
+``linalg.invert``.  An element of W has determinant +-1, so its inverse
+is an integer matrix; a singular matrix, or one whose inverse has a
+non-integral entry, is not in W and raises AdmseqError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import AdmseqError, NotCompleteError, NotPrincipalError
-
-
-def _int_identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _int_matmul(a, b):
@@ -35,8 +34,8 @@ def _int_matmul(a, b):
     )
 
 
-def _int_identity_cols(n):
-    return [[int(i == j) for i in range(n)] for j in range(n)]
+def _int_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _right_reflect(cartan, cols, x):
@@ -48,11 +47,6 @@ def _right_reflect(cartan, cols, x):
         if f and j != i:
             cols[j] = [p - f * q for p, q in zip(cols[j], cx)]
     cols[i] = [-q for q in cx]
-
-
-def _int_matvec(a, v):
-    n = len(a)
-    return tuple(sum(a[i][t] * v[t] for t in range(n)) for i in range(n))
 
 
 class WeylElement:
@@ -71,7 +65,7 @@ class WeylElement:
     def apply(self, v):
         if len(v) != len(self.matrix):
             raise AdmseqError("vector length does not match rank")
-        return _int_matvec(self.matrix, tuple(v))
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.matrix)
 
     def __mul__(self, other):
         if self.cartan != other.cartan:
@@ -79,13 +73,15 @@ class WeylElement:
         return WeylElement(self.cartan, _int_matmul(self.matrix, other.matrix))
 
     def inverse(self):
-        n = len(self.matrix)
-        frac = linalg.invert([list(map(Fraction, row)) for row in self.matrix], n)
-        inv = tuple(tuple(int(x) for x in row) for row in frac)
+        """The inverse matrix; raises AdmseqError when the matrix is
+        singular or its inverse is not integral, so not in W."""
+        inv = linalg.invert(self.matrix, len(self.matrix))
+        if any(type(x) is not int for row in inv for x in row):
+            raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
         return WeylElement(self.cartan, inv)
 
     def is_identity(self):
-        return self.matrix == _int_identity(len(self.matrix))
+        return list(map(list, self.matrix)) == _int_identity(len(self.matrix))
 
     def preserves_form(self):
         """Whether m^T A m = A, A the Cartan matrix."""
@@ -123,7 +119,7 @@ class WeylWord:
         return len(self.letters)
 
     def evaluate(self):
-        cols = _int_identity_cols(len(self.cartan))
+        cols = _int_identity(len(self.cartan))
         for x in reversed(self.letters):
             _right_reflect(self.cartan, cols, x)
         return WeylElement(self.cartan, zip(*cols))
@@ -151,7 +147,7 @@ def _peel(w, scan):
     """
     cartan = w.cartan
     cols = [list(c) for c in zip(*w.matrix)]
-    ident = _int_identity_cols(len(cols))
+    ident = _int_identity(len(cols))
     blocks = []
     while cols != ident:
         block = []
@@ -174,7 +170,7 @@ def _first_non_reduced(cartan, letters, cap=None):
     by columns, so the root is column x_k and one letter costs one
     column update.  Given a cap, the walk also ends with None at the
     first root with an entry above it (see ``weyl_is_finite``)."""
-    cols = _int_identity_cols(len(cartan))
+    cols = _int_identity(len(cartan))
     for k, x in enumerate(letters, start=1):
         root = cols[x - 1]
         if min(root) < 0:

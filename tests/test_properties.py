@@ -184,6 +184,16 @@ def test_evaluate_matches_matrix_product(case):
 
 
 @PROPERTY_SETTINGS
+@given(words())
+def test_inverse_is_reversed_word(case):
+    # (x_1 ... x_s)^-1 is the reversed word, and its entries stay ints
+    _, word = case
+    inverse = word.evaluate().inverse()
+    assert inverse == WeylWord(word.cartan, reversed(word.letters)).evaluate()
+    assert all(type(x) is int for row in inverse.matrix for x in row)
+
+
+@PROPERTY_SETTINGS
 @given(complete_sequences(), st.integers(1, 6))
 def test_coxeter_powers_match_separate_checks(seq, m_max):
     # one pass over c^{m_max} must agree with checking every c^m on its own

@@ -10,6 +10,7 @@ from admseq.errors import (
     NotSourceError,
     UndecidedError,
 )
+from admseq.graphs import Quiver, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
     Representation,
@@ -38,6 +39,7 @@ from admseq.sequences import (
     principal,
 )
 from admseq.weyl import is_reduced, word_of
+from oracles import fraction_rref
 
 
 def p2_on_q3(q3):
@@ -99,8 +101,6 @@ class TestReflectPlus:
     def test_kernel_invariants(self, q3, qk):
         # h composed with the kernel inclusion vanishes, and the
         # inclusion has full column rank
-        from admseq import linalg
-
         for rep, x in [(p2_on_q3(q3), 3), (simple(qk, 1), 2), (qk_regular(qk), 2)]:
             out = reflect_plus(rep, x)
             k = out.dim(x)
@@ -113,7 +113,7 @@ class TestReflectPlus:
             if total == 0:
                 assert k == 0
                 continue
-            assert linalg.rank(list(map(list, j_rows)), total, k) == k
+            assert len(fraction_rref(j_rows, total, k)[1]) == k
             h_rows = []
             offset = 0
             for i in incoming:
@@ -233,6 +233,22 @@ class TestCoxeter:
         with pytest.raises(UndecidedError):
             shortest_annihilator_indec(qk_regular(qk), 16)
         assert steps == [True] * 32
+
+    def test_cycle_reflects_each_letter_once(self, monkeypatch):
+        # the Coxeter cycle records each quiver as it walks the letters,
+        # so one coxeter_plus call on n vertices makes n reflections
+        q = quiver_from_arrows(4, [(1, 2), (3, 2), (2, 4)])
+        rep = simple(q, 1)
+        calls = []
+        reflect = Quiver.reflect
+
+        def counted(self, x):
+            calls.append(x)
+            return reflect(self, x)
+
+        monkeypatch.setattr(Quiver, "reflect", counted)
+        assert coxeter_plus(rep).quiver == q
+        assert calls == [4, 2, 1, 3]
 
 
 class TestBuildModule:

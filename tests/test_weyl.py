@@ -7,6 +7,7 @@ from admseq.graphs import Graph, acyclic_orientations, graph_from_cartan
 from admseq.sequences import AdmissibleSeq, enumerate_admissible, principal
 from admseq.weyl import (
     SortingWord,
+    WeylElement,
     WeylWord,
     c_sorting_word,
     coxeter_element,
@@ -80,6 +81,16 @@ class TestWordEvaluation:
     def test_inverse(self):
         w = WeylWord(A3, (1, 2, 3, 1, 2)).evaluate()
         assert (w * w.inverse()).is_identity()
+
+    def test_inverse_rejects_non_integral_inverse(self):
+        # diag(2, 1) is invertible over Q, but its inverse diag(1/2, 1) is
+        # not an integer matrix, so the element is not in W
+        with pytest.raises(AdmseqError, match="not an integer matrix"):
+            WeylElement(KRONECKER, ((2, 0), (0, 1))).inverse()
+
+    def test_inverse_rejects_singular(self):
+        with pytest.raises(AdmseqError, match="singular"):
+            WeylElement(KRONECKER, ((1, 1), (1, 1))).inverse()
 
 
 class TestIsReduced:
