@@ -172,6 +172,8 @@ def export_component(quiver, levels):
     quiver, labeled with principal sequences, reducedness, and module
     dimension vectors, read off the principal roots: dim M(S) is
     sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s}), so no module is built."""
+    if levels < 1:
+        raise AdmseqError(f"levels must be at least 1, got {levels}")
     lines = ["digraph component {", "  rankdir=LR;"]
     for level in range(levels):
         for x in quiver.vertices():

@@ -3,6 +3,16 @@
 Vertices are contiguous ids 1..n.  Multiple edges are kept as individual
 arrow instances so that parallel arrows stay distinguishable by index.
 All objects are immutable after construction.
+
+A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
+builds, once and on first use, three masks per vertex: its in-neighbours,
+its out-neighbours and the vertices it reaches; the path order, filters
+and hulls are mask operations on these.  A walk of reflections at sinks
+or sources reverses the edge u-v exactly when u and v were reflected,
+together, an odd number of times, so the orientation after any prefix
+of a walk is this quiver plus one parity mask of the vertices reflected
+an odd number of times.  Sink and source tests after a walk read that
+mask, and the quiver it stands for is built only when asked for.
 """
 
 from __future__ import annotations
@@ -140,13 +150,25 @@ def _arrow_index(n, arrows):
     return tuple(map(tuple, out)), tuple(map(tuple, into))
 
 
+def _members(mask):
+    """The set of vertices whose bits are set in ``mask``."""
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Quiver:
     """A graph together with an acyclic orientation.
 
     ``arrows`` is a tuple of ordered pairs (source, target), one entry
     per edge instance.  Each quiver indexes, once, the positions in
-    ``arrows`` of the arrows out of and into every vertex; sink, source,
-    reachability and topological-order queries read that index.
+    ``arrows`` of the arrows out of and into every vertex; sink, source
+    and topological-order queries read that index.  Reachability,
+    filters and hulls read the per-vertex masks (see the module
+    docstring), built the first time one of them is asked.
 
     ``reflect(x)`` at a sink or a source is trusted: reversing the
     arrows there keeps the multiplicities and cannot close a cycle
@@ -162,7 +184,7 @@ class Quiver:
     arrows: it is a sink and a source and reaches only itself.
     """
 
-    __slots__ = ("graph", "arrows", "_out", "_in")
+    __slots__ = ("graph", "arrows", "_out", "_in", "_masks")
 
     def __init__(self, graph, arrows):
         arrows = tuple((int(s), int(e)) for s, e in arrows)
@@ -182,6 +204,7 @@ class Quiver:
         self.graph = graph
         self.arrows = arrows
         self._out, self._in = _arrow_index(graph.n, arrows)
+        self._masks = None
         if self._topological_order() is None:
             raise AcyclicityError("orientation has an oriented cycle")
 
@@ -191,7 +214,83 @@ class Quiver:
         acyclically, with their index: installed without validation."""
         q = object.__new__(cls)
         q.graph, q.arrows, q._out, q._in = graph, arrows, out, into
+        q._masks = None
         return q
+
+    def _vertex_masks(self):
+        """(into, out, reach): per vertex, the mask of the vertices with an
+        arrow into it, of those with an arrow out of it, and of those it
+        reaches, itself included; slot 0 unused.  Built on first use, the
+        reach masks in reverse topological order, each from its
+        out-neighbours' masks."""
+        if self._masks is not None:
+            return self._masks
+        into = [0] * (self.n + 1)
+        out = [0] * (self.n + 1)
+        for s, e in self.arrows:
+            out[s] |= 1 << e
+            into[e] |= 1 << s
+        reach = [0] * (self.n + 1)
+        for v in reversed(self._topological_order()):
+            r = 1 << v
+            for w in _members(out[v]):
+                r |= reach[w]
+            reach[v] = r
+        self._masks = tuple(into), tuple(out), tuple(reach)
+        return self._masks
+
+    def _sink_after(self, flips, x):
+        """Whether x is a sink of this quiver reflected at the vertices
+        whose bits are set in the parity mask ``flips``.  An arrow u -> v
+        is reversed there exactly when bits u and v differ."""
+        into, out, _ = self._vertex_masks()
+        if not 0 < x < len(out):
+            return True
+        a, b = (into[x], out[x]) if flips >> x & 1 else (out[x], into[x])
+        return not (a & ~flips or b & flips)
+
+    def _source_after(self, flips, x):
+        """Whether x is a source of this quiver reflected at the vertices
+        whose bits are set in ``flips``: a sink once reflected at x too."""
+        return not 0 < x <= self.n or self._sink_after(flips ^ 1 << x, x)
+
+    def _flipped(self, flips):
+        """The quiver reflected at the vertices whose bits are set in
+        ``flips``, which must be the parity mask of a walk of sinks or
+        sources from this quiver: the arrow at each position is reversed
+        exactly when its two ends' bits differ, and is installed without
+        validation."""
+        arrows = tuple(
+            (e, s) if (flips >> s ^ flips >> e) & 1 else (s, e) for s, e in self.arrows
+        )
+        return Quiver._trusted(self.graph, arrows, *_arrow_index(self.n, arrows))
+
+    def _mask(self, X):
+        """(mask of the vertices of X, set of the ids of X outside 1..n)."""
+        n, mask, extra = self.n, 0, set()
+        for x in X:
+            if 0 < x <= n:
+                mask |= 1 << x
+            else:
+                extra.add(x)
+        return mask, extra
+
+    def _up(self, mask):
+        """The mask of everything reached from a vertex of ``mask``."""
+        reach = self._vertex_masks()[2]
+        up = 0
+        for v in _members(mask):
+            up |= reach[v]
+        return up
+
+    def _hull(self, mask):
+        """The mask of the upward closure of a filter mask and its
+        neighbours."""
+        into, out, _ = self._vertex_masks()
+        grown = mask
+        for v in _members(mask):
+            grown |= into[v] | out[v]
+        return self._up(grown)
 
     @property
     def n(self):
@@ -252,63 +351,45 @@ class Quiver:
         if not 0 < x < len(self._out):
             return self  # no arrow is incident to x
         into, out = self._in[x], self._out[x]
+        if not (into and out):
+            return self._flipped(1 << x)
         arrows = list(self.arrows)
         for i in into + out:
             s, e = arrows[i]
             arrows[i] = (e, s)
-        if into and out:
-            return Quiver(self.graph, arrows)
-        # Only x and its neighbours change their arrows out and in.
-        new_out, new_in = list(self._out), list(self._in)
-        new_out[x], new_in[x] = into, out
-        for w in self.graph._adj[x]:
-            incident = sorted(self._out[w] + self._in[w])
-            new_out[w] = tuple([i for i in incident if arrows[i][0] == w])
-            new_in[w] = tuple([i for i in incident if arrows[i][1] == w])
-        return Quiver._trusted(self.graph, tuple(arrows), tuple(new_out), tuple(new_in))
+        return Quiver(self.graph, arrows)
 
     def leq(self, u, v):
         """Path order: u <= v iff there is a (possibly empty) path u -> v."""
-        return v in self.reachable(u)
+        if not 0 < u <= self.n:
+            return u == v
+        reach = self._vertex_masks()[2]
+        return 0 < v <= self.n and reach[u] >> v & 1 == 1
 
     def reachable(self, u):
-        seen = {u}
-        if not 0 < u < len(self._out):
-            return seen
-        arrows, out = self.arrows, self._out
-        queue = deque([u])
-        while queue:
-            for i in out[queue.popleft()]:
-                e = arrows[i][1]
-                if e not in seen:
-                    seen.add(e)
-                    queue.append(e)
-        return seen
+        if not 0 < u <= self.n:
+            return {u}
+        return _members(self._vertex_masks()[2][u])
 
     def is_filter(self, X):
         """True iff X is upward closed in the path order."""
-        X = set(X)
-        return all(self.reachable(x) <= X for x in X)
+        mask = self._mask(X)[0]
+        return self._up(mask) == mask
 
     def principal_filter(self, x):
         """<x> = all vertices reachable from x."""
         return frozenset(self.reachable(x))
 
     def upward_closure(self, X):
-        out = set()
-        for x in X:
-            out |= self.reachable(x)
-        return frozenset(out)
+        mask, extra = self._mask(X)
+        return frozenset(_members(self._up(mask)) | extra)
 
     def hull(self, F):
         """Smallest filter containing F and every neighbor of F."""
-        F = set(F)
-        if not self.is_filter(F):
-            raise FilterViolationError(f"{sorted(F)} is not a filter")
-        grown = set(F)
-        for v in F:
-            grown |= self.graph.neighbors(v)
-        return self.upward_closure(grown)
+        mask, extra = self._mask(F)
+        if self._up(mask) != mask:
+            raise FilterViolationError(f"{sorted(_members(mask) | extra)} is not a filter")
+        return frozenset(_members(self._hull(mask)) | extra)
 
     def all_filters(self):
         """Every filter of the vertex poset, as frozensets."""

@@ -8,11 +8,15 @@ of the assembled incoming map; the negative functor replaces the space
 at a source by the cokernel of the assembled outgoing map, taken as the
 transposed kernel of the transposed map.  Both are one private step on
 rows, and every functor call is one fold of that step, so a chain of
-reflections stays in integers and builds the Fraction view once.  The
-Coxeter functor returns to its quiver, so its letters and the quivers
-they act on are built once per call as a cycle; the Coxeter orbit loop
-runs pass after pass of it on raw rows and reads only dims.  Bases come
-from deterministic echelon forms, so results are bit-reproducible.
+reflections stays in integers and builds the Fraction view once.  A fold
+walks one base quiver and a parity mask of the vertices it has reflected
+an odd number of times (see ``graphs``): each step tests its sink or
+source on the mask, and the quiver the result lives on is built once, at
+the end.  The Coxeter functor returns to its quiver, so its letters and
+the masks they act on are found once per call as a cycle; the Coxeter
+orbit loop runs pass after pass of it on raw rows, builds no quiver and
+reads only dims.  Bases come from deterministic echelon forms, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -152,22 +156,24 @@ def projective_dims(quiver):
     return out
 
 
-def _step(quiver, dims, rows, x, plus):
+def _step(quiver, flips, dims, rows, x, plus):
     """F_x^+ at a sink x when ``plus``, else F_x^- at a source x, on raw
-    rows over ``quiver``; returns (dims, rows), which live on
-    quiver.reflect(x).  F_x^- is D F_x^+ D: the maps out of x are
-    transposed going in, and the kernel blocks transposed coming out."""
+    rows over ``quiver`` reflected at the bits of ``flips``; returns
+    (dims, rows), which live on that orientation reflected at x too.  At
+    a sink or a source every arrow incident to x points the same way, so
+    the map assembled takes them all, in increasing position.  F_x^- is
+    D F_x^+ D: the maps out of x are transposed going in, and the kernel
+    blocks transposed coming out."""
     _require_vertex(quiver, x)
     if plus:
-        if not quiver.is_sink(x):
+        if not quiver._sink_after(flips, x):
             raise NotSinkError(f"{x} is not a sink")
-        arrows, other = quiver.arrows_in(x), 0
-    else:
-        if not quiver.is_source(x):
-            raise NotSourceError(f"{x} is not a source")
-        arrows, other = quiver.arrows_out(x), 1
+    elif not quiver._source_after(flips, x):
+        raise NotSourceError(f"{x} is not a source")
+    arrows = sorted(quiver.arrows_in(x) + quiver.arrows_out(x))
     dx = dims[x - 1]
-    widths = [dims[quiver.arrows[i][other] - 1] for i in arrows]
+    # s + e - x is the end of arrow (s, e) other than x
+    widths = [dims[sum(quiver.arrows[i]) - x - 1] for i in arrows]
     if plus:
         blocks = [rows[i] for i in arrows]
     else:
@@ -186,17 +192,18 @@ def _step(quiver, dims, rows, x, plus):
     return new_dims, tuple(new_rows)
 
 
-def _fold(quiver, dims, rows, letters, plus):
-    """(quiver, dims, rows) after one functor step per letter, in order."""
+def _fold(quiver, flips, dims, rows, letters, plus):
+    """(quiver, dims, rows) after one functor step per letter, in order,
+    from ``quiver`` reflected at the bits of ``flips``."""
     for x in letters:
-        dims, rows = _step(quiver, dims, rows, x, plus)
-        quiver = quiver.reflect(x)
-    return quiver, dims, rows
+        dims, rows = _step(quiver, flips, dims, rows, x, plus)
+        flips ^= 1 << x
+    return quiver._flipped(flips), dims, rows
 
 
 def _functor(rep, letters, plus):
     """The fold of one functor over the letters, as a Representation."""
-    return Representation._trusted(*_fold(rep.quiver, rep.dims, rep._rows, letters, plus))
+    return Representation._trusted(*_fold(rep.quiver, 0, rep.dims, rep._rows, letters, plus))
 
 
 def reflect_plus(rep, x):
@@ -228,9 +235,10 @@ def apply_sequence(rep, seq):
 
 def _coxeter_cycle(quiver):
     """The canonical complete sequence, taking the smallest-id current
-    sink at every step, as (quiver before the letter, letter) pairs.  It
-    ends back on ``quiver``, so one cycle serves a whole Coxeter orbit."""
-    return seqmod._emit_segment(quiver, quiver.vertices())[0]
+    sink at every step, as (parity mask before the letter, letter) pairs.
+    It reflects every vertex once, which reverses no arrow, so one cycle
+    serves a whole Coxeter orbit."""
+    return seqmod._emit_segment(quiver, quiver.vertices(), 0)[0]
 
 
 def canonical_complete_sequence(quiver):
@@ -243,10 +251,10 @@ def coxeter_plus(rep):
     """The positive Coxeter functor: one pass along the canonical complete
     sequence, whose letters every step checks as sinks.  Lands back on
     the same quiver."""
-    dims, rows = rep.dims, rep._rows
-    for q, x in _coxeter_cycle(rep.quiver):
-        dims, rows = _step(q, dims, rows, x, True)
-    return Representation._trusted(rep.quiver, dims, rows)
+    q, dims, rows = rep.quiver, rep.dims, rep._rows
+    for flips, x in _coxeter_cycle(q):
+        dims, rows = _step(q, flips, dims, rows, x, True)
+    return Representation._trusted(q, dims, rows)
 
 
 def build_module(seq):
@@ -258,12 +266,15 @@ def build_module(seq):
         raise AdmseqError("sequence must be nonempty")
     if not weylmod.is_reduced(weylmod.word_of(seq)):
         raise NotReducedError("word of the sequence is not reduced")
-    letters = seq.letters
-    # Reflection is an involution, so this is the orientation
-    # sigma_{x_{s-1}} ... sigma_{x_1} Lambda on which x_s is a sink.
-    q = seq.final_quiver.reflect(letters[-1])
+    letters, q = seq.letters, seq.quiver
+    # The parity of x_1 ... x_{s-1}: the orientation
+    # sigma_{x_{s-1}} ... sigma_{x_1} Lambda, on which x_s is a sink.
+    flips = 0
+    for x in letters[:-1]:
+        flips ^= 1 << x
     dims = tuple(int(v == letters[-1]) for v in q.vertices())
-    q, dims, rows = _fold(q, dims, _zero_rows(q, dims), reversed(letters[:-1]), False)
+    rows = _zero_rows(q._flipped(flips), dims)
+    q, dims, rows = _fold(q, flips, dims, rows, reversed(letters[:-1]), False)
     assert q == seq.quiver
     return Representation._trusted(q, dims, rows)
 
@@ -295,14 +306,15 @@ def _annihilating_power(rep, max_iter):
     """The least p with (Phi^+)^p rep = 0 and the dims of the last nonzero
     image (None when p = 0), from at most max_iter raw passes over one
     cycle; raises UndecidedError when the orbit is still nonzero then."""
-    cycle = _coxeter_cycle(rep.quiver)
+    q = rep.quiver
+    cycle = _coxeter_cycle(q)
     p, last, dims, rows = 0, None, rep.dims, rep._rows
     while any(dims):
         if p >= max_iter:
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
         p, last = p + 1, dims
-        for q, x in cycle:
-            dims, rows = _step(q, dims, rows, x, True)
+        for flips, x in cycle:
+            dims, rows = _step(q, flips, dims, rows, x, True)
     return p, last
 
 
@@ -358,7 +370,7 @@ def shortest_annihilator_bruteforce(rep, annihilator):
             s = seq_from_multiplicities(rep.quiver, vec)
         except AdmseqError:
             continue
-        if not any(_fold(rep.quiver, rep.dims, rep._rows, s.letters, True)[1]):
+        if not any(_fold(rep.quiver, 0, rep.dims, rep._rows, s.letters, True)[1]):
             killing.append((vec, s))
     minima = [
         (vec, s)

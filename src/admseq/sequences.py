@@ -6,6 +6,13 @@ compared only when their base quivers coincide.  The multiplicity vector
 classifies a sequence up to the swap equivalence, and all lattice
 operations are computed on multiplicity vectors and then materialized
 back into honest sequences.
+
+A walk of sinks runs on one base quiver and a parity mask of the
+vertices reflected an odd number of times (see ``graphs``): every sink
+test reads the mask, and the quiver at the end of a sequence is built
+once.  Level sets are vertex masks here, checked as filters and hulls,
+and searched for minimal elements and principal generators, against
+the base quiver's per-vertex reach masks.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .errors import (
     NotAdmissibleError,
     NotPrincipalError,
 )
+from .graphs import _members
 
 
 class AdmissibleSeq:
@@ -35,16 +43,16 @@ class AdmissibleSeq:
     def __init__(self, quiver, letters):
         letters = tuple(int(x) for x in letters)
         n = quiver.n
-        running = quiver
+        flips = 0
         for i, x in enumerate(letters, start=1):
             if not 1 <= x <= n:
                 raise AdmseqError(f"letter {x} at position {i} is not a vertex 1..{n}")
-            if not running.is_sink(x):
+            if not quiver._sink_after(flips, x):
                 raise NotAdmissibleError(i, x)
-            running = running.reflect(x)
+            flips ^= 1 << x
         self.quiver = quiver
         self.letters = letters
-        self.final_quiver = running
+        self.final_quiver = quiver._flipped(flips)
 
     def __len__(self):
         return len(self.letters)
@@ -123,44 +131,54 @@ def precedes(s, t):
     return all(a <= b for a, b in zip(s.multiplicities(), t.multiplicities()))
 
 
-def _emit_segment(quiver, support):
+def _emit_segment(quiver, support, flips):
     """Admissible ordering of a support set: repeatedly take the
-    smallest-id vertex of the pool that is a sink of the running quiver.
+    smallest-id vertex of the pool that is a sink of the running
+    orientation, ``quiver`` reflected at the bits of ``flips``.
 
-    Returns ((quiver before the letter, letter) pairs, quiver after
-    reflecting them all).  Raises when no pool vertex is a sink, which
-    cannot happen for valid level sets.
+    Returns ((flips before the letter, letter) pairs, flips after them
+    all).  An id outside 1..n has no arrows, so it is a sink and flips no
+    bit.  Raises when no pool vertex is a sink, which cannot happen for
+    valid level sets.
     """
-    pool = set(support)
+    pool = sorted(support)
+    n = quiver.n
     steps = []
-    running = quiver
     while pool:
-        for x in sorted(pool):
-            if running.is_sink(x):
+        for x in pool:
+            if quiver._sink_after(flips, x):
                 break
         else:
-            raise InvalidMultiplicityError(0, f"no sink available in pool {sorted(pool)}")
-        steps.append((running, x))
+            raise InvalidMultiplicityError(0, f"no sink available in pool {pool}")
+        steps.append((flips, x))
         pool.remove(x)
-        running = running.reflect(x)
-    return steps, running
+        if 0 < x <= n:
+            flips ^= 1 << x
+    return steps, flips
 
 
 def _emit_levels(quiver, filters):
-    """Segments emitted level set by level set, each on the quiver left
-    by the ones before it."""
+    """Segments emitted level set by level set, each from the parity
+    mask left by the ones before it."""
     segments = []
-    running = quiver
+    flips = 0
     for f in filters:
-        steps, running = _emit_segment(running, f)
+        steps, flips = _emit_segment(quiver, f, flips)
         segments.append([x for _, x in steps])
     return segments
 
 
+def _level_masks(m):
+    """The level sets of m as vertex masks."""
+    return [
+        sum(1 << v for v, c in enumerate(m, start=1) if c >= i)
+        for i in range(1, max(m, default=0) + 1)
+    ]
+
+
 def level_sets(m):
     """Level sets F_i = {v : m(v) >= i}, i = 1..max(m)."""
-    r = max(m, default=0)
-    return [frozenset(v + 1 for v, c in enumerate(m) if c >= i) for i in range(1, r + 1)]
+    return [frozenset(_members(f)) for f in _level_masks(m)]
 
 
 def seq_from_multiplicities(quiver, m):
@@ -173,16 +191,16 @@ def seq_from_multiplicities(quiver, m):
     m = tuple(int(c) for c in m)
     if len(m) != quiver.n or any(c < 0 for c in m):
         raise InvalidMultiplicityError(0, "vector has wrong length or negative entries")
-    filters = level_sets(m)
+    filters = _level_masks(m)
     for i, f in enumerate(filters, start=1):
-        if not quiver.is_filter(f):
-            raise InvalidMultiplicityError(i, f"{sorted(f)} is not a filter")
+        if quiver._up(f) != f:
+            raise InvalidMultiplicityError(i, f"{sorted(_members(f))} is not a filter")
     for i in range(len(filters) - 1):
-        if not quiver.hull(filters[i + 1]) <= filters[i]:
+        if quiver._hull(filters[i + 1]) & ~filters[i]:
             raise InvalidMultiplicityError(
                 i + 2, "hull of level set is not contained in the previous one"
             )
-    return CanonicalForm(quiver, _emit_levels(quiver, filters)).sequence()
+    return CanonicalForm(quiver, _emit_levels(quiver, map(_members, filters))).sequence()
 
 
 def canonical_form(s):
@@ -255,17 +273,18 @@ def is_principal(s):
     None otherwise."""
     if len(s) == 0:
         return None
-    supports = level_sets(s.multiplicities())
-    r = len(supports)
+    q = s.quiver
+    supports = _level_masks(s.multiplicities())
     top = supports[-1]
-    gens = [x for x in top if s.quiver.principal_filter(x) == top]
+    reach = q._vertex_masks()[2]
+    # Acyclicity makes the generator of a principal filter unique.
+    gens = [x for x in _members(top) if reach[x] == top]
     if not gens:
         return None
-    x = gens[0]
-    for i in range(r - 1):
-        if supports[i] != s.quiver.hull(supports[i + 1]):
+    for i in range(len(supports) - 1):
+        if supports[i] != q._hull(supports[i + 1]):
             return None
-    return r, x
+    return len(supports), gens[0]
 
 
 def principal_precedes(pair, s):
@@ -288,16 +307,15 @@ def principal_decomposition(s):
     if len(s) == 0:
         raise EmptySequenceError("empty sequence has no principal decomposition")
     q = s.quiver
-    supports = level_sets(s.multiplicities())
-    supports.append(frozenset())
+    reach = q._vertex_masks()[2]
+    supports = _level_masks(s.multiplicities()) + [0]
     out = []
     for h in range(1, len(supports)):
-        hull_next = q.hull(supports[h]) if supports[h] else frozenset()
-        rest = supports[h - 1] - hull_next
-        minimal = [
-            v for v in rest if not any(u != v and q.leq(u, v) for u in rest)
-        ]
-        out.extend((h, v) for v in sorted(minimal))
+        rest = supports[h - 1] & ~q._hull(supports[h])
+        above = 0  # every vertex strictly above a member of rest
+        for v in _members(rest):
+            above |= reach[v] & ~(1 << v)
+        out.extend((h, v) for v in sorted(_members(rest & ~above)))
     return out
 
 
@@ -364,12 +382,13 @@ def enumerate_admissible(quiver, max_len):
     """All admissible letter tuples of length <= max_len (including the
     empty one), by breadth-first extension."""
     out = [()]
-    frontier = [((), quiver)]
+    frontier = [((), 0)]
     for _ in range(max_len):
         nxt = []
-        for letters, running in frontier:
-            for x in sorted(running.sinks()):
-                nxt.append((letters + (x,), running.reflect(x)))
+        for letters, flips in frontier:
+            for x in quiver.vertices():
+                if quiver._sink_after(flips, x):
+                    nxt.append((letters + (x,), flips ^ 1 << x))
         out.extend(letters for letters, _ in nxt)
         frontier = nxt
     return out

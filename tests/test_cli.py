@@ -526,6 +526,12 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_component_levels_below_one(self, capsys, q3_file, levels):
+        code, out, err = run(capsys, "component", "-q", q3_file, "--levels", levels)
+        assert (code, out) == (2, "")
+        assert "at least 1" in err
+
     def test_component_takes_no_format(self, q3_file):
         with pytest.raises(SystemExit) as exc:
             main(["component", "-q", q3_file, "--levels", "1", "--format", "json"])

@@ -7,16 +7,21 @@ random vertex ranking (so it is acyclic).  Finiteness of the Weyl group
 is checked on graphs drawn the same way with up to 10 vertices.
 """
 
+import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from admseq import linalg, reps
+from admseq.cli import main
+from admseq.errors import FilterViolationError, NotAdmissibleError
 from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
     build_module,
+    canonical_complete_sequence,
     coxeter_plus,
     is_preprojective,
     projective_dims,
@@ -43,6 +48,7 @@ from oracles import (
     matrix_first_non_reduced,
     raw_reachable,
     raw_reflect,
+    raw_sinks,
     raw_topological_order,
     word_matrix,
 )
@@ -68,6 +74,21 @@ def quivers(draw):
     rank = draw(st.permutations(range(1, n + 1)))
     arrows = [(u, v) if rank[u - 1] < rank[v - 1] else (v, u) for u, v in edges]
     return quiver_from_arrows(n, arrows)
+
+
+@st.composite
+def sink_walks(draw):
+    """(quiver, letters, orientations): a walk of at most 12 sinks, each
+    drawn from the raw sinks of the raw arrows reflected so far, with the
+    raw arrows before each letter and after the last."""
+    q = draw(quivers())
+    arrows, letters, orientations = q.arrows, [], [q.arrows]
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.sampled_from(raw_sinks(q.n, arrows)))
+        arrows = raw_reflect(arrows, x)
+        letters.append(x)
+        orientations.append(arrows)
+    return q, letters, orientations
 
 
 @st.composite
@@ -148,11 +169,31 @@ def test_principal_module_annihilated_by_its_sequence(case):
 
 
 @PROPERTY_SETTINGS
+@given(principal_modules())
+def test_functor_folds_match_single_steps(case):
+    # build_module and coxeter_plus step on a parity mask over one base
+    # quiver; single public functor steps, each on the quiver the previous
+    # one returned, must give the same bases
+    s, _, _ = case
+    arrows = s.quiver.arrows
+    for x in s.letters[:-1]:
+        arrows = raw_reflect(arrows, x)
+    m = simple(Quiver(s.quiver.graph, arrows), s.letters[-1])
+    for x in reversed(s.letters[:-1]):
+        m = reflect_minus(m, x)
+    assert m == build_module(s)
+    image = m
+    for x in canonical_complete_sequence(m.quiver).letters:
+        image = reflect_plus(image, x)
+    assert image == coxeter_plus(m)
+
+
+@PROPERTY_SETTINGS
 @given(quivers())
 def test_trusted_reflection_matches_validated(q):
-    # reflect at a sink or a source skips validation and rebuilds the arrow
-    # index only at x and its neighbours; it must agree with a fully
-    # validated construction and with plain scans of the reflected arrows
+    # reflect at a sink or a source skips validation; it must agree with a
+    # fully validated construction and with plain scans of the reflected
+    # arrows
     for x in sorted(q.sinks() | q.sources()):
         r = q.reflect(x)
         arrows = raw_reflect(q.arrows, x)
@@ -165,6 +206,77 @@ def test_trusted_reflection_matches_validated(q):
             assert r.reachable(v) == raw_reachable(arrows, v)
         assert r.topological_order() == raw_topological_order(r.n, arrows)
         assert r.reflect(x) == q
+
+
+@PROPERTY_SETTINGS
+@given(sink_walks())
+def test_parity_walk_matches_raw_reflections(case):
+    # after every prefix of a walk, the sink and source tests on the parity
+    # mask agree with scans of the raw reflected arrows, and the final
+    # quiver has the raw arrows in their order
+    q, letters, orientations = case
+    flips = 0
+    for i, arrows in enumerate(orientations):
+        sinks = raw_sinks(q.n, arrows)
+        sources = raw_sinks(q.n, [(e, s) for s, e in arrows])
+        for v in q.vertices():
+            assert q._sink_after(flips, v) == (v in sinks)
+            assert q._source_after(flips, v) == (v in sources)
+        if i < len(letters):
+            flips ^= 1 << letters[i]
+    assert AdmissibleSeq(q, letters).final_quiver.arrows == orientations[-1]
+
+
+@PROPERTY_SETTINGS
+@given(sink_walks(), st.data())
+def test_corrupted_letter_raises_at_its_position(case, data):
+    # a walk whose i-th letter is replaced by a vertex that is not a raw
+    # sink there fails at position i
+    q, letters, orientations = case
+    assume(letters)
+    i = data.draw(st.integers(0, len(letters) - 1))
+    sinks = raw_sinks(q.n, orientations[i])
+    x = data.draw(st.sampled_from([v for v in q.vertices() if v not in sinks]))
+    with pytest.raises(NotAdmissibleError) as exc:
+        AdmissibleSeq(q, letters[:i] + [x] + letters[i + 1:])
+    assert (exc.value.index, exc.value.letter) == (i + 1, x)
+
+
+@PROPERTY_SETTINGS
+@given(sink_walks(), st.data())
+def test_poset_queries_match_raw_reachability(case, data):
+    # on the quiver at the end of a walk, the mask-based path order,
+    # filters, closures and hulls against raw reachability and sets
+    q, letters, orientations = case
+    r, arrows = AdmissibleSeq(q, letters).final_quiver, orientations[-1]
+    up = {v: raw_reachable(arrows, v) for v in r.vertices()}
+    for u in r.vertices():
+        assert r.reachable(u) == up[u]
+        assert r.principal_filter(u) == up[u]
+        for v in r.vertices():
+            assert r.leq(u, v) == (v in up[u])
+    X = data.draw(st.sets(st.integers(1, r.n)))
+    closure = set().union(*(up[x] for x in X))
+    assert r.upward_closure(X) == closure
+    assert r.is_filter(X) == (closure == X)
+    if closure == X:
+        grown = X | {s for s, e in arrows if e in X} | {e for s, e in arrows if s in X}
+        assert r.hull(X) == set().union(*(up[v] for v in grown))
+    else:
+        with pytest.raises(FilterViolationError):
+            r.hull(X)
+
+
+def test_ids_outside_the_quiver(q3, tmp_path, capsys):
+    # an id outside 1..n answers as a vertex with no arrows, so principal
+    # at vertex 0 fails where its sequence is validated
+    assert q3.reachable(0) == {0}
+    assert q3.is_sink(q3.n + 1)
+    assert q3._sink_after(0b1110, q3.n + 1)
+    path = tmp_path / "q3.json"
+    path.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [2, 3]]}))
+    assert main(["principal", "-q", str(path), "-r", "2", "-x", "0"]) == 2
+    assert "letter 0 at position 1 is not a vertex" in capsys.readouterr().err
 
 
 @PROPERTY_SETTINGS

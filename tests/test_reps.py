@@ -34,6 +34,7 @@ from admseq.reps import (
 )
 from admseq.sequences import (
     AdmissibleSeq,
+    canonical_form,
     enumerate_admissible,
     equivalent,
     principal,
@@ -222,9 +223,9 @@ class TestCoxeter:
         steps = []
         step = reps._step
 
-        def counted(quiver, dims, rows, x, plus):
+        def counted(quiver, flips, dims, rows, x, plus):
             steps.append(plus)
-            return step(quiver, dims, rows, x, plus)
+            return step(quiver, flips, dims, rows, x, plus)
 
         monkeypatch.setattr(reps, "_step", counted)
         assert is_preprojective(qk_regular(qk), 16) == Undecided()
@@ -234,11 +235,11 @@ class TestCoxeter:
             shortest_annihilator_indec(qk_regular(qk), 16)
         assert steps == [True] * 32
 
-    def test_cycle_reflects_each_letter_once(self, monkeypatch):
-        # the Coxeter cycle records each quiver as it walks the letters,
-        # so one coxeter_plus call on n vertices makes n reflections
+    def test_walks_call_no_reflect(self, monkeypatch):
+        # every walk of sinks or sources runs on a parity mask over its
+        # base quiver, so validating, emitting and folding functors along
+        # a sequence never reflect a quiver
         q = quiver_from_arrows(4, [(1, 2), (3, 2), (2, 4)])
-        rep = simple(q, 1)
         calls = []
         reflect = Quiver.reflect
 
@@ -247,8 +248,14 @@ class TestCoxeter:
             return reflect(self, x)
 
         monkeypatch.setattr(Quiver, "reflect", counted)
-        assert coxeter_plus(rep).quiver == q
-        assert calls == [4, 2, 1, 3]
+        s = principal(q, 2, 1)
+        seq = AdmissibleSeq(q, s.letters)
+        assert canonical_form(seq).sequence() == s
+        m = build_module(seq)
+        assert m.dims == (0, 1, 1, 0)
+        assert coxeter_plus(m).quiver == q
+        assert is_preprojective(m) == Preprojective(2)
+        assert calls == []
 
 
 class TestBuildModule:
