@@ -56,7 +56,6 @@ from .reps import (
     direct_sum,
     is_preprojective,
     join_annihilators,
-    projective_dims,
     reflect_minus,
     reflect_plus,
     shortest_annihilator_bruteforce,

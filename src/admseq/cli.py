@@ -152,19 +152,13 @@ def _apply(args):
 
 
 def _sm_brute(args):
-    """Brute-force shortest annihilator inside -t, or else inside k^p
-    for the canonical complete sequence k and the least annihilating
-    power p of the Coxeter functor, found within -m steps."""
+    """Shortest annihilator by descent below -t, or else as ``sm`` finds
+    it within -m Coxeter steps."""
     m = reps.load_rep(args.module)
-    if args.other:
-        ann = sequences.AdmissibleSeq(m.quiver, parse(args.other))
-    else:
-        power = reps.is_preprojective(m, args.power)
-        if not isinstance(power, reps.Preprojective):
-            raise AdmseqError(f"not annihilated within {args.power} Coxeter steps")
-        k = reps.canonical_complete_sequence(m.quiver).letters
-        ann = sequences.AdmissibleSeq(m.quiver, k * power.m)
-    return reps.shortest_annihilator_bruteforce(m, ann)
+    if args.other is None:
+        return reps.shortest_annihilator_indec(m, args.power)
+    return reps.shortest_annihilator_bruteforce(
+        m, sequences.AdmissibleSeq(m.quiver, parse(args.other)))
 
 
 def export_component(quiver, levels):

@@ -451,13 +451,14 @@ def quiver_to_dict(q):
 
 @lru_cache(maxsize=None)
 def _acyclic_orientation_cache(graph):
-    from itertools import product
-
     edge_list = list(graph.edges)
+    top = len(edge_list) - 1
     out = []
-    for flips in product((False, True), repeat=len(edge_list)):
+    # bit top - i of flips reverses edge i, so the first edge flips slowest
+    for flips in range(1 << len(edge_list)):
         arrows = [
-            (v, u) if flip else (u, v) for (u, v), flip in zip(edge_list, flips)
+            (v, u) if flips >> (top - i) & 1 else (u, v)
+            for i, (u, v) in enumerate(edge_list)
         ]
         try:
             out.append(Quiver(graph, tuple(arrows)))

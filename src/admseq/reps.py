@@ -15,19 +15,22 @@ source on the mask, and the quiver the result lives on is built once, at
 the end.  The Coxeter functor returns to its quiver, so its letters and
 the masks they act on are found once per call as a cycle; the Coxeter
 orbit loop runs pass after pass of it on raw rows, builds no quiver and
-reads only dims.  Bases come from deterministic echelon forms, so
-results are bit-reproducible.
+reads only dims.  The shortest annihilating sequence of a preprojective
+module is read off that orbit when the module is indecomposable, and is
+otherwise found by descent in the lattice of multiplicity vectors, one
+functor fold per step tried.  Bases come from deterministic echelon
+forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 from .errors import (
     AdmseqError,
+    InvalidMultiplicityError,
     NotReducedError,
     NotSinkError,
     NotSourceError,
@@ -138,22 +141,6 @@ def simple(quiver, x):
     _require_vertex(quiver, x)
     dims = tuple(int(v == x) for v in quiver.vertices())
     return Representation(quiver, dims, _zero_rows(quiver, dims))
-
-
-def projective_dims(quiver):
-    """Dimension vectors of the indecomposable projectives: the x-th
-    counts paths from x to each vertex.  Unitriangular in a topological
-    order, so the vectors are pairwise distinct."""
-    order = quiver.topological_order()
-    out = []
-    for x in quiver.vertices():
-        counts = {v: 0 for v in quiver.vertices()}
-        counts[x] = 1
-        for u in order:
-            for i in quiver.arrows_out(u):
-                counts[quiver.arrows[i][1]] += counts[u]
-        out.append(tuple(counts[v] for v in quiver.vertices()))
-    return out
 
 
 def _step(quiver, flips, dims, rows, x, plus):
@@ -327,59 +314,66 @@ def is_preprojective(rep, max_iter=64):
         return Undecided()
 
 
-def shortest_annihilator_indec(rep, max_iter=64):
-    """Shortest annihilating sequence of an indecomposable preprojective
-    representation.
+def _descend(rep, m):
+    """The shortest annihilating sequence of rep, from an annihilating
+    multiplicity vector m: steps down to m - e_i whenever that vector is
+    valid and its sequence still kills rep, until no step is kept.
 
-    Iterates the Coxeter functor until zero; the last nonzero image is a
-    projective, identified by its dimension vector, and the answer is
-    the principal sequence at that vertex.
+    Annihilators form an up-set of the lattice (F^+ of zero is zero)
+    with a unique minimum S.  An annihilator T above S is S U for a
+    nonempty U, and T without its last letter is a valid m - e_i that
+    still lies above S; so a vector none of whose valid m - e_i kills
+    rep is S itself.
+    """
+    q, m = rep.quiver, list(m)
+    best = seq_from_multiplicities(q, m)
+    stepped = True
+    while stepped:
+        stepped = False
+        for i in range(q.n):
+            if not m[i]:
+                continue
+            m[i] -= 1
+            try:
+                s = seq_from_multiplicities(q, m)
+            except InvalidMultiplicityError:
+                s = None
+            if s is not None and not any(_fold(q, 0, rep.dims, rep._rows, s.letters, True)[1]):
+                best, stepped = s, True
+            else:
+                m[i] += 1
+    return best
+
+
+def shortest_annihilator_indec(rep, max_iter=64):
+    """Shortest annihilating sequence of a preprojective representation.
+
+    Iterates the Coxeter functor until zero, at most max_iter times.  The
+    last nonzero image is a sum of projectives; the first vertex x of its
+    support in a topological order generates one of them, P_x.  When
+    dim rep is the root of the principal sequence S_{p,x}, rep is the
+    indecomposable M(S_{p,x}) (any other summand would add to the dims),
+    and the answer is S_{p,x}; otherwise it is the descent from k^p, the
+    p-th power of the canonical complete sequence.
     """
     p, last = _annihilating_power(rep, max_iter)
+    q = rep.quiver
     if p == 0:
-        return AdmissibleSeq(rep.quiver, ())
-    matches = [
-        x for x, pd in zip(rep.quiver.vertices(), projective_dims(rep.quiver))
-        if pd == last
-    ]
-    if len(matches) != 1:
-        raise AdmseqError(
-            "last nonzero Coxeter image is not a projective; "
-            "the module is not indecomposable preprojective"
-        )
-    return seqmod.principal(rep.quiver, p, matches[0])
+        return AdmissibleSeq(q, ())
+    x = next(v for v in q.topological_order() if last[v - 1])
+    s = seqmod.principal(q, p, x)
+    if weylmod.principal_root(s) == rep.dims:
+        return s
+    return _descend(rep, (p,) * q.n)
 
 
 def shortest_annihilator_bruteforce(rep, annihilator):
-    """Shortest annihilating sequence by exhaustive search below a known
-    annihilator.
-
-    Enumerates every valid multiplicity vector dominated by the given
-    annihilating sequence, keeps those that annihilate, and returns the
-    unique minimum; a non-unique minimum would contradict uniqueness of
-    the shortest sequence and raises.
-    """
+    """Shortest annihilating sequence of rep, by descent from the
+    multiplicity vector of a known annihilator; raises AdmseqError when
+    the given sequence does not kill rep."""
     if not apply_sequence(rep, annihilator).is_zero():
         raise AdmseqError("given sequence does not annihilate the module")
-    if rep.is_zero():
-        return AdmissibleSeq(rep.quiver, ())
-    bound = annihilator.multiplicities()
-    killing = []
-    for vec in product(*(range(b + 1) for b in bound)):
-        try:
-            s = seq_from_multiplicities(rep.quiver, vec)
-        except AdmseqError:
-            continue
-        if not any(_fold(rep.quiver, 0, rep.dims, rep._rows, s.letters, True)[1]):
-            killing.append((vec, s))
-    minima = [
-        (vec, s)
-        for vec, s in killing
-        if all(all(a <= b for a, b in zip(vec, other)) for other, _ in killing)
-    ]
-    if len(minima) != 1:
-        raise AdmseqError("shortest annihilating sequence is not unique")
-    return minima[0][1]
+    return _descend(rep, annihilator.multiplicities())
 
 
 def join_annihilators(seqs):

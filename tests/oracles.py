@@ -74,6 +74,19 @@ def raw_mult(n, letters):
     return tuple(m)
 
 
+def raw_projective_dims(n, arrows):
+    """Dimension vectors of the indecomposable projectives: entry v of
+    the x-th counts the paths from x to v, summed over the arrows into v
+    in a topological order."""
+    out = []
+    for x in range(1, n + 1):
+        paths = {v: int(v == x) for v in range(1, n + 1)}
+        for v in raw_topological_order(n, arrows):
+            paths[v] += sum(paths[s] for s, e in arrows if e == v)
+        out.append(tuple(paths[v] for v in range(1, n + 1)))
+    return out
+
+
 # ---------------------------------------------------------- linear algebra
 
 
@@ -118,6 +131,47 @@ def fraction_nullspace(m, rows, cols):
             v[p] = -r[i][f]
         basis.append(v)
     return [[v[i] for v in basis] for i in range(cols)]
+
+
+# ------------------------------------------------ shortest annihilators
+
+
+def raw_reflect_plus(arrows, dims, maps, x):
+    """F_x^+ at a sink x on raw arrows, dims and Fraction matrices: the
+    space at x becomes the kernel of the incoming maps side by side, and
+    each reversed arrow carries its block of the kernel inclusion."""
+    incoming = [i for i, (_, e) in enumerate(arrows) if e == x]
+    widths = [dims[arrows[i][0] - 1] for i in incoming]
+    stacked = [[a for i in incoming for a in maps[i][r]] for r in range(dims[x - 1])]
+    kernel = fraction_nullspace(stacked, dims[x - 1], sum(widths))
+    maps, offset = list(maps), 0
+    for i, w in zip(incoming, widths):
+        maps[i] = kernel[offset:offset + w]
+        offset += w
+    k = len(kernel[0]) if kernel else 0
+    return raw_reflect(arrows, x), dims[:x - 1] + (k,) + dims[x:], maps
+
+
+def exhaustive_annihilator(rep, bound):
+    """The least multiplicity vector of an admissible sequence that kills
+    rep, among all those coordinatewise <= bound.  Every sink walk within
+    the bound is followed, one raw F^+ step per multiplicity vector it
+    reaches; the minimum of the killing vectors is asserted unique."""
+    n = rep.quiver.n
+    seen = {(0,) * n: (rep.quiver.arrows, rep.dims, rep.maps)}
+    frontier = list(seen)
+    for m in frontier:
+        arrows, dims, maps = seen[m]
+        for x in raw_sinks(n, arrows):
+            up = m[:x - 1] + (m[x - 1] + 1,) + m[x:]
+            if up[x - 1] <= bound[x - 1] and up not in seen:
+                seen[up] = raw_reflect_plus(arrows, dims, maps, x)
+                frontier.append(up)
+    killing = [m for m, (_, dims, _) in seen.items() if not any(dims)]
+    minima = [m for m in killing
+              if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in killing)]
+    assert len(minima) == 1, f"killing vectors have minima {minima}"
+    return minima[0]
 
 
 # ---------------------------------------------------- swap-closure classes

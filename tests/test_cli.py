@@ -61,6 +61,13 @@ def files(tmp_path_factory):
         "wild": {"n": 3, "arrows": [[1, 2], [1, 2], [2, 3], [1, 3]]},
         "a4": {"cartan": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]},
         "l1": {"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [1, 0, 0], "maps": []},
+        # M(3,2,3) + M(3,2,1) on A3: decomposable, answered by the join
+        "dec": {
+            "quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]},
+            "dims": [1, 2, 1],
+            "maps": [{"arrow": 0, "matrix": [["0"], ["1"]]},
+                     {"arrow": 1, "matrix": [["0", "1"]]}],
+        },
         # a regular Kronecker module: never annihilated, never preprojective
         "kr": {
             "quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]},
@@ -211,6 +218,12 @@ GOLDEN = [
     ('sm-brute --module {l1} -t 3,2,1,3,2,3,1,2,3', 0, '3,2,1,3,2,3'),
     ('sm-brute --module {l1} -t 3,2,1,3,2,3,1,2,3 --format json', 0,
      '{"letters": [3, 2, 1, 3, 2, 3]}'),
+    ('sm --module {dec}', 0, '3,2,1,3'),
+    ('sm --module {dec} --format json', 0, '{"letters": [3, 2, 1, 3]}'),
+    ('sm-brute --module {dec} -m 8', 0, '3,2,1,3'),
+    ('sm-brute --module {dec} -m 8 --format json', 0, '{"letters": [3, 2, 1, 3]}'),
+    ('sm-brute --module {l1} --other=', 2, None),
+    ('sm-brute --module {l1} --other= --format json', 2, None),
     ('canon -q {q3} --seq=', 2, None),
     ('canon -q {q3} --seq= --format json', 2, None),
     ('decompose -q {q3} --seq=', 2, None),
@@ -503,6 +516,12 @@ class TestErrors:
         p.write_text("{not json")
         code, _, err = run(capsys, "canon", "-q", str(p), "-s", "3")
         assert code == 2
+
+    def test_empty_known_annihilator_is_checked(self, capsys, l1_file):
+        # -t '' names the empty sequence, which does not kill L1
+        code, out, err = run(capsys, "sm-brute", "--module", l1_file, "-t", "")
+        assert (code, out) == (2, "")
+        assert "given sequence does not annihilate" in err
 
     def test_sequence_letter_out_of_range(self, capsys, q3_file):
         code, out, err = run(capsys, "mult", "-q", q3_file, "-s", "99")

@@ -16,21 +16,24 @@ from hypothesis import strategies as st
 
 from admseq import linalg, reps
 from admseq.cli import main
-from admseq.errors import FilterViolationError, NotAdmissibleError
+from admseq.errors import FilterViolationError, InvalidMultiplicityError, NotAdmissibleError
 from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
+    apply_sequence,
     build_module,
     canonical_complete_sequence,
     coxeter_plus,
+    direct_sum,
     is_preprojective,
-    projective_dims,
+    join_annihilators,
     reflect_minus,
     reflect_plus,
+    shortest_annihilator_bruteforce,
     shortest_annihilator_indec,
     simple,
 )
-from admseq.sequences import AdmissibleSeq, principal
+from admseq.sequences import AdmissibleSeq, principal, seq_from_multiplicities
 from admseq.weyl import (
     WeylWord,
     coxeter_powers_reduced,
@@ -43,9 +46,11 @@ from admseq.weyl import (
 from oracles import (
     ade_is_finite,
     bfs_lengths,
+    exhaustive_annihilator,
     fraction_nullspace,
     fraction_rref,
     matrix_first_non_reduced,
+    raw_projective_dims,
     raw_reachable,
     raw_reflect,
     raw_sinks,
@@ -120,12 +125,38 @@ def principal_modules(draw):
     r = draw(st.integers(1, 3))
     s = principal(q, r, draw(st.integers(1, q.n)))
     assume(is_reduced(word_of(s)))
-    cartan = q.graph.cartan()
-    root = tuple(int(v == s.letters[-1]) for v in q.vertices())
-    for x in reversed(s.letters[:-1]):
-        root = simple_reflection(cartan, x).apply(root)
+    root = _root(s)
     assume(sum(root) <= MAX_TOTAL_DIM)
     return s, root, r
+
+
+def _root(s):
+    """sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s}), from simple reflections."""
+    cartan = s.quiver.graph.cartan()
+    root = tuple(int(v == s.letters[-1]) for v in s.quiver.vertices())
+    for x in reversed(s.letters[:-1]):
+        root = simple_reflection(cartan, x).apply(root)
+    return root
+
+
+@st.composite
+def module_sums(draw):
+    """(module, summands): the direct sum of two or three modules M(S) on
+    one quiver, each S a walk of at most six sinks with reduced word,
+    of total dimension at most MAX_TOTAL_DIM."""
+    q = draw(quivers())
+    seqs = []
+    for _ in range(draw(st.integers(2, 3))):
+        arrows, letters = q.arrows, []
+        for _ in range(draw(st.integers(1, 6))):
+            letters.append(draw(st.sampled_from(raw_sinks(q.n, arrows))))
+            arrows = raw_reflect(arrows, letters[-1])
+        s = AdmissibleSeq(q, letters)
+        assume(is_reduced(word_of(s)))
+        seqs.append(s)
+    assume(sum(sum(_root(s)) for s in seqs) <= MAX_TOTAL_DIM)
+    summands = [build_module(s) for s in seqs]
+    return direct_sum(summands), summands
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -165,7 +196,32 @@ def test_principal_module_annihilated_by_its_sequence(case):
     while not cur.is_zero():
         p, last, cur = p + 1, cur.dims, coxeter_plus(cur)
     assert reps._annihilating_power(m, 64) == (p, last)
-    assert p == r and last in projective_dims(m.quiver)
+    assert p == r and last in raw_projective_dims(m.quiver.n, m.quiver.arrows)
+
+
+@PROPERTY_SETTINGS
+@given(module_sums())
+def test_shortest_annihilator_of_a_direct_sum(case):
+    # the answer kills the sum, no valid m - e_i does, and it is the join
+    # of the summand answers and the exhaustive minimum below k^p
+    m, summands = case
+    q = m.quiver
+    found = shortest_annihilator_indec(m)
+    assert apply_sequence(m, found).is_zero()
+    mult = found.multiplicities()
+    for i in range(q.n):
+        if mult[i]:
+            try:
+                cover = seq_from_multiplicities(q, mult[:i] + (mult[i] - 1,) + mult[i + 1:])
+            except InvalidMultiplicityError:
+                continue
+            assert not apply_sequence(m, cover).is_zero()
+    joined = join_annihilators([shortest_annihilator_indec(s) for s in summands])
+    assert mult == joined.multiplicities()
+    p = is_preprojective(m).m
+    k = AdmissibleSeq(q, canonical_complete_sequence(q).letters * p)
+    assert shortest_annihilator_bruteforce(m, k).letters == found.letters
+    assert mult == exhaustive_annihilator(m, (p,) * q.n)
 
 
 @PROPERTY_SETTINGS
