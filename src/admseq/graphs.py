@@ -37,7 +37,7 @@ class Graph:
     pairs encode edge multiplicity.
     """
 
-    __slots__ = ("n", "edges", "_mult", "_adj")
+    __slots__ = ("n", "edges", "_mult", "_adj", "_cartan")
 
     def __init__(self, n, edges):
         if n < 2:
@@ -62,6 +62,10 @@ class Graph:
         self._adj = tuple(map(tuple, adj))  # neighbours by vertex; slot 0 unused
         if not self._is_connected():
             raise IndecomposabilityError("graph is disconnected")
+        cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (a, b), k in mult.items():
+            cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -k
+        self._cartan = tuple(map(tuple, cartan))
 
     def _is_connected(self):
         seen = {1}
@@ -86,10 +90,7 @@ class Graph:
     def cartan(self):
         """The symmetric generalized Cartan matrix: 2 on the diagonal,
         minus the edge multiplicity off it."""
-        return tuple(
-            tuple(2 if i == j else -self.edge_mult(i, j) for j in range(1, self.n + 1))
-            for i in range(1, self.n + 1)
-        )
+        return self._cartan
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

@@ -1,25 +1,26 @@
 """Quiver representations over the rationals and reflection functors.
 
 A representation stores one matrix per arrow instance, shaped
-dims(target) x dims(source): as Fractions in the public ``maps``, and as
-private integer-first rows (``int`` wherever an entry is integral).  The
+dims(target) x dims(source), once: as integer-first rows, with an entry
+an ``int`` wherever it is integral and a Fraction otherwise.  The public
+``maps`` is a Fraction view of those rows, built on first read.  The
 positive reflection functor replaces the space at a sink by the kernel
 of the assembled incoming map; the negative functor replaces the space
 at a source by the cokernel of the assembled outgoing map, taken as the
 transposed kernel of the transposed map.  Both are one private step on
-rows, and every functor call is one fold of that step, so a chain of
-reflections stays in integers and builds the Fraction view once.  A fold
-walks one base quiver and a parity mask of the vertices it has reflected
-an odd number of times (see ``graphs``): each step tests its sink or
-source on the mask, and the quiver the result lives on is built once, at
-the end.  The Coxeter functor returns to its quiver, so its letters and
-the masks they act on are found once per call as a cycle; the Coxeter
-orbit loop runs pass after pass of it on raw rows, builds no quiver and
-reads only dims.  The shortest annihilating sequence of a preprojective
-module is read off that orbit when the module is indecomposable, and is
-otherwise found by descent in the lattice of multiplicity vectors, one
-functor fold per step tried.  Bases come from deterministic echelon
-forms, so results are bit-reproducible.
+rows, and every walk of functors, from a single reflection to a Coxeter
+orbit, is one fold of that step, so a chain of reflections stays in
+integers.  A fold walks one base quiver and a parity mask of the
+vertices it has reflected an odd number of times (see ``graphs``): each
+step tests its sink or source on the mask, and a caller that needs the
+quiver the result lives on builds it once, from the final mask.  The
+Coxeter functor returns to its quiver, so its letters are found once per
+call as a cycle; the Coxeter orbit loop folds pass after pass of it,
+builds no quiver and reads only dims.  The shortest annihilating
+sequence of a preprojective module is read off that orbit when the
+module is indecomposable, and is otherwise found by descent in the
+lattice of multiplicity vectors, one functor fold per step tried.  Bases
+come from deterministic echelon forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -41,21 +42,10 @@ from . import sequences as seqmod
 from . import weyl as weylmod
 
 
-class _FractionOf(dict):
-    """Entry -> the Fraction of its value.  Small integers, which make up
-    almost every entry a functor produces, are looked up; any other
-    entry is converted and not stored, so the table never grows."""
-
-    def __missing__(self, x):
-        return x if type(x) is Fraction else Fraction(x)
-
-
-_fraction_of = _FractionOf((v, Fraction(v)) for v in range(-16, 17)).__getitem__
-
-
-def _freeze(matrix):
-    """The matrix as a tuple of tuples of Fractions."""
-    return tuple(tuple(map(_fraction_of, row)) for row in matrix)
+def _int_first(x):
+    """The value of Fraction(x), as an ``int`` when it is integral."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _zero_rows(quiver, dims):
@@ -73,43 +63,44 @@ def _require_vertex(quiver, x):
 class Representation:
     """Spaces and maps over a fixed quiver; immutable.
 
-    ``maps`` holds tuples of Fractions.  ``_rows`` holds the same
-    matrices with integral entries as ``int``; the functors read and
-    build these, and never change them in place.
+    ``_rows`` holds the matrices, with integral entries as ``int`` and
+    the others as Fractions; the functors read and build these, and
+    never change them in place.  ``maps`` reads the same matrices as
+    tuples of Fractions, built from the rows on first read and kept.
     """
 
-    __slots__ = ("quiver", "dims", "maps", "_rows")
+    __slots__ = ("quiver", "dims", "_rows", "_maps")
 
     def __init__(self, quiver, dims, maps):
         dims = tuple(int(d) for d in dims)
         if len(dims) != quiver.n or any(d < 0 for d in dims):
             raise AdmseqError("dimension vector does not fit the quiver")
-        maps = tuple(_freeze(m) for m in maps)
-        if len(maps) != len(quiver.arrows):
+        rows = tuple(tuple(tuple(map(_int_first, row)) for row in m) for m in maps)
+        if len(rows) != len(quiver.arrows):
             raise AdmseqError("one matrix per arrow instance is required")
-        for (s, e), m in zip(quiver.arrows, maps):
-            rows, cols = dims[e - 1], dims[s - 1]
-            if len(m) != rows or any(len(r) != cols for r in m):
-                raise AdmseqError(
-                    f"matrix for arrow {s}->{e} must be {rows} x {cols}"
-                )
-        self.quiver = quiver
-        self.dims = dims
-        self.maps = maps
-        self._rows = tuple(
-            tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in m)
-            for m in maps
-        )
+        for (s, e), m in zip(quiver.arrows, rows):
+            r, c = dims[e - 1], dims[s - 1]
+            if len(m) != r or any(len(row) != c for row in m):
+                raise AdmseqError(f"matrix for arrow {s}->{e} must be {r} x {c}")
+        self.quiver, self.dims, self._rows, self._maps = quiver, dims, rows, None
 
     @classmethod
     def _trusted(cls, quiver, dims, rows):
-        """The representation of rows a functor fold produced, already
-        known to fit the quiver: installed without validation, with its
-        Fraction maps built here."""
+        """The representation of integer-first rows already known to fit
+        the quiver, such as a functor fold produces: installed without
+        validation."""
         rep = object.__new__(cls)
-        rep.quiver, rep.dims, rep._rows = quiver, dims, rows
-        rep.maps = tuple(_freeze(m) for m in rows)
+        rep.quiver, rep.dims, rep._rows, rep._maps = quiver, dims, rows, None
         return rep
+
+    @property
+    def maps(self):
+        """The matrices as tuples of tuples of Fractions."""
+        if self._maps is None:
+            self._maps = tuple(
+                tuple(tuple(map(Fraction, row)) for row in m) for m in self._rows
+            )
+        return self._maps
 
     def dim(self, x):
         return self.dims[x - 1]
@@ -125,7 +116,7 @@ class Representation:
             isinstance(other, Representation)
             and self.quiver == other.quiver
             and self.dims == other.dims
-            and self.maps == other.maps
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -180,17 +171,19 @@ def _step(quiver, flips, dims, rows, x, plus):
 
 
 def _fold(quiver, flips, dims, rows, letters, plus):
-    """(quiver, dims, rows) after one functor step per letter, in order,
-    from ``quiver`` reflected at the bits of ``flips``."""
+    """(flips, dims, rows) after one functor step per letter, in order,
+    from ``quiver`` reflected at the bits of ``flips``: the result lives
+    on ``quiver`` reflected at the bits of the returned mask."""
     for x in letters:
         dims, rows = _step(quiver, flips, dims, rows, x, plus)
         flips ^= 1 << x
-    return quiver._flipped(flips), dims, rows
+    return flips, dims, rows
 
 
 def _functor(rep, letters, plus):
     """The fold of one functor over the letters, as a Representation."""
-    return Representation._trusted(*_fold(rep.quiver, 0, rep.dims, rep._rows, letters, plus))
+    flips, dims, rows = _fold(rep.quiver, 0, rep.dims, rep._rows, letters, plus)
+    return Representation._trusted(rep.quiver._flipped(flips), dims, rows)
 
 
 def reflect_plus(rep, x):
@@ -221,26 +214,25 @@ def apply_sequence(rep, seq):
 
 
 def _coxeter_cycle(quiver):
-    """The canonical complete sequence, taking the smallest-id current
-    sink at every step, as (parity mask before the letter, letter) pairs.
-    It reflects every vertex once, which reverses no arrow, so one cycle
-    serves a whole Coxeter orbit."""
+    """The letters of the canonical complete sequence, taking the
+    smallest-id current sink at every step.  It reflects every vertex
+    once, which reverses no arrow, so one cycle serves a whole Coxeter
+    orbit."""
     return seqmod._emit_segment(quiver, quiver.vertices(), 0)[0]
 
 
 def canonical_complete_sequence(quiver):
     """Complete admissible sequence taking the smallest-id current sink
     at every step."""
-    return AdmissibleSeq(quiver, [x for _, x in _coxeter_cycle(quiver)])
+    return AdmissibleSeq(quiver, _coxeter_cycle(quiver))
 
 
 def coxeter_plus(rep):
     """The positive Coxeter functor: one pass along the canonical complete
     sequence, whose letters every step checks as sinks.  Lands back on
     the same quiver."""
-    q, dims, rows = rep.quiver, rep.dims, rep._rows
-    for flips, x in _coxeter_cycle(q):
-        dims, rows = _step(q, flips, dims, rows, x, True)
+    q = rep.quiver
+    _, dims, rows = _fold(q, 0, rep.dims, rep._rows, _coxeter_cycle(q), True)
     return Representation._trusted(q, dims, rows)
 
 
@@ -261,8 +253,8 @@ def build_module(seq):
         flips ^= 1 << x
     dims = tuple(int(v == letters[-1]) for v in q.vertices())
     rows = _zero_rows(q._flipped(flips), dims)
-    q, dims, rows = _fold(q, flips, dims, rows, reversed(letters[:-1]), False)
-    assert q == seq.quiver
+    flips, dims, rows = _fold(q, flips, dims, rows, reversed(letters[:-1]), False)
+    assert flips == 0
     return Representation._trusted(q, dims, rows)
 
 
@@ -300,8 +292,7 @@ def _annihilating_power(rep, max_iter):
         if p >= max_iter:
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
         p, last = p + 1, dims
-        for flips, x in cycle:
-            dims, rows = _step(q, flips, dims, rows, x, True)
+        _, dims, rows = _fold(q, 0, dims, rows, cycle, True)
     return p, last
 
 
@@ -395,24 +386,16 @@ def direct_sum(reps):
     if any(r.quiver != q for r in reps):
         raise AdmseqError("representations live on different quivers")
     dims = tuple(sum(r.dims[i] for r in reps) for i in range(q.n))
-    maps = []
+    rows = []
     for i, (s, e) in enumerate(q.arrows):
-        rows, cols = dims[e - 1], dims[s - 1]
-        block = [[Fraction(0)] * cols for _ in range(rows)]
-        ro = co = 0
+        width, co = dims[s - 1], 0
+        block = []
         for r in reps:
-            br, bc = r.dims[e - 1], r.dims[s - 1]
-            for a in range(br):
-                for b in range(bc):
-                    block[ro + a][co + b] = r.maps[i][a][b]
-            ro += br
+            bc = r.dims[s - 1]
+            block += ((0,) * co + row + (0,) * (width - co - bc) for row in r._rows[i])
             co += bc
-        maps.append(block)
-    return Representation(q, dims, maps)
-
-
-def _fraction_to_str(x):
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        rows.append(tuple(block))
+    return Representation._trusted(q, dims, tuple(rows))
 
 
 def rep_to_dict(rep):
@@ -424,9 +407,9 @@ def rep_to_dict(rep):
         "maps": [
             {
                 "arrow": i,
-                "matrix": [[_fraction_to_str(x) for x in row] for row in m],
+                "matrix": [[str(x) for x in row] for row in m],
             }
-            for i, m in enumerate(rep.maps)
+            for i, m in enumerate(rep._rows)
         ],
     }
 
@@ -455,8 +438,12 @@ def rep_from_dict(data):
         i = entry.get("arrow")
         if type(i) is not int or not 0 <= i < len(maps):
             raise AdmseqError(f"arrow {i!r} is not an arrow index 0..{len(maps) - 1}")
+        matrix = entry["matrix"]
+        # Fraction("1e10000000") builds the whole power of ten
+        if any(isinstance(x, str) and ("e" in x or "E" in x) for row in matrix for x in row):
+            raise AdmseqError(f"matrix of arrow {i} has an entry with an exponent")
         try:
-            maps[i] = [[Fraction(str(x)) for x in row] for row in entry["matrix"]]
+            maps[i] = [[Fraction(str(x)) for x in row] for row in matrix]
         except ZeroDivisionError:
             raise AdmseqError(f"matrix of arrow {i} has a zero denominator") from None
     return Representation(q, dims, maps)

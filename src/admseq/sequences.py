@@ -136,25 +136,24 @@ def _emit_segment(quiver, support, flips):
     smallest-id vertex of the pool that is a sink of the running
     orientation, ``quiver`` reflected at the bits of ``flips``.
 
-    Returns ((flips before the letter, letter) pairs, flips after them
-    all).  An id outside 1..n has no arrows, so it is a sink and flips no
-    bit.  Raises when no pool vertex is a sink, which cannot happen for
-    valid level sets.
+    Returns (the letters, flips after them all).  An id outside 1..n has
+    no arrows, so it is a sink and flips no bit.  Raises when no pool
+    vertex is a sink, which cannot happen for valid level sets.
     """
     pool = sorted(support)
     n = quiver.n
-    steps = []
+    letters = []
     while pool:
         for x in pool:
             if quiver._sink_after(flips, x):
                 break
         else:
             raise InvalidMultiplicityError(0, f"no sink available in pool {pool}")
-        steps.append((flips, x))
+        letters.append(x)
         pool.remove(x)
         if 0 < x <= n:
             flips ^= 1 << x
-    return steps, flips
+    return letters, flips
 
 
 def _emit_levels(quiver, filters):
@@ -163,8 +162,8 @@ def _emit_levels(quiver, filters):
     segments = []
     flips = 0
     for f in filters:
-        steps, flips = _emit_segment(quiver, f, flips)
-        segments.append([x for _, x in steps])
+        letters, flips = _emit_segment(quiver, f, flips)
+        segments.append(letters)
     return segments
 
 

@@ -174,6 +174,27 @@ def exhaustive_annihilator(rep, bound):
     return minima[0]
 
 
+# ------------------------------------------------------------ direct sums
+
+
+def fraction_direct_sum(arrows, parts):
+    """The maps of the direct sum of (dims, Fraction maps) parts: per
+    arrow, the parts' matrices down the diagonal of a Fraction zero
+    matrix."""
+    maps = []
+    for i, (s, e) in enumerate(arrows):
+        cols = sum(dims[s - 1] for dims, _ in parts)
+        block, co = [], 0
+        for dims, m in parts:
+            for row in m[i]:
+                line = [Fraction(0)] * cols
+                line[co:co + dims[s - 1]] = row
+                block.append(tuple(line))
+            co += dims[s - 1]
+        maps.append(tuple(block))
+    return tuple(maps)
+
+
 # ---------------------------------------------------- swap-closure classes
 
 

@@ -593,8 +593,10 @@ class TestErrors:
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 7, "matrix": [[1]]}]}),
         (["phi-plus"], "--module",
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["1/0"]]}]}),
+        (["phi-plus"], "--module",
+         {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["1e400"]]}]}),
     ], ids=["cartan-list", "quiver-list", "arrows-int", "module-list", "dims-int",
-            "arrow-out-of-range", "zero-denominator"])
+            "arrow-out-of-range", "zero-denominator", "exponent"])
     def test_malformed_json_shape(self, capsys, tmp_path, verb, flag, data):
         # valid JSON of the wrong shape is an input error, not a crash
         path = tmp_path / "bad.json"

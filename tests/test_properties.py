@@ -20,6 +20,7 @@ from admseq.errors import FilterViolationError, InvalidMultiplicityError, NotAdm
 from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
+    Representation,
     apply_sequence,
     build_module,
     canonical_complete_sequence,
@@ -29,6 +30,8 @@ from admseq.reps import (
     join_annihilators,
     reflect_minus,
     reflect_plus,
+    rep_from_dict,
+    rep_to_dict,
     shortest_annihilator_bruteforce,
     shortest_annihilator_indec,
     simple,
@@ -47,6 +50,7 @@ from oracles import (
     ade_is_finite,
     bfs_lengths,
     exhaustive_annihilator,
+    fraction_direct_sum,
     fraction_nullspace,
     fraction_rref,
     matrix_first_non_reduced,
@@ -159,6 +163,20 @@ def module_sums(draw):
     return direct_sum(summands), summands
 
 
+@st.composite
+def scaled_summands(draw):
+    """The summands of module_sums, with the maps of one that has a
+    nonzero entry scaled by a non-integral rational."""
+    _, summands = draw(module_sums())
+    nonzero = [i for i, m in enumerate(summands) if any(x for a in m.maps for r in a for x in r)]
+    assume(nonzero)
+    i = draw(st.sampled_from(nonzero))
+    c = draw(st.integers(-3, 3)) + Fraction(1, draw(st.integers(2, 7)))
+    m = summands[i]
+    summands[i] = Representation(m.quiver, m.dims, [[[c * x for x in r] for r in a] for a in m.maps])
+    return summands
+
+
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
 
@@ -222,6 +240,24 @@ def test_shortest_annihilator_of_a_direct_sum(case):
     k = AdmissibleSeq(q, canonical_complete_sequence(q).letters * p)
     assert shortest_annihilator_bruteforce(m, k).letters == found.letters
     assert mult == exhaustive_annihilator(m, (p,) * q.n)
+
+
+@PROPERTY_SETTINGS
+@given(scaled_summands())
+def test_row_readers_match_fraction_maps(summands):
+    # a representation stores integer-first rows only: direct_sum, ==,
+    # the JSON round trip and the Fraction view of maps all read them
+    total = direct_sum(summands)
+    parts = [(m.dims, m.maps) for m in summands]
+    assert total.maps == fraction_direct_sum(total.quiver.arrows, parts)
+    assert any(x.denominator != 1 for a in total.maps for r in a for x in r)
+    for m in summands + [total]:
+        assert Representation(m.quiver, m.dims, m.maps) == m
+        assert rep_from_dict(rep_to_dict(m)) == m
+        assert all(type(x) is Fraction for a in m.maps for r in a for x in r)
+    for a in summands:
+        for b in summands:
+            assert (a == b) == (a.dims == b.dims and a.maps == b.maps)
 
 
 @PROPERTY_SETTINGS

@@ -388,7 +388,7 @@ def _entries(rep):
 
 def test_maps_hold_fractions(q3, qk):
     """Map entries are Fractions whatever the functors hold inside, and
-    digests and rep_to_dict read them."""
+    the benchmark digests read them."""
     nonunit = Representation(
         qk, (2, 1), [((2, Fraction(1, 3)),), ((-3, 1),)]
     )
