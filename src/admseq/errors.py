@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of
+integer inputs that raises them."""
+
+from operator import index
 
 
 class AdmseqError(Exception):
@@ -75,3 +78,12 @@ class NotSourceError(AdmseqError):
 
 class UndecidedError(AdmseqError):
     """Preprojectivity could not be decided within the iteration budget."""
+
+
+def _int_tuple(values, what):
+    """The values as a tuple of ints, each read with ``operator.index``:
+    a float, a string or a Fraction is an AdmseqError, not truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise AdmseqError(f"{what} must be integers") from None

@@ -2,12 +2,18 @@
 
 Matrices are sequences of rows with int or Fraction entries; all
 shapes are passed explicitly so that zero-dimensional matrices behave.
-``rref`` is the only elimination.  It is integer-first: an integral
-entry is held as an ``int`` and only a non-integral one as a
-``Fraction``, so matrices of small integers, the common case for quiver
-representations and Weyl group elements, are reduced without building a
-single Fraction.  Pivoting is deterministic (leftmost column, smallest
-row), so kernel bases are reproducible across runs.  ``nullspace``
+``rref`` is the only elimination.  It is fraction-free inside: while
+every pivot is +-1, or divides its row, rows are updated in place and
+keep their integral entries as ``int``; at the first other pivot every
+row is scaled once to integers, and the elimination goes on by
+cross-multiplication, each updated row divided by the gcd of its entries
+(a fraction-free elimination, as in Bareiss, Math. Comp. 22, 1968, which
+divides by the previous pivot instead).  Each pivot row is divided by its
+pivot only at the end, so a Fraction is built only for an entry of the
+result that is not integral: the inverse of a Weyl group element, which
+has determinant +-1, builds none.  Pivoting is
+deterministic (leftmost column, smallest row), and the reduced form is
+unique, so kernel bases are reproducible across runs.  ``nullspace``
 reads a kernel basis off the echelon form, and ``invert`` reads the
 right half of the echelon form of [m | I]; it serves only
 ``weyl.WeylElement.inverse``.
@@ -16,6 +22,7 @@ right half of the echelon form of [m | I]; it serves only
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import AdmseqError
 
@@ -24,17 +31,71 @@ def transpose(m, rows, cols):
     return [list(col) for col in zip(*m)] if rows else [[] for _ in range(cols)]
 
 
+def _divide_exactly(row, support, p):
+    """Divide the entries of ``row`` at ``support`` by the int p, in place,
+    when every one is an int multiple of p; return whether they were."""
+    if not all(type(row[j]) is int and not row[j] % p for j in support):
+        return False
+    for j in support:
+        row[j] //= p
+    return True
+
+
+def _integer_rows(m):
+    """Each row times the lcm of its denominators: rows of ints with the
+    same spans."""
+    out = []
+    for row in m:
+        d = lcm(*[x.denominator for x in row if type(x) is not int])
+        out.append(row if d == 1 else
+                   [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _cross_eliminate(m, r, c, rows):
+    """Clear column c outside row r of an int matrix, in place: a row
+    with entry f there becomes (p/g) row - (f/g) m[r], p = m[r][c] and
+    g = gcd(p, f), divided by the gcd of its entries."""
+    row = m[r]
+    p = row[c]
+    for i in range(rows):
+        target = m[i]
+        f = target[c]
+        if i != r and f:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            target = [a * x - b * y for x, y in zip(target, row)]
+            g = gcd(*target)
+            m[i] = [x // g for x in target] if g > 1 else target
+
+
+def _divide_pivot_rows(m, pivots):
+    """Divide each row of an int matrix by its pivot, in place: an entry
+    is an int where the division is exact and a Fraction otherwise."""
+    for i, c in enumerate(pivots):
+        p = m[i][c]
+        if p != 1:
+            m[i] = [x // p if not x % p else Fraction(x, p) for x in m[i]]
+
+
 def rref(m, rows, cols):
     """Reduced row echelon form; returns (matrix, pivot column list).
 
     Entries of the result are ``int`` where integral and ``Fraction``
     otherwise.  The RREF of a matrix is unique, so the values do not
-    depend on how entries are held.  A pivot row is scaled only when its
-    pivot is not +-1, and other rows are updated only in the columns
-    where the pivot row is nonzero.
+    depend on how entries are held or which nonzero multiple of a row is
+    kept along the way.  A pivot of +-1, or an integer pivot that
+    divides its row, makes the row's pivot 1, and other rows are then
+    updated only in the columns where the pivot row is nonzero.  At the
+    first other pivot every row is scaled once to integers, and from
+    there on such a pivot clears its column by cross-multiplication
+    (``_cross_eliminate``).  The pivot rows are divided by their pivots
+    only at the end, so a Fraction is built only for an entry of the
+    result that is not integral.
     """
     m = [[x if type(x) is int else x.numerator if x.denominator == 1 else x for x in row]
          for row in m]
+    integral = False
     pivots = []
     r = 0
     for c in range(cols):
@@ -55,20 +116,26 @@ def rref(m, rows, cols):
         if p == -1:
             for j in support:
                 row[j] = -row[j]
-        elif p != 1:
-            inv = 1 / Fraction(p)
-            for j in support:
-                x = row[j] * inv
-                row[j] = x.numerator if x.denominator == 1 else x
-        for i in range(rows):
-            target = m[i]
-            f = target[c]
-            if i != r and f:
-                for j in support:
-                    x = target[j] - f * row[j]
-                    target[j] = x if type(x) is int else x.numerator if x.denominator == 1 else x
+            p = 1
+        elif p != 1 and type(p) is int and _divide_exactly(row, support, p):
+            p = 1
+        if p == 1:
+            for i in range(rows):
+                target = m[i]
+                f = target[c]
+                if i != r and f:
+                    for j in support:
+                        x = target[j] - f * row[j]
+                        target[j] = x if type(x) is int else x.numerator if x.denominator == 1 else x
+        else:
+            if not integral:
+                m = _integer_rows(m)
+                integral = True
+            _cross_eliminate(m, r, c, rows)
         pivots.append(c)
         r += 1
+    if integral:
+        _divide_pivot_rows(m, pivots)
     return m, pivots
 
 

@@ -36,6 +36,7 @@ from .errors import (
     NotSinkError,
     NotSourceError,
     UndecidedError,
+    _int_tuple,
 )
 from .sequences import AdmissibleSeq, seq_from_multiplicities
 from . import sequences as seqmod
@@ -72,7 +73,7 @@ class Representation:
     __slots__ = ("quiver", "dims", "_rows", "_maps")
 
     def __init__(self, quiver, dims, maps):
-        dims = tuple(int(d) for d in dims)
+        dims = _int_tuple(dims, "dimensions")
         if len(dims) != quiver.n or any(d < 0 for d in dims):
             raise AdmseqError("dimension vector does not fit the quiver")
         rows = tuple(tuple(tuple(map(_int_first, row)) for row in m) for m in maps)

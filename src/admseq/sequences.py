@@ -26,6 +26,7 @@ from .errors import (
     InvalidMultiplicityError,
     NotAdmissibleError,
     NotPrincipalError,
+    _int_tuple,
 )
 from .graphs import _members
 
@@ -41,7 +42,7 @@ class AdmissibleSeq:
     __slots__ = ("quiver", "letters", "final_quiver")
 
     def __init__(self, quiver, letters):
-        letters = tuple(int(x) for x in letters)
+        letters = _int_tuple(letters, "letters")
         n = quiver.n
         flips = 0
         for i, x in enumerate(letters, start=1):

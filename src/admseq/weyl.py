@@ -16,14 +16,17 @@ are all such walks; full matrix products serve only
 
 ``WeylElement.inverse`` hands the integer matrix straight to
 ``linalg.invert``.  An element of W has determinant +-1, so its inverse
-is an integer matrix; a singular matrix, or one whose inverse has a
-non-integral entry, is not in W and raises AdmseqError.
+is an integer matrix, which the fraction-free elimination finds without
+building a Fraction; a singular matrix, or one whose inverse has a
+non-integral entry, is not in W and raises AdmseqError.  Letters and
+matrix entries are read with ``operator.index``, so a float or a
+Fraction raises AdmseqError instead of being truncated.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .errors import AdmseqError, NotCompleteError, NotPrincipalError
+from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int_tuple
 
 
 def _int_matmul(a, b):
@@ -56,7 +59,7 @@ class WeylElement:
 
     def __init__(self, cartan, matrix):
         self.cartan = tuple(tuple(row) for row in cartan)
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in matrix)
 
     @classmethod
     def identity(cls, cartan):
@@ -110,7 +113,7 @@ class WeylWord:
 
     def __init__(self, cartan, letters):
         self.cartan = tuple(tuple(row) for row in cartan)
-        self.letters = tuple(int(x) for x in letters)
+        self.letters = _int_tuple(letters, "word letters")
         n = len(self.cartan)
         if any(not 1 <= x <= n for x in self.letters):
             raise AdmseqError("word letter out of range")

@@ -5,6 +5,8 @@ import pytest
 
 from admseq import linalg
 from admseq.errors import AdmseqError
+from admseq.graphs import Graph
+from admseq.weyl import WeylWord
 from oracles import fraction_rref, matmul
 
 
@@ -69,3 +71,30 @@ def test_invert_keeps_integer_entries():
 def test_invert_rejects_singular():
     with pytest.raises(AdmseqError, match="singular"):
         linalg.invert([[1, 2], [2, 4]], 2)
+
+
+@pytest.fixture
+def no_fraction():
+    """Every Fraction construction fails while the test runs."""
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} built")
+
+    original = vars(Fraction)["__new__"]
+    Fraction.__new__ = staticmethod(refuse)
+    try:
+        yield
+    finally:
+        Fraction.__new__ = original
+
+
+def test_integral_results_build_no_fraction(no_fraction):
+    # pivots 2 and 3 below, yet every result is integral: the elimination
+    # runs on integer rows and divides exactly, so no Fraction is built
+    assert linalg.invert([[2, 1], [1, 1]], 2) == [[1, -1], [-1, 2]]
+    assert linalg.rref([[2, 4], [1, 3]], 2, 2) == ([[1, 0], [0, 1]], [0, 1])
+    # a wild Cartan matrix (double edge 1-2): a word of W is unimodular
+    cartan = Graph(3, [(1, 2), (1, 2), (2, 3), (1, 3)]).cartan()
+    letters = (1, 2, 3, 2, 1, 3) * 5
+    w = WeylWord(cartan, letters).evaluate().matrix
+    expected = WeylWord(cartan, reversed(letters)).evaluate().matrix
+    assert tuple(map(tuple, linalg.invert(w, 3))) == expected

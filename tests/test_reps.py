@@ -62,6 +62,11 @@ class TestBasics:
             with pytest.raises(AdmseqError, match=f"{x} is not a vertex"):
                 simple(q3, x)
 
+    def test_non_integer_dims_rejected(self, q3):
+        # int() would truncate this to dims (1, 0, 0)
+        with pytest.raises(AdmseqError, match="dimensions must be integers"):
+            Representation(q3, (1.9, 0, 0), [(), ()])
+
     def test_shape_validation(self, q3):
         with pytest.raises(AdmseqError):
             Representation(q3, (1, 1, 0), [((1,), (1,)), ()])

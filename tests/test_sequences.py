@@ -59,6 +59,11 @@ class TestCheckAdmissible:
         with pytest.raises(AdmseqError, match="letter 4 at position 2"):
             AdmissibleSeq(q3, [3, 4])
 
+    def test_non_integer_letter_rejected(self, q3):
+        # int() would truncate this to the sequence 3,2
+        with pytest.raises(AdmseqError, match="letters must be integers"):
+            AdmissibleSeq(q3, [3.5, 2])
+
 
 class TestMultiplicities:
     def test_count(self, q3):

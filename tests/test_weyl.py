@@ -92,6 +92,16 @@ class TestWordEvaluation:
         with pytest.raises(AdmseqError, match="singular"):
             WeylElement(KRONECKER, ((1, 1), (1, 1))).inverse()
 
+    def test_non_integer_letter_rejected(self):
+        # int() would truncate this to the word 1,2
+        with pytest.raises(AdmseqError, match="word letters must be integers"):
+            WeylWord(A2, [1.7, 2])
+
+    def test_non_integer_entry_rejected(self):
+        # rejected when built, before the elimination ever sees a float
+        with pytest.raises(AdmseqError, match="Weyl element entries must be integers"):
+            WeylElement(A2, [[0.5, 0], [0, 1]]).inverse()
+
 
 class TestIsReduced:
     def test_examples(self):
