@@ -3,12 +3,12 @@
 Matrices are sequences of rows with int or Fraction entries; all
 shapes are passed explicitly so that zero-dimensional matrices behave.
 ``rref`` is the only elimination.  It is fraction-free inside: while
-every pivot is +-1, or divides its row, rows are updated in place and
-keep their integral entries as ``int``; at the first other pivot every
-row is scaled once to integers, and the elimination goes on by
-cross-multiplication, each updated row divided by the gcd of its entries
-(a fraction-free elimination, as in Bareiss, Math. Comp. 22, 1968, which
-divides by the previous pivot instead).  Each pivot row is divided by its
+every pivot is +-1, rows are updated in place and keep their integral
+entries as ``int``; at the first other pivot every row is scaled once to
+integers, and the elimination goes on by cross-multiplication, each
+updated row divided by the gcd of its entries (a fraction-free
+elimination, as in Bareiss, Math. Comp. 22, 1968, which divides by the
+previous pivot instead).  Each pivot row is divided by its
 pivot only at the end, so a Fraction is built only for an entry of the
 result that is not integral: the inverse of a Weyl group element, which
 has determinant +-1, builds none.  Pivoting is
@@ -31,16 +31,6 @@ def transpose(m, rows, cols):
     return [list(col) for col in zip(*m)] if rows else [[] for _ in range(cols)]
 
 
-def _divide_exactly(row, support, p):
-    """Divide the entries of ``row`` at ``support`` by the int p, in place,
-    when every one is an int multiple of p; return whether they were."""
-    if not all(type(row[j]) is int and not row[j] % p for j in support):
-        return False
-    for j in support:
-        row[j] //= p
-    return True
-
-
 def _integer_rows(m):
     """Each row times the lcm of its denominators: rows of ints with the
     same spans."""
@@ -52,10 +42,11 @@ def _integer_rows(m):
     return out
 
 
-def _cross_eliminate(m, r, c, rows):
+def _cross_eliminate(m, r, c, rows, support):
     """Clear column c outside row r of an int matrix, in place: a row
-    with entry f there becomes (p/g) row - (f/g) m[r], p = m[r][c] and
-    g = gcd(p, f), divided by the gcd of its entries."""
+    with entry f there becomes (p/g) row - (f/g) m[r], p = m[r][c] > 0
+    and g = gcd(p, f), divided by the gcd of its entries.  When p/g is 1
+    only the columns in ``support``, where m[r] is nonzero, change."""
     row = m[r]
     p = row[c]
     for i in range(rows):
@@ -64,18 +55,31 @@ def _cross_eliminate(m, r, c, rows):
         if i != r and f:
             g = gcd(p, f)
             a, b = p // g, f // g
-            target = [a * x - b * y for x, y in zip(target, row)]
+            if a == 1:
+                for j in support:
+                    target[j] -= b * row[j]
+            else:
+                target = [a * x - b * y for x, y in zip(target, row)]
             g = gcd(*target)
             m[i] = [x // g for x in target] if g > 1 else target
 
 
-def _divide_pivot_rows(m, pivots):
+def _divide_pivot_rows(m, pivots, cols):
     """Divide each row of an int matrix by its pivot, in place: an entry
-    is an int where the division is exact and a Fraction otherwise."""
+    is an int where the division is exact and a Fraction otherwise.  A
+    pivot row is zero in every other pivot column, so only its pivot and
+    the free columns are divided."""
+    pivot_set = set(pivots)
+    free = [j for j in range(cols) if j not in pivot_set]
     for i, c in enumerate(pivots):
-        p = m[i][c]
+        row = m[i]
+        p = row[c]
         if p != 1:
-            m[i] = [x // p if not x % p else Fraction(x, p) for x in m[i]]
+            row[c] = 1
+            for j in free:
+                x = row[j]
+                if x:
+                    row[j] = x // p if not x % p else Fraction(x, p)
 
 
 def rref(m, rows, cols):
@@ -84,11 +88,11 @@ def rref(m, rows, cols):
     Entries of the result are ``int`` where integral and ``Fraction``
     otherwise.  The RREF of a matrix is unique, so the values do not
     depend on how entries are held or which nonzero multiple of a row is
-    kept along the way.  A pivot of +-1, or an integer pivot that
-    divides its row, makes the row's pivot 1, and other rows are then
-    updated only in the columns where the pivot row is nonzero.  At the
-    first other pivot every row is scaled once to integers, and from
-    there on such a pivot clears its column by cross-multiplication
+    kept along the way.  A pivot row is first negated if its pivot is
+    negative.  A pivot of 1 clears its column by updating the other rows
+    only in the columns where the pivot row is nonzero.  At the first
+    other pivot every row is scaled once to integers, and from there on
+    such a pivot clears its column by cross-multiplication
     (``_cross_eliminate``).  The pivot rows are divided by their pivots
     only at the end, so a Fraction is built only for an entry of the
     result that is not integral.
@@ -113,12 +117,10 @@ def rref(m, rows, cols):
         # Entries left of c are zero in every row from r on.
         support = [j for j in range(c, cols) if row[j]]
         p = row[c]
-        if p == -1:
+        if p < 0:
             for j in support:
                 row[j] = -row[j]
-            p = 1
-        elif p != 1 and type(p) is int and _divide_exactly(row, support, p):
-            p = 1
+            p = -p
         if p == 1:
             for i in range(rows):
                 target = m[i]
@@ -131,11 +133,11 @@ def rref(m, rows, cols):
             if not integral:
                 m = _integer_rows(m)
                 integral = True
-            _cross_eliminate(m, r, c, rows)
+            _cross_eliminate(m, r, c, rows, support)
         pivots.append(c)
         r += 1
     if integral:
-        _divide_pivot_rows(m, pivots)
+        _divide_pivot_rows(m, pivots, cols)
     return m, pivots
 
 

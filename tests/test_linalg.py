@@ -75,16 +75,22 @@ def test_invert_rejects_singular():
 
 @pytest.fixture
 def no_fraction():
-    """Every Fraction construction fails while the test runs."""
+    """Every Fraction construction fails while the test runs: through the
+    constructor and, on Python 3.12 and later, through the private
+    constructor that Fraction arithmetic builds its results with."""
     def refuse(cls, *args, **kwargs):
         raise AssertionError(f"Fraction{args} built")
 
-    original = vars(Fraction)["__new__"]
+    names = [n for n in ("__new__", "_from_coprime_ints") if n in vars(Fraction)]
+    originals = {n: vars(Fraction)[n] for n in names}
     Fraction.__new__ = staticmethod(refuse)
+    if "_from_coprime_ints" in originals:
+        Fraction._from_coprime_ints = classmethod(refuse)
     try:
         yield
     finally:
-        Fraction.__new__ = original
+        for n, f in originals.items():
+            setattr(Fraction, n, f)
 
 
 def test_integral_results_build_no_fraction(no_fraction):
