@@ -27,6 +27,7 @@ from .errors import (
     FilterViolationError,
     IndecomposabilityError,
     InvalidCartanError,
+    _int_tuple,
 )
 
 
@@ -44,7 +45,8 @@ class Graph:
             raise IndecomposabilityError("graph must have more than one vertex")
         norm = []
         mult = {}
-        for u, v in edges:
+        for edge in edges:
+            u, v = _int_tuple(edge, "edge ends")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InvalidCartanError(f"edge ({u},{v}) out of vertex range 1..{n}")
             if u == v:
@@ -188,7 +190,7 @@ class Quiver:
     __slots__ = ("graph", "arrows", "_out", "_in", "_masks")
 
     def __init__(self, graph, arrows):
-        arrows = tuple((int(s), int(e)) for s, e in arrows)
+        arrows = tuple(_int_tuple(a, "arrow ends") for a in arrows)
         counts = {}
         for s, e in arrows:
             if s == e:
@@ -277,20 +279,25 @@ class Quiver:
         return mask, extra
 
     def _up(self, mask):
-        """The mask of everything reached from a vertex of ``mask``."""
+        """The mask of everything reached from a vertex of ``mask``.  A
+        vertex already reached is skipped: it reaches nothing new."""
         reach = self._vertex_masks()[2]
         up = 0
-        for v in _members(mask):
-            up |= reach[v]
+        while mask:
+            up |= reach[(mask & -mask).bit_length() - 1]
+            mask &= ~up
         return up
 
     def _hull(self, mask):
         """The mask of the upward closure of a filter mask and its
         neighbours."""
         into, out, _ = self._vertex_masks()
-        grown = mask
-        for v in _members(mask):
+        grown = rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
             grown |= into[v] | out[v]
+            rest ^= low
         return self._up(grown)
 
     @property

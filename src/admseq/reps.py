@@ -219,7 +219,7 @@ def _coxeter_cycle(quiver):
     smallest-id current sink at every step.  It reflects every vertex
     once, which reverses no arrow, so one cycle serves a whole Coxeter
     orbit."""
-    return seqmod._emit_segment(quiver, quiver.vertices(), 0)[0]
+    return seqmod._emit_segment(quiver, (1 << quiver.n + 1) - 2, 0)[0]
 
 
 def canonical_complete_sequence(quiver):

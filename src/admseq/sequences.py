@@ -10,14 +10,17 @@ back into honest sequences.
 A walk of sinks runs on one base quiver and a parity mask of the
 vertices reflected an odd number of times (see ``graphs``): every sink
 test reads the mask, and the quiver at the end of a sequence is built
-once.  Level sets are vertex masks here, checked as filters and hulls,
-and searched for minimal elements and principal generators, against
-the base quiver's per-vertex reach masks.
+on first read of ``final_quiver``.  Level sets are vertex masks here,
+checked as filters and hulls, and searched for minimal elements and
+principal generators, against the base quiver's per-vertex reach masks.
+A sequence is emitted from its level masks one sink at a time, so it is
+admissible by construction and installed without a second sink pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from .errors import (
     AdmseqError,
@@ -35,25 +38,47 @@ class AdmissibleSeq:
     """A (+)-admissible vertex sequence on a fixed base quiver.
 
     Validates the vertex range and the sink condition letter by letter at
-    construction; this is the one place where letters are range-checked.
-    The final orientation is available as ``final_quiver``.
+    construction; this is the one place where letters given from outside
+    are range-checked.  Sequences that the lattice operations emit from
+    level sets are admissible by construction and are installed without
+    this pass.  The parity mask of the walk is kept, and the final
+    orientation ``final_quiver`` is built from it on first read.
     """
 
-    __slots__ = ("quiver", "letters", "final_quiver")
+    __slots__ = ("quiver", "letters", "_flips", "_final")
 
     def __init__(self, quiver, letters):
         letters = _int_tuple(letters, "letters")
         n = quiver.n
+        into, out, _ = quiver._vertex_masks()
         flips = 0
         for i, x in enumerate(letters, start=1):
             if not 1 <= x <= n:
                 raise AdmseqError(f"letter {x} at position {i} is not a vertex 1..{n}")
-            if not quiver._sink_after(flips, x):
+            a, b = (into[x], out[x]) if flips >> x & 1 else (out[x], into[x])
+            if a & ~flips or b & flips:
                 raise NotAdmissibleError(i, x)
             flips ^= 1 << x
         self.quiver = quiver
         self.letters = letters
-        self.final_quiver = quiver._flipped(flips)
+        self._flips = flips
+        self._final = None
+
+    @classmethod
+    def _trusted(cls, quiver, letters, flips):
+        """The sequence of ``letters``, a tuple of vertices already known to
+        be a walk of sinks of ``quiver`` with parity mask ``flips``:
+        installed without validation."""
+        s = object.__new__(cls)
+        s.quiver, s.letters, s._flips, s._final = quiver, letters, flips, None
+        return s
+
+    @property
+    def final_quiver(self):
+        """The orientation at the end of the walk."""
+        if self._final is None:
+            self._final = self.quiver._flipped(self._flips)
+        return self._final
 
     def __len__(self):
         return len(self.letters)
@@ -132,48 +157,73 @@ def precedes(s, t):
     return all(a <= b for a, b in zip(s.multiplicities(), t.multiplicities()))
 
 
-def _emit_segment(quiver, support, flips):
-    """Admissible ordering of a support set: repeatedly take the
-    smallest-id vertex of the pool that is a sink of the running
-    orientation, ``quiver`` reflected at the bits of ``flips``.
+def _emit_segment(quiver, pool, flips):
+    """Admissible ordering of a level set, given as the vertex mask
+    ``pool``: repeatedly take the smallest-id vertex of the pool that is
+    a sink of the running orientation, ``quiver`` reflected at the bits
+    of ``flips``.
 
-    Returns (the letters, flips after them all).  An id outside 1..n has
-    no arrows, so it is a sink and flips no bit.  Raises when no pool
+    Reflecting at x changes the sink test only at x and its neighbours,
+    so a pool vertex seen not to be a sink is tested again only once a
+    neighbour of it is emitted: ``rest`` is the pool less those vertices.
+
+    Returns (the letters, flips after them all).  Raises when no pool
     vertex is a sink, which cannot happen for valid level sets.
     """
-    pool = sorted(support)
-    n = quiver.n
+    into, out, _ = quiver._vertex_masks()
     letters = []
+    rest = pool
     while pool:
-        for x in pool:
-            if quiver._sink_after(flips, x):
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            a, b = (into[x], out[x]) if flips & low else (out[x], into[x])
+            if not (a & ~flips or b & flips):
                 break
+            rest ^= low
         else:
-            raise InvalidMultiplicityError(0, f"no sink available in pool {pool}")
+            raise InvalidMultiplicityError(
+                0, f"no sink available in pool {sorted(_members(pool))}"
+            )
         letters.append(x)
-        pool.remove(x)
-        if 0 < x <= n:
-            flips ^= 1 << x
+        pool ^= low
+        flips ^= low
+        rest = (rest ^ low) | (into[x] | out[x]) & pool
     return letters, flips
 
 
-def _emit_levels(quiver, filters):
-    """Segments emitted level set by level set, each from the parity
-    mask left by the ones before it."""
+def _emit_levels(quiver, levels):
+    """Segments emitted from level masks one by one, each from the parity
+    mask left by the ones before it; returns (segments, final flips)."""
     segments = []
     flips = 0
-    for f in filters:
-        letters, flips = _emit_segment(quiver, f, flips)
+    for level in levels:
+        letters, flips = _emit_segment(quiver, level, flips)
         segments.append(letters)
-    return segments
+    return segments, flips
+
+
+def _from_levels(quiver, levels):
+    """The sequence emitted from level masks, admissible by construction."""
+    segments, flips = _emit_levels(quiver, levels)
+    return AdmissibleSeq._trusted(quiver, tuple(chain.from_iterable(segments)), flips)
 
 
 def _level_masks(m):
-    """The level sets of m as vertex masks."""
-    return [
-        sum(1 << v for v, c in enumerate(m, start=1) if c >= i)
-        for i in range(1, max(m, default=0) + 1)
-    ]
+    """The level sets of m as vertex masks.  Level i holds the vertices
+    of count i and every level above it, so the masks are built from the
+    top level down."""
+    top = max(m, default=0)
+    by_count = [0] * (top + 1)
+    for v, c in enumerate(m, start=1):
+        if c > 0:
+            by_count[c] |= 1 << v
+    levels = [0] * top
+    acc = 0
+    for i in range(top, 0, -1):
+        acc |= by_count[i]
+        levels[i - 1] = acc
+    return levels
 
 
 def level_sets(m):
@@ -188,7 +238,7 @@ def seq_from_multiplicities(quiver, m):
     contain the hull of the next; otherwise InvalidMultiplicityError
     names the failing level.
     """
-    m = tuple(int(c) for c in m)
+    m = _int_tuple(m, "multiplicities")
     if len(m) != quiver.n or any(c < 0 for c in m):
         raise InvalidMultiplicityError(0, "vector has wrong length or negative entries")
     filters = _level_masks(m)
@@ -200,7 +250,7 @@ def seq_from_multiplicities(quiver, m):
             raise InvalidMultiplicityError(
                 i + 2, "hull of level set is not contained in the previous one"
             )
-    return CanonicalForm(quiver, _emit_levels(quiver, map(_members, filters))).sequence()
+    return _from_levels(quiver, filters)
 
 
 def canonical_form(s):
@@ -211,7 +261,7 @@ def canonical_form(s):
     """
     if len(s) == 0:
         raise EmptySequenceError("empty sequence has no canonical form")
-    segments = _emit_levels(s.quiver, level_sets(s.multiplicities()))
+    segments, _ = _emit_levels(s.quiver, _level_masks(s.multiplicities()))
     return CanonicalForm(s.quiver, segments)
 
 
@@ -219,7 +269,7 @@ def canonical_rep(s):
     """Canonical representative of the equivalence class of s."""
     if len(s) == 0:
         return s
-    return canonical_form(s).sequence()
+    return _from_levels(s.quiver, _level_masks(s.multiplicities()))
 
 
 def meet(s, t):
@@ -257,15 +307,22 @@ def principal(quiver, r, x):
     """The principal sequence of size r generated at x.
 
     Level sets: the top one is the principal filter of x, each earlier
-    one the hull of the next.
+    one the hull of the next.  Raises AdmseqError unless r >= 1 and x is
+    a vertex 1..n.
     """
+    r, x = _int_tuple((r, x), "size and vertex")
     if r < 1:
         raise AdmseqError("size must be positive")
-    filters = [quiver.principal_filter(x)]
+    n = quiver.n
+    if not 1 <= x <= n:
+        raise AdmseqError(f"letter {x} at position 1 is not a vertex 1..{n}")
+    level = quiver._vertex_masks()[2][x]
+    filters = [level]
     for _ in range(r - 1):
-        filters.append(quiver.hull(filters[-1]))
+        level = quiver._hull(level)
+        filters.append(level)
     filters.reverse()
-    return CanonicalForm(quiver, _emit_levels(quiver, filters)).sequence()
+    return _from_levels(quiver, filters)
 
 
 def is_principal(s):

@@ -533,6 +533,12 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "letter 7" in err
 
+    @pytest.mark.parametrize("x", ["0", "-1", "4"])
+    def test_principal_generator_outside_the_quiver(self, capsys, q3_file, x):
+        code, out, err = run(capsys, "principal", "-q", q3_file, "-r", "2", "-x", x)
+        assert (code, out) == (2, "")
+        assert f"letter {x} at position 1 is not a vertex 1..3" in err
+
     def test_format_dot_rejected(self, q3_file, l1_file):
         for argv in (["canon", "-q", q3_file, "-s", "3"], ["sm", "--module", l1_file]):
             with pytest.raises(SystemExit) as exc:

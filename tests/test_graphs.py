@@ -2,6 +2,7 @@ import pytest
 
 from admseq.errors import (
     AcyclicityError,
+    AdmseqError,
     FilterViolationError,
     IndecomposabilityError,
     InvalidCartanError,
@@ -68,6 +69,19 @@ class TestQuiver:
     def test_fixtures(self, q3, qk):
         assert q3.arrows == ((1, 2), (2, 3))
         assert qk.arrows == ((1, 2), (1, 2))
+
+    def test_non_integer_edge_rejected(self):
+        with pytest.raises(AdmseqError, match="edge ends must be integers"):
+            Graph(2, [(1.0, 2)])
+
+    def test_non_integer_arrow_rejected(self, q3):
+        # int() would truncate the first arrow to (1, 2)
+        with pytest.raises(AdmseqError, match="arrow ends must be integers"):
+            Quiver(q3.graph, [(1.9, 2.2), (2, 3)])
+
+    def test_non_integer_arrow_list_rejected(self):
+        with pytest.raises(AdmseqError, match="must be integers"):
+            quiver_from_arrows(3, [(1.9, 2.2), (2, 3)])
 
     def test_two_cycle_rejected(self):
         with pytest.raises(AcyclicityError):

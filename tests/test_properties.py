@@ -9,6 +9,7 @@ is checked on graphs drawn the same way with up to 10 vertices.
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +37,15 @@ from admseq.reps import (
     shortest_annihilator_indec,
     simple,
 )
-from admseq.sequences import AdmissibleSeq, principal, seq_from_multiplicities
+from admseq.sequences import (
+    AdmissibleSeq,
+    canonical_rep,
+    complement_pair,
+    join,
+    meet,
+    principal,
+    seq_from_multiplicities,
+)
 from admseq.weyl import (
     WeylWord,
     coxeter_powers_reduced,
@@ -359,9 +368,40 @@ def test_poset_queries_match_raw_reachability(case, data):
             r.hull(X)
 
 
+def _walk(data, q):
+    """A random walk of at most 12 sinks on q."""
+    letters, cur = [], q
+    for _ in range(data.draw(st.integers(0, 12))):
+        x = data.draw(st.sampled_from(sorted(cur.sinks())))
+        letters.append(x)
+        cur = cur.reflect(x)
+    return AdmissibleSeq(q, letters)
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
+def test_emitted_sequences_are_admissible(q, data):
+    # the lattice operations install the sequences they emit from level
+    # sets without a sink pass: each must pass a fresh validation, and its
+    # final quiver must be the fold of reflect over its letters
+    s, t = _walk(data, q), _walk(data, q)
+    r, x = data.draw(st.integers(1, 4)), data.draw(st.integers(1, q.n))
+    emitted = [
+        principal(q, r, x),
+        seq_from_multiplicities(q, s.multiplicities()),
+        meet(s, t),
+        join(s, t),
+        *complement_pair(s, t),
+        canonical_rep(s),
+    ]
+    for e in emitted:
+        assert e == AdmissibleSeq(e.quiver, e.letters)
+        assert e.final_quiver == reduce(Quiver.reflect, e.letters, e.quiver)
+
+
 def test_ids_outside_the_quiver(q3, tmp_path, capsys):
-    # an id outside 1..n answers as a vertex with no arrows, so principal
-    # at vertex 0 fails where its sequence is validated
+    # an id outside 1..n answers as a vertex with no arrows; principal
+    # checks its generator before emitting a sequence
     assert q3.reachable(0) == {0}
     assert q3.is_sink(q3.n + 1)
     assert q3._sink_after(0b1110, q3.n + 1)

@@ -142,6 +142,11 @@ class TestSeqFromMultiplicities:
             seq_from_multiplicities(q3, (0, 0, 2))
         assert exc.value.level == 2
 
+    def test_non_integer_vector_rejected(self, q3):
+        # int() would truncate this to (0, 1, 2), the vector of 3,2,3
+        with pytest.raises(AdmseqError, match="multiplicities must be integers"):
+            seq_from_multiplicities(q3, (0.5, 1.7, 2.9))
+
     def test_inverse_of_multiplicities(self, q3, qk):
         for q in (q3, qk):
             for letters in enumerate_admissible(q, 7):
@@ -187,6 +192,13 @@ class TestPrincipal:
         assert principal(q3, 1, 3).letters == (3,)
         assert principal(q3, 2, 3).letters == (3, 2, 3)
         assert principal(q3, 3, 3).letters == (3, 2, 1, 3, 2, 3)
+
+    @pytest.mark.parametrize("x", [0, -1, 4])
+    def test_generator_outside_the_quiver(self, q3, x):
+        with pytest.raises(AdmseqError) as exc:
+            principal(q3, 2, x)
+        assert type(exc.value) is AdmseqError
+        assert str(exc.value) == f"letter {x} at position 1 is not a vertex 1..3"
 
     def test_last_letter_is_generator(self, q3, qk, a4_orientations):
         for q in [q3, qk, *a4_orientations]:
