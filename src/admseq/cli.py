@@ -153,7 +153,7 @@ def _apply(args):
 
 def _sm_brute(args):
     """Shortest annihilator by descent below -t, or else as ``sm`` finds
-    it within -m Coxeter steps."""
+    it, from a Coxeter orbit cut at -m passes or its first repeated state."""
     m = reps.load_rep(args.module)
     if args.other is None:
         return reps.shortest_annihilator_indec(m, args.power)

@@ -5,9 +5,9 @@ arrow instances so that parallel arrows stay distinguishable by index.
 All objects are immutable after construction.
 
 A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
-builds, once and on first use, three masks per vertex: its in-neighbours,
-its out-neighbours and the vertices it reaches; the path order, filters
-and hulls are mask operations on these.  A walk of reflections at sinks
+builds, once, three masks per vertex: its in-neighbours, its
+out-neighbours and the vertices it reaches; the path order, filters and
+hulls are mask operations on these.  A walk of reflections at sinks
 or sources reverses the edge u-v exactly when u and v were reflected,
 together, an odd number of times, so the orientation after any prefix
 of a walk is this quiver plus one parity mask of the vertices reflected
@@ -171,7 +171,7 @@ class Quiver:
     ``arrows`` of the arrows out of and into every vertex; sink, source
     and topological-order queries read that index.  Reachability,
     filters and hulls read the per-vertex masks (see the module
-    docstring), built the first time one of them is asked.
+    docstring), built by the acyclicity check or on first use.
 
     ``reflect(x)`` at a sink or a source is trusted: reversing the
     arrows there keeps the multiplicities and cannot close a cycle
@@ -208,8 +208,7 @@ class Quiver:
         self.arrows = arrows
         self._out, self._in = _arrow_index(graph.n, arrows)
         self._masks = None
-        if self._topological_order() is None:
-            raise AcyclicityError("orientation has an oriented cycle")
+        self._vertex_masks()  # the acyclicity check
 
     @classmethod
     def _trusted(cls, graph, arrows, out, into):
@@ -223,18 +222,21 @@ class Quiver:
     def _vertex_masks(self):
         """(into, out, reach): per vertex, the mask of the vertices with an
         arrow into it, of those with an arrow out of it, and of those it
-        reaches, itself included; slot 0 unused.  Built on first use, the
-        reach masks in reverse topological order, each from its
-        out-neighbours' masks."""
+        reaches, itself included; slot 0 unused.  Built once, the reach
+        masks in reverse topological order, each from its out-neighbours'
+        masks; raises AcyclicityError when there is no such order."""
         if self._masks is not None:
             return self._masks
+        order = self._topological_order()
+        if order is None:
+            raise AcyclicityError("orientation has an oriented cycle")
         into = [0] * (self.n + 1)
         out = [0] * (self.n + 1)
         for s, e in self.arrows:
             out[s] |= 1 << e
             into[e] |= 1 << s
         reach = [0] * (self.n + 1)
-        for v in reversed(self._topological_order()):
+        for v in reversed(order):
             r = 1 << v
             for w in _members(out[v]):
                 r |= reach[w]

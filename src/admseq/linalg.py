@@ -14,9 +14,9 @@ result that is not integral: the inverse of a Weyl group element, which
 has determinant +-1, builds none.  Pivoting is
 deterministic (leftmost column, smallest row), and the reduced form is
 unique, so kernel bases are reproducible across runs.  ``nullspace``
-reads a kernel basis off the echelon form, and ``invert`` reads the
-right half of the echelon form of [m | I]; it serves only
-``weyl.WeylElement.inverse``.
+reads a kernel basis off the echelon form, one vector per row, and
+``invert`` reads the right half of the echelon form of [m | I]; it
+serves only ``weyl.WeylElement.inverse``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AdmseqError
-
-
-def transpose(m, rows, cols):
-    return [list(col) for col in zip(*m)] if rows else [[] for _ in range(cols)]
 
 
 def _integer_rows(m):
@@ -142,7 +138,7 @@ def rref(m, rows, cols):
 
 
 def nullspace(m, rows, cols):
-    """Basis of the kernel, as columns of a cols x k matrix.
+    """Basis of the kernel, as the rows of a k x cols matrix.
 
     Basis vectors are ordered by free column index and have a 1 in
     their own free coordinate.
@@ -157,7 +153,7 @@ def nullspace(m, rows, cols):
         for i, p in enumerate(pivots):
             v[p] = -r[i][f]
         basis.append(v)
-    return transpose(basis, len(basis), cols)
+    return basis
 
 
 def invert(m, n):

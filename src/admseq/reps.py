@@ -7,20 +7,21 @@ an ``int`` wherever it is integral and a Fraction otherwise.  The public
 positive reflection functor replaces the space at a sink by the kernel
 of the assembled incoming map; the negative functor replaces the space
 at a source by the cokernel of the assembled outgoing map, taken as the
-transposed kernel of the transposed map.  Both are one private step on
-rows, and every walk of functors, from a single reflection to a Coxeter
-orbit, is one fold of that step, so a chain of reflections stays in
-integers.  A fold walks one base quiver and a parity mask of the
-vertices it has reflected an odd number of times (see ``graphs``): each
-step tests its sink or source on the mask, and a caller that needs the
-quiver the result lives on builds it once, from the final mask.  The
-Coxeter functor returns to its quiver, so its letters are found once per
-call as a cycle; the Coxeter orbit loop folds pass after pass of it,
-builds no quiver and reads only dims.  The shortest annihilating
-sequence of a preprojective module is read off that orbit when the
-module is indecomposable, and is otherwise found by descent in the
-lattice of multiplicity vectors, one functor fold per step tried.  Bases
-come from deterministic echelon forms, so results are bit-reproducible.
+kernel of its transpose.  Both are one private step on rows, and every
+walk of functors, from a single reflection to a Coxeter orbit, is one
+fold of that step, so a chain of reflections stays in integers.  A fold
+walks one base quiver and a parity mask of the vertices it has
+reflected an odd number of times (see ``graphs``): each step tests its
+sink or source on the mask, and a caller that needs the quiver the
+result lives on builds it once, from the final mask.  The Coxeter
+functor returns to its quiver, so its letters are found once per call
+as a cycle; the Coxeter orbit loop folds pass after pass of it, builds
+no quiver, and stops at zero, at its budget or at its first repeated
+state.  The shortest annihilating sequence of a preprojective module is
+read off that orbit when the module is indecomposable, and is otherwise
+found by descent in the lattice of multiplicity vectors, one functor
+fold per step tried.  Bases come from deterministic echelon forms, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def _step(quiver, flips, dims, rows, x, plus):
     (dims, rows), which live on that orientation reflected at x too.  At
     a sink or a source every arrow incident to x points the same way, so
     the map assembled takes them all, in increasing position.  F_x^- is
-    D F_x^+ D: the maps out of x are transposed going in, and the kernel
-    blocks transposed coming out."""
+    D F_x^+ D: its map is the maps out of x transposed side by side, and
+    each new map into x is a slice of every kernel basis row; F_x^+
+    slices the basis transposed."""
     _require_vertex(quiver, x)
     if plus:
         if not quiver._sink_after(flips, x):
@@ -153,22 +155,20 @@ def _step(quiver, flips, dims, rows, x, plus):
     dx = dims[x - 1]
     # s + e - x is the end of arrow (s, e) other than x
     widths = [dims[sum(quiver.arrows[i]) - x - 1] for i in arrows]
-    if plus:
-        blocks = [rows[i] for i in arrows]
-    else:
-        blocks = [linalg.transpose(rows[i], w, dx) for i, w in zip(arrows, widths)]
-    h = [[a for b in blocks for a in b[r]] for r in range(dx)]
     total = sum(widths)
-    kernel = linalg.nullspace(h, dx, total)  # total x k
-    k = len(kernel[0]) if total else 0
-    new_rows = list(rows)
-    offset = 0
+    if plus:
+        h = [[a for i in arrows for a in rows[i][r]] for r in range(dx)]
+    else:
+        h = list(zip(*[row for i in arrows for row in rows[i]])) if total else [()] * dx
+    basis = linalg.nullspace(h, dx, total)  # k x total
+    k = len(basis)
+    columns = (list(zip(*basis)) if k else [()] * total) if plus else None
+    new_rows, offset = list(rows), 0
     for i, w in zip(arrows, widths):
-        block = kernel[offset:offset + w]
+        new_rows[i] = (tuple(columns[offset:offset + w]) if plus
+                       else tuple(tuple(v[offset:offset + w]) for v in basis))
         offset += w
-        new_rows[i] = tuple(map(tuple, block if plus else linalg.transpose(block, w, k)))
-    new_dims = dims[:x - 1] + (k,) + dims[x:]
-    return new_dims, tuple(new_rows)
+    return dims[:x - 1] + (k,) + dims[x:], tuple(new_rows)
 
 
 def _fold(quiver, flips, dims, rows, letters, plus):
@@ -249,9 +249,7 @@ def build_module(seq):
     letters, q = seq.letters, seq.quiver
     # The parity of x_1 ... x_{s-1}: the orientation
     # sigma_{x_{s-1}} ... sigma_{x_1} Lambda, on which x_s is a sink.
-    flips = 0
-    for x in letters[:-1]:
-        flips ^= 1 << x
+    flips = seq._flips ^ 1 << letters[-1]
     dims = tuple(int(v == letters[-1]) for v in q.vertices())
     rows = _zero_rows(q._flipped(flips), dims)
     flips, dims, rows = _fold(q, flips, dims, rows, reversed(letters[:-1]), False)
@@ -285,15 +283,19 @@ class Undecided:
 def _annihilating_power(rep, max_iter):
     """The least p with (Phi^+)^p rep = 0 and the dims of the last nonzero
     image (None when p = 0), from at most max_iter raw passes over one
-    cycle; raises UndecidedError when the orbit is still nonzero then."""
+    cycle.  Raises UndecidedError when the orbit is still nonzero then or
+    repeats a state, seen at one checkpoint moved when p is 0 or a power
+    of two (Brent): a pass is a function of (dims, rows)."""
     q = rep.quiver
     cycle = _coxeter_cycle(q)
-    p, last, dims, rows = 0, None, rep.dims, rep._rows
-    while any(dims):
-        if p >= max_iter:
+    p, last, state, saved = 0, None, (rep.dims, rep._rows), None
+    while any(state[0]):
+        if p >= max_iter or state == saved:
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
-        p, last = p + 1, dims
-        _, dims, rows = _fold(q, 0, dims, rows, cycle, True)
+        if not p & (p - 1):
+            saved = state
+        p, last = p + 1, state[0]
+        state = _fold(q, 0, *state, cycle, True)[1:]
     return p, last
 
 

@@ -120,8 +120,8 @@ def fraction_rref(m, rows, cols):
 
 
 def fraction_nullspace(m, rows, cols):
-    """Kernel basis as the columns of a cols x k matrix, one vector per
-    free column with a 1 in its own free coordinate."""
+    """Kernel basis as the rows of a k x cols matrix, one vector per free
+    column with a 1 in its own free coordinate."""
     r, pivots = fraction_rref(m, rows, cols)
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
@@ -130,7 +130,7 @@ def fraction_nullspace(m, rows, cols):
         for i, p in enumerate(pivots):
             v[p] = -r[i][f]
         basis.append(v)
-    return [[v[i] for v in basis] for i in range(cols)]
+    return basis
 
 
 # ------------------------------------------------ shortest annihilators
@@ -143,13 +143,12 @@ def raw_reflect_plus(arrows, dims, maps, x):
     incoming = [i for i, (_, e) in enumerate(arrows) if e == x]
     widths = [dims[arrows[i][0] - 1] for i in incoming]
     stacked = [[a for i in incoming for a in maps[i][r]] for r in range(dims[x - 1])]
-    kernel = fraction_nullspace(stacked, dims[x - 1], sum(widths))
+    basis = fraction_nullspace(stacked, dims[x - 1], sum(widths))
     maps, offset = list(maps), 0
     for i, w in zip(incoming, widths):
-        maps[i] = kernel[offset:offset + w]
+        maps[i] = [[v[j] for v in basis] for j in range(offset, offset + w)]
         offset += w
-    k = len(kernel[0]) if kernel else 0
-    return raw_reflect(arrows, x), dims[:x - 1] + (k,) + dims[x:], maps
+    return raw_reflect(arrows, x), dims[:x - 1] + (len(basis),) + dims[x:], maps
 
 
 def exhaustive_annihilator(rep, bound):
@@ -172,6 +171,27 @@ def exhaustive_annihilator(rep, bound):
               if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in killing)]
     assert len(minima) == 1, f"killing vectors have minima {minima}"
     return minima[0]
+
+
+def budget_orbit_power(rep, max_iter):
+    """(p, dims of the last nonzero image) for the least p <= max_iter with
+    (Phi^+)^p rep = 0, or None when the orbit is still nonzero after
+    max_iter passes.  Each pass reflects every vertex once by raw F^+
+    steps, always at the smallest sink not yet reflected in the pass;
+    nothing is compared between passes, so only the budget ends an orbit
+    that never reaches zero."""
+    n = rep.quiver.n
+    arrows, dims, maps = rep.quiver.arrows, rep.dims, rep.maps
+    p, last = 0, None
+    while any(dims):
+        if p == max_iter:
+            return None
+        p, last, done = p + 1, dims, set()
+        for _ in range(n):
+            x = min(set(raw_sinks(n, arrows)) - done)
+            done.add(x)
+            arrows, dims, maps = raw_reflect_plus(arrows, dims, maps, x)
+    return p, last
 
 
 # ------------------------------------------------------------ direct sums

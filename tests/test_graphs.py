@@ -15,6 +15,7 @@ from admseq.graphs import (
     quiver_from_arrows,
     quiver_from_dict,
 )
+from admseq.sequences import AdmissibleSeq
 
 
 A3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -86,6 +87,27 @@ class TestQuiver:
     def test_two_cycle_rejected(self):
         with pytest.raises(AcyclicityError):
             quiver_from_arrows(2, [(1, 2), (2, 1)])
+
+    def test_topological_order_computed_once(self, monkeypatch):
+        # the order the acyclicity check finds also builds the vertex
+        # masks, so a validated quiver asked sink questions sorts once; a
+        # quiver installed without validation still sorts on first use
+        calls = []
+        order = Quiver._topological_order
+
+        def counted(self):
+            calls.append(self)
+            return order(self)
+
+        monkeypatch.setattr(Quiver, "_topological_order", counted)
+        q = Quiver(Graph(3, [(1, 2), (2, 3)]), [(1, 2), (2, 3)])
+        assert q._sink_after(0, 3)
+        assert AdmissibleSeq(q, (3, 2, 1)).letters == (3, 2, 1)
+        assert len(calls) == 1
+        r = q.reflect(3)
+        assert len(calls) == 1
+        assert r._sink_after(0, 2) and r.leq(3, 2)
+        assert calls == [q, r]
 
     def test_arrow_multiplicity_must_match_graph(self):
         g = graph_from_cartan([[2, -2], [-2, 2]])

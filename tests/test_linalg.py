@@ -32,11 +32,10 @@ def test_nullspace_and_rank_randomized():
         cols = rng.randint(0, 4)
         m = random_matrix(rng, rows, cols)
         rank = len(fraction_rref(m, rows, cols)[1])
-        ns = linalg.nullspace(m, rows, cols)
-        k = len(ns[0]) if cols else 0
-        assert rank + k == cols
-        for j in range(k):
-            v = [ns[i][j] for i in range(cols)]
+        ns = linalg.nullspace(m, rows, cols)  # one basis vector per row
+        assert rank + len(ns) == cols
+        for v in ns:
+            assert len(v) == cols
             assert all(
                 sum(m[r][c] * v[c] for c in range(cols)) == 0 for r in range(rows)
             )

@@ -17,11 +17,17 @@ from hypothesis import strategies as st
 
 from admseq import linalg, reps
 from admseq.cli import main
-from admseq.errors import FilterViolationError, InvalidMultiplicityError, NotAdmissibleError
+from admseq.errors import (
+    FilterViolationError,
+    InvalidMultiplicityError,
+    NotAdmissibleError,
+    UndecidedError,
+)
 from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
     Representation,
+    Undecided,
     apply_sequence,
     build_module,
     canonical_complete_sequence,
@@ -58,10 +64,12 @@ from admseq.weyl import (
 from oracles import (
     ade_is_finite,
     bfs_lengths,
+    budget_orbit_power,
     exhaustive_annihilator,
     fraction_direct_sum,
     fraction_nullspace,
     fraction_rref,
+    matmul,
     matrix_first_non_reduced,
     raw_projective_dims,
     raw_reachable,
@@ -153,22 +161,26 @@ def _root(s):
 
 
 @st.composite
+def walk_modules(draw, q):
+    """M(S) for a walk S of one to six sinks of q with reduced word, of
+    total dimension at most MAX_TOTAL_DIM."""
+    arrows, letters = q.arrows, []
+    for _ in range(draw(st.integers(1, 6))):
+        letters.append(draw(st.sampled_from(raw_sinks(q.n, arrows))))
+        arrows = raw_reflect(arrows, letters[-1])
+    s = AdmissibleSeq(q, letters)
+    assume(is_reduced(word_of(s)) and sum(_root(s)) <= MAX_TOTAL_DIM)
+    return build_module(s)
+
+
+@st.composite
 def module_sums(draw):
     """(module, summands): the direct sum of two or three modules M(S) on
     one quiver, each S a walk of at most six sinks with reduced word,
     of total dimension at most MAX_TOTAL_DIM."""
     q = draw(quivers())
-    seqs = []
-    for _ in range(draw(st.integers(2, 3))):
-        arrows, letters = q.arrows, []
-        for _ in range(draw(st.integers(1, 6))):
-            letters.append(draw(st.sampled_from(raw_sinks(q.n, arrows))))
-            arrows = raw_reflect(arrows, letters[-1])
-        s = AdmissibleSeq(q, letters)
-        assume(is_reduced(word_of(s)))
-        seqs.append(s)
-    assume(sum(sum(_root(s)) for s in seqs) <= MAX_TOTAL_DIM)
-    summands = [build_module(s) for s in seqs]
+    summands = [draw(walk_modules(q)) for _ in range(draw(st.integers(2, 3)))]
+    assume(sum(sum(m.dims) for m in summands) <= MAX_TOTAL_DIM)
     return direct_sum(summands), summands
 
 
@@ -184,6 +196,32 @@ def scaled_summands(draw):
     m = summands[i]
     summands[i] = Representation(m.quiver, m.dims, [[[c * x for x in r] for r in a] for a in m.maps])
     return summands
+
+
+@st.composite
+def regular_kronecker(draw, q):
+    """A regular module of the Kronecker quiver q: dims (k, k), k <= 3,
+    and maps P and P J_k(lambda) for an invertible P, so the module is
+    the one of maps I and J_k(lambda) in another basis."""
+    k, lam = draw(st.integers(1, 3)), draw(st.integers(-3, 3))
+    p = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(k)]
+    assume(len(fraction_rref(p, k, k)[1]) == k)
+    jordan = [[lam if r == c else int(c == r + 1) for c in range(k)] for r in range(k)]
+    return Representation(q, (k, k), [p, matmul(p, jordan)])
+
+
+@st.composite
+def orbit_modules(draw):
+    """A module M(S) on a random quiver, a regular Kronecker module, or
+    the direct sum of a Kronecker M(S) and a regular one."""
+    kind = draw(st.sampled_from(["built", "regular", "sum"]))
+    if kind == "built":
+        return draw(walk_modules(draw(quivers())))
+    q = quiver_from_arrows(2, [draw(st.sampled_from([(1, 2), (2, 1)]))] * 2)
+    regular = draw(regular_kronecker(q))
+    if kind == "regular":
+        return regular
+    return direct_sum(draw(st.permutations([draw(walk_modules(q)), regular])))
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -224,6 +262,23 @@ def test_principal_module_annihilated_by_its_sequence(case):
         p, last, cur = p + 1, cur.dims, coxeter_plus(cur)
     assert reps._annihilating_power(m, 64) == (p, last)
     assert p == r and last in raw_projective_dims(m.quiver.n, m.quiver.arrows)
+
+
+@PROPERTY_SETTINGS
+@given(orbit_modules(), st.integers(0, 12))
+def test_orbit_power_matches_budget_only_oracle(m, budget):
+    # the orbit stops at its first repeated state; a walk of plain F^+
+    # steps that only the budget ends gives the same p and last dims, or
+    # is still nonzero at the budget too
+    expected = budget_orbit_power(m, budget)
+    if expected is None:
+        assert is_preprojective(m, budget) == Undecided()
+        with pytest.raises(UndecidedError,
+                           match=f"^not annihilated within {budget} Coxeter steps$"):
+            reps._annihilating_power(m, budget)
+    else:
+        assert is_preprojective(m, budget) == Preprojective(expected[0])
+        assert reps._annihilating_power(m, budget) == expected
 
 
 @PROPERTY_SETTINGS

@@ -220,10 +220,10 @@ class TestCoxeter:
         assert is_preprojective(qk_regular(qk), 16) == Undecided()
         assert is_preprojective(zero_rep(q3)) == Preprojective(0)
 
-    def test_budget_counts_coxeter_calls(self, qk, monkeypatch):
-        # a budget of 16 applies the Coxeter functor exactly 16 times: on the
-        # Kronecker quiver that is 16 x 2 functor steps, counted at the one
-        # per-letter step that every functor call goes through
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The functor steps taken, one entry per letter: counted at the
+        one per-letter step that every functor call goes through."""
         steps = []
         step = reps._step
 
@@ -232,12 +232,45 @@ class TestCoxeter:
             return step(quiver, flips, dims, rows, x, plus)
 
         monkeypatch.setattr(reps, "_step", counted)
-        assert is_preprojective(qk_regular(qk), 16) == Undecided()
+        return steps
+
+    def test_budget_counts_coxeter_calls(self, qk, steps):
+        # an orbit that never repeats and is cut by a budget of 16 applies
+        # the Coxeter functor exactly 16 times: on the Kronecker quiver that
+        # is 16 x 2 functor steps
+        m = build_module(principal(qk, 17, 1))
+        steps.clear()
+        assert is_preprojective(m, 16) == Undecided()
         assert steps == [True] * 32
         steps.clear()
-        with pytest.raises(UndecidedError):
-            shortest_annihilator_indec(qk_regular(qk), 16)
+        with pytest.raises(UndecidedError, match="^not annihilated within 16 Coxeter steps$"):
+            shortest_annihilator_indec(m, 16)
         assert steps == [True] * 32
+        steps.clear()
+        assert is_preprojective(m, 17) == Preprojective(17)
+        assert steps == [True] * 34
+
+    def test_periodic_orbit_stops_at_first_repeat(self, qk, steps):
+        # the regular module's orbit repeats a state (dims and rows) at
+        # once, so it answers Undecided after at most 2 of its 16 passes,
+        # with the error the budget would end in
+        assert is_preprojective(qk_regular(qk), 16) == Undecided()
+        assert 0 < len(steps) <= 4
+        steps.clear()
+        with pytest.raises(UndecidedError, match="^not annihilated within 16 Coxeter steps$"):
+            shortest_annihilator_indec(qk_regular(qk), 16)
+        assert 0 < len(steps) <= 4
+
+    def test_repeated_dims_alone_do_not_stop_the_orbit(self):
+        # on 1 <- 2 -> 3, P1 + P3 + M(S_{2,2}) has dims (1, 1, 1), and so
+        # has its Coxeter image, which is then killed: a state is its dims
+        # and its maps, and only a repeat of both ends the orbit
+        q = quiver_from_arrows(3, [(2, 1), (2, 3)])
+        parts = [principal(q, 1, 1), principal(q, 1, 3), principal(q, 2, 2)]
+        m = direct_sum([build_module(s) for s in parts])
+        assert m.dims == coxeter_plus(m).dims == (1, 1, 1)
+        assert is_preprojective(m, 16) == Preprojective(2)
+        assert reps._annihilating_power(m, 16) == (2, (1, 1, 1))
 
     def test_walks_call_no_reflect(self, monkeypatch):
         # every walk of sinks or sources runs on a parity mask over its
