@@ -1,8 +1,12 @@
 """Graphs, Cartan matrices, acyclic orientations, and the vertex poset.
 
-Vertices are contiguous ids 1..n.  Multiple edges are kept as individual
-arrow instances so that parallel arrows stay distinguishable by index.
-All objects are immutable after construction.
+Vertices are contiguous ids 1..n.  A graph is held once, as its Cartan
+matrix, and its edge tuple is read off that matrix.  Edges and arrows
+are read by one pair reader, and a graph, a Cartan matrix and an
+orientation are each checked by one comparison with a matrix or an edge
+tuple.  Multiple edges are kept as individual arrow instances so that
+parallel arrows stay distinguishable by index.  All objects are
+immutable after construction.
 
 A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
 builds, once, three masks per vertex: its in-neighbours, its
@@ -32,62 +36,39 @@ from .errors import (
 
 
 class Graph:
-    """Connected loop-free multigraph on vertices 1..n, with n >= 2.
+    """Connected loop-free multigraph on vertices 1..n, with n >= 2, held
+    once, as its Cartan matrix.
 
-    ``edges`` is a tuple of unordered pairs (u, v) with u < v; repeated
-    pairs encode edge multiplicity.
+    ``edges`` is read off that matrix: the pairs (u, v) with u < v, in
+    order, each repeated as often as the edge multiplicity.
     """
 
-    __slots__ = ("n", "edges", "_mult", "_adj", "_cartan")
+    __slots__ = ("n", "edges", "_cartan")
 
     def __init__(self, n, edges):
         if n < 2:
             raise IndecomposabilityError("graph must have more than one vertex")
-        norm = []
-        mult = {}
-        for edge in edges:
-            u, v = _int_tuple(edge, "edge ends")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InvalidCartanError(f"edge ({u},{v}) out of vertex range 1..{n}")
-            if u == v:
-                raise InvalidCartanError(f"loop at vertex {u}")
-            a, b = (u, v) if u < v else (v, u)
-            norm.append((a, b))
-            mult[(a, b)] = mult.get((a, b), 0) + 1
-        adj = [[] for _ in range(n + 1)]
-        for a, b in mult:
-            adj[a].append(b)
-            adj[b].append(a)
-        self.n = n
-        self.edges = tuple(sorted(norm))
-        self._mult = mult
-        self._adj = tuple(map(tuple, adj))  # neighbours by vertex; slot 0 unused
-        if not self._is_connected():
+        cartan = _cartan_of(n, edges, "edge")
+        seen, todo = {0}, [0]  # the rows of the vertices joined to vertex 1
+        for i in todo:
+            for j, a in enumerate(cartan[i]):
+                if a and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if len(seen) < n:
             raise IndecomposabilityError("graph is disconnected")
-        cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (a, b), k in mult.items():
-            cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -k
-        self._cartan = tuple(map(tuple, cartan))
-
-    def _is_connected(self):
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            for z in self._adj[queue.popleft()]:
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        return len(seen) == self.n
+        self.n, self.edges, self._cartan = n, _upper_edges(cartan), cartan
 
     def edge_mult(self, u, v):
-        if u == v:
+        if u == v or not (0 < u <= self.n and 0 < v <= self.n):
             return 0
-        a, b = (u, v) if u < v else (v, u)
-        return self._mult.get((a, b), 0)
+        return -self._cartan[u - 1][v - 1]
 
     def neighbors(self, u):
         """The vertices joined to u by an edge; empty for an id outside 1..n."""
-        return set(self._adj[u]) if 0 < u <= self.n else set()
+        if not 0 < u <= self.n:
+            return set()
+        return {v for v, a in enumerate(self._cartan[u - 1], 1) if a < 0}
 
     def cartan(self):
         """The symmetric generalized Cartan matrix: 2 on the diagonal,
@@ -102,6 +83,39 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges)})"
+
+
+def _ends(n, pair, what):
+    """The edge or arrow ``pair`` as (u, v): two distinct integer ids in
+    1..n, or an AdmseqError naming it ``what``."""
+    ends = _int_tuple(pair, f"{what} ends")
+    if len(ends) != 2:
+        raise AdmseqError(f"{what} {ends} does not have two ends")
+    u, v = ends
+    if not (0 < u <= n and 0 < v <= n):
+        raise InvalidCartanError(f"{what} ({u},{v}) out of vertex range 1..{n}")
+    if u == v:
+        raise InvalidCartanError(f"loop {what} at vertex {u}")
+    return ends
+
+
+def _cartan_of(n, pairs, what):
+    """The Cartan matrix, as a tuple of rows, of the multigraph on 1..n
+    with one edge per pair, each pair read by ``_ends``."""
+    rows = [[0] * n for _ in range(n)]
+    for pair in pairs:
+        u, v = _ends(n, pair, what)
+        rows[u - 1][v - 1] -= 1
+        rows[v - 1][u - 1] -= 1
+    for i in range(n):
+        rows[i][i] = 2
+    return tuple(map(tuple, rows))
+
+
+def _upper_edges(A):
+    """The pairs (i, j), i < j, in order, each repeated -a_ij times (never if a_ij >= 0)."""
+    return tuple(e for i, row in enumerate(A, 1) for j, a in enumerate(row[i:], i + 1)
+                 if a for e in [(i, j)] * -a)
 
 
 def _int_rows(value, width=None):
@@ -121,25 +135,16 @@ def graph_from_cartan(A):
     """Build the graph whose Cartan matrix is ``A``.
 
     Raises InvalidCartanError for anything but a square list of integer
-    rows that form a symmetric generalized Cartan matrix,
-    IndecomposabilityError when it splits into blocks.
+    rows that form a symmetric generalized Cartan matrix: A is one
+    exactly when it is the Cartan matrix of the edges read off its upper
+    triangle.  Raises IndecomposabilityError when it splits into blocks.
     """
     if not _int_rows(A):
         raise InvalidCartanError("matrix is not a square list of integer rows")
-    n = len(A)
-    for i in range(n):
-        if A[i][i] != 2:
-            raise InvalidCartanError(f"diagonal entry a_{i + 1}{i + 1} != 2")
-        for j in range(n):
-            if A[i][j] != A[j][i]:
-                raise InvalidCartanError("matrix is not symmetric")
-            if i != j and A[i][j] > 0:
-                raise InvalidCartanError("positive off-diagonal entry")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.extend([(i + 1, j + 1)] * (-A[i][j]))
-    return Graph(n, edges)
+    edges = _upper_edges(A)
+    if _cartan_of(len(A), edges, "edge") != tuple(map(tuple, A)):
+        raise InvalidCartanError("matrix is not symmetric with 2 on the diagonal and <= 0 off it")
+    return Graph(len(A), edges)
 
 
 def _arrow_index(n, arrows):
@@ -190,24 +195,12 @@ class Quiver:
     __slots__ = ("graph", "arrows", "_out", "_in", "_masks")
 
     def __init__(self, graph, arrows):
-        arrows = tuple(_int_tuple(a, "arrow ends") for a in arrows)
-        counts = {}
-        for s, e in arrows:
-            if s == e:
-                raise InvalidCartanError(f"loop arrow at vertex {s}")
-            key = (s, e) if s < e else (e, s)
-            counts[key] = counts.get(key, 0) + 1
-        for u, v in set(graph.edges):
-            if counts.get((u, v), 0) != graph.edge_mult(u, v):
-                raise InvalidCartanError(
-                    f"arrow multiplicity on edge {u}-{v} does not match the graph"
-                )
-        if counts.keys() - {tuple(sorted(e)) for e in graph.edges}:
-            raise InvalidCartanError("arrow on a non-edge")
-        self.graph = graph
-        self.arrows = arrows
+        arrows = tuple(_ends(graph.n, a, "arrow") for a in arrows)
+        # they orient the graph exactly when, unoriented and sorted, they are its edges
+        if sorted((s, e) if s < e else (e, s) for s, e in arrows) != list(graph.edges):
+            raise InvalidCartanError("arrows do not orient the edges of the graph")
+        self.graph, self.arrows, self._masks = graph, arrows, None
         self._out, self._in = _arrow_index(graph.n, arrows)
-        self._masks = None
         self._vertex_masks()  # the acyclicity check
 
     @classmethod
@@ -215,8 +208,7 @@ class Quiver:
         """The quiver of arrows already known to orient ``graph``
         acyclically, with their index: installed without validation."""
         q = object.__new__(cls)
-        q.graph, q.arrows, q._out, q._in = graph, arrows, out, into
-        q._masks = None
+        q.graph, q.arrows, q._out, q._in, q._masks = graph, arrows, out, into, None
         return q
 
     def _vertex_masks(self):
@@ -429,8 +421,7 @@ class Quiver:
 
 def quiver_from_arrows(n, arrows):
     """Quiver whose underlying graph is read off from the arrow list."""
-    edges = [tuple(sorted(a)) for a in arrows]
-    return Quiver(Graph(n, edges), arrows)
+    return Quiver(Graph(n, arrows), arrows)
 
 
 def quiver_from_dict(data):
@@ -460,23 +451,17 @@ def quiver_to_dict(q):
 
 
 @lru_cache(maxsize=None)
-def _acyclic_orientation_cache(graph):
-    edge_list = list(graph.edges)
-    top = len(edge_list) - 1
-    out = []
+def acyclic_orientations(graph):
+    """All acyclic orientations of a graph, as quivers."""
+    edges, out = graph.edges, []
+    top = len(edges) - 1
     # bit top - i of flips reverses edge i, so the first edge flips slowest
-    for flips in range(1 << len(edge_list)):
-        arrows = [
-            (v, u) if flips >> (top - i) & 1 else (u, v)
-            for i, (u, v) in enumerate(edge_list)
-        ]
+    for flips in range(1 << len(edges)):
+        arrows = tuple(
+            (v, u) if flips >> (top - i) & 1 else (u, v) for i, (u, v) in enumerate(edges)
+        )
         try:
-            out.append(Quiver(graph, tuple(arrows)))
+            out.append(Quiver(graph, arrows))
         except AcyclicityError:
             continue
     return tuple(out)
-
-
-def acyclic_orientations(graph):
-    """All acyclic orientations of a graph, as quivers."""
-    return _acyclic_orientation_cache(graph)

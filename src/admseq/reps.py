@@ -105,6 +105,7 @@ class Representation:
         return self._maps
 
     def dim(self, x):
+        _require_vertex(self.quiver, x)
         return self.dims[x - 1]
 
     def support(self):
@@ -248,10 +249,12 @@ def build_module(seq):
         raise NotReducedError("word of the sequence is not reduced")
     letters, q = seq.letters, seq.quiver
     # The parity of x_1 ... x_{s-1}: the orientation
-    # sigma_{x_{s-1}} ... sigma_{x_1} Lambda, on which x_s is a sink.
-    flips = seq._flips ^ 1 << letters[-1]
-    dims = tuple(int(v == letters[-1]) for v in q.vertices())
-    rows = _zero_rows(q._flipped(flips), dims)
+    # sigma_{x_{s-1}} ... sigma_{x_1} Lambda, on which x_s is a sink, so
+    # the simple there has a 1 x 0 map on each arrow at x_s, 0 x 0 elsewhere.
+    x = letters[-1]
+    flips = seq._flips ^ 1 << x
+    dims = tuple(int(v == x) for v in q.vertices())
+    rows = tuple(((),) if x in a else () for a in q.arrows)
     flips, dims, rows = _fold(q, flips, dims, rows, reversed(letters[:-1]), False)
     assert flips == 0
     return Representation._trusted(q, dims, rows)

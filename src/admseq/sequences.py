@@ -303,6 +303,19 @@ def complement_pair(s, t):
     return w, u, v
 
 
+def _size_and_vertex(n, pair):
+    """The pair (r, x) as ints, for a size r >= 1 and a vertex x in 1..n."""
+    pair = _int_tuple(pair, "size and vertex")
+    if len(pair) != 2:
+        raise AdmseqError("a principal sequence is named by a size and a vertex")
+    r, x = pair
+    if r < 1:
+        raise AdmseqError("size must be positive")
+    if not 1 <= x <= n:
+        raise AdmseqError(f"letter {x} at position 1 is not a vertex 1..{n}")
+    return r, x
+
+
 def principal(quiver, r, x):
     """The principal sequence of size r generated at x.
 
@@ -310,12 +323,7 @@ def principal(quiver, r, x):
     one the hull of the next.  Raises AdmseqError unless r >= 1 and x is
     a vertex 1..n.
     """
-    r, x = _int_tuple((r, x), "size and vertex")
-    if r < 1:
-        raise AdmseqError("size must be positive")
-    n = quiver.n
-    if not 1 <= x <= n:
-        raise AdmseqError(f"letter {x} at position 1 is not a vertex 1..{n}")
+    r, x = _size_and_vertex(quiver.n, (r, x))
     level = quiver._vertex_masks()[2][x]
     filters = [level]
     for _ in range(r - 1):
@@ -346,8 +354,9 @@ def is_principal(s):
 
 def principal_precedes(pair, s):
     """Whether the principal sequence S_{q,y} precedes s, decided on the
-    level sets of s alone: q <= r and y in the q-th level set."""
-    q, y = pair
+    level sets of s alone: q <= r and y in the q-th level set.  Raises
+    AdmseqError, as ``principal`` does, unless q >= 1 and y is a vertex."""
+    q, y = _size_and_vertex(s.quiver.n, pair)
     if len(s) == 0:
         return False
     supports = level_sets(s.multiplicities())

@@ -60,6 +60,9 @@ class WeylElement:
     def __init__(self, cartan, matrix):
         self.cartan = tuple(tuple(row) for row in cartan)
         self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in matrix)
+        n = len(self.cartan)
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+            raise AdmseqError(f"Weyl element matrix must be {n} x {n}")
 
     @classmethod
     def identity(cls, cartan):

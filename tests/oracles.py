@@ -13,6 +13,32 @@ from itertools import combinations, permutations
 # ---------------------------------------------------------------- quivers
 
 
+def raw_graph(n, edges):
+    """(sorted edges, Cartan matrix, neighbour sets, connected) of the
+    multigraph on 1..n with one edge per pair (u, v), either way round:
+    the edges as (min, max) pairs, the matrix as a tuple of rows, the
+    neighbour sets as a dict by vertex."""
+    pairs = sorted((min(e), max(e)) for e in edges)
+    cartan = [[0] * n for _ in range(n)]
+    neighbours = {v: set() for v in range(1, n + 1)}
+    for u, v in pairs:
+        cartan[u - 1][v - 1] -= 1
+        cartan[v - 1][u - 1] -= 1
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    for i in range(n):
+        cartan[i][i] = 2
+    seen = {1}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in pairs:
+            if (u in seen) != (v in seen):
+                seen |= {u, v}
+                grew = True
+    return tuple(pairs), tuple(map(tuple, cartan)), neighbours, len(seen) == n
+
+
 def raw_sinks(n, arrows):
     starts = {s for s, _ in arrows}
     return [v for v in range(1, n + 1) if v not in starts]

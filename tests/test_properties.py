@@ -18,12 +18,16 @@ from hypothesis import strategies as st
 from admseq import linalg, reps
 from admseq.cli import main
 from admseq.errors import (
+    AcyclicityError,
+    AdmseqError,
     FilterViolationError,
+    IndecomposabilityError,
+    InvalidCartanError,
     InvalidMultiplicityError,
     NotAdmissibleError,
     UndecidedError,
 )
-from admseq.graphs import Graph, Quiver, quiver_from_arrows
+from admseq.graphs import Graph, Quiver, graph_from_cartan, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
     Representation,
@@ -71,6 +75,7 @@ from oracles import (
     fraction_rref,
     matmul,
     matrix_first_non_reduced,
+    raw_graph,
     raw_projective_dims,
     raw_reachable,
     raw_reflect,
@@ -527,6 +532,76 @@ def test_weyl_is_finite_matches_ade_classification(case):
     # the Coxeter-power criterion against the Dynkin diagram classifier
     n, edges = case
     assert weyl_is_finite(Graph(n, edges)) == ade_is_finite(n, edges)
+
+
+@st.composite
+def multigraphs(draw):
+    """(n, edges) on 1..n, n <= 8: at most 12 pairs, each drawn either way
+    round and possibly repeated, over a random spanning tree or not, so
+    that some graphs are connected and some are not."""
+    n = draw(st.integers(2, 8))
+    edges = []
+    if draw(st.booleans()):
+        edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=12))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.data())
+def test_graph_is_its_cartan_matrix(case, data):
+    # Graph, graph_from_cartan and Quiver against plain loops over the
+    # pairs, and each check against inputs broken in one place
+    n, edges = case
+    pairs, cartan, neighbours, connected = raw_graph(n, edges)
+    if not connected:
+        with pytest.raises(IndecomposabilityError):
+            Graph(n, edges)
+        return
+    g = Graph(n, edges)
+    assert (g.edges, g.cartan()) == (pairs, cartan)
+    assert [g.neighbors(v) for v in range(n + 2)] == [set(), *neighbours.values(), set()]
+    assert all(g.edge_mult(u, v) == pairs.count((min(u, v), max(u, v)))
+               for u in range(n + 2) for v in range(n + 2))
+    assert graph_from_cartan(g.cartan()) == g
+
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    bad = [list(row) for row in cartan]
+    if i == j:
+        bad[i][i] = data.draw(st.sampled_from([-2, 0, 1, 3]))
+    elif data.draw(st.booleans()):
+        bad[i][j] -= 1  # not symmetric
+    else:
+        bad[i][j] = bad[j][i] = data.draw(st.integers(1, 3))
+    with pytest.raises(InvalidCartanError):
+        graph_from_cartan(bad)
+
+    # every orientation, with the arrows in any order
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arrows = data.draw(st.permutations([e[::-1] if f else e for e, f in zip(pairs, flips)]))
+    if len(raw_topological_order(n, arrows)) == n:
+        assert Quiver(g, arrows).arrows == tuple(arrows)
+    else:
+        with pytest.raises(AcyclicityError):
+            Quiver(g, arrows)
+
+    k = data.draw(st.integers(0, len(arrows) - 1))
+    u, v = arrows[k]
+
+    def replaced(items, item):
+        return items[:k] + [item] + items[k + 1:]
+
+    for wrong in (arrows[:k] + arrows[k + 1:], arrows + [(u, v)], replaced(arrows, (u, u)),
+                  replaced(arrows, (u, n + 1)), replaced(arrows, (0, v))):
+        with pytest.raises(InvalidCartanError):
+            Quiver(g, wrong)
+    for not_pair in ((), (u,), (u, v, u)):
+        for build in (lambda: Graph(n, replaced(list(pairs), not_pair)),
+                      lambda: Quiver(g, replaced(arrows, not_pair)),
+                      lambda: quiver_from_arrows(n, replaced(arrows, not_pair))):
+            with pytest.raises(AdmseqError):
+                build()
 
 
 # Entries that make pivots other than +-1, given as int or as Fraction

@@ -62,6 +62,12 @@ class TestBasics:
             with pytest.raises(AdmseqError, match=f"{x} is not a vertex"):
                 simple(q3, x)
 
+    def test_dim_rejects_vertex_out_of_range(self, q3):
+        m = simple(q3, 3)
+        for x in (0, -1, 4):
+            with pytest.raises(AdmseqError, match=f"{x} is not a vertex 1..3"):
+                m.dim(x)
+
     def test_non_integer_dims_rejected(self, q3):
         # int() would truncate this to dims (1, 0, 0)
         with pytest.raises(AdmseqError, match="dimensions must be integers"):
@@ -331,6 +337,21 @@ class TestBuildModule:
                 ).evaluate()
                 e = tuple(int(v == letters[-1]) for v in q.vertices())
                 assert build_module(s).dims == tuple(w.apply(e))
+
+    def test_builds_no_quiver(self, monkeypatch, q3, qk):
+        # the simple at the last letter is sized from the base arrows, and
+        # the fold runs on a parity mask, so no quiver is installed
+        seqs = [principal(q3, 3, 3), principal(qk, 4, 2), AdmissibleSeq(q3, (3, 2, 1))]
+        calls = []
+        trusted = Quiver._trusted.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(Quiver, "_trusted", classmethod(counted))
+        assert [build_module(s).dims for s in seqs] == [(1, 0, 0), (6, 7), (1, 1, 1)]
+        assert calls == []
 
     def test_rejects_non_reduced(self, q3):
         # a long principal sequence on a Dynkin quiver leaves the group

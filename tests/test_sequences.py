@@ -233,6 +233,22 @@ class TestPrincipal:
         assert not principal_precedes((2, 1), s)
         assert principal_precedes((2, 3), AdmissibleSeq(q3, (3, 2, 3)))
 
+    @pytest.mark.parametrize("pair", [(0, 1), (-1, 3), (2, 0), (2, 4), (1.5, 1), (1, "3")])
+    def test_principal_precedes_rejects_what_principal_rejects(self, q3, pair):
+        # S_{0,1} does not exist: it used to read level set -1 of s
+        s = AdmissibleSeq(q3, (3, 2, 1, 3))
+        with pytest.raises(AdmseqError) as expected:
+            principal(q3, *pair)
+        with pytest.raises(AdmseqError) as exc:
+            principal_precedes(pair, s)
+        assert type(exc.value) is type(expected.value)
+        assert str(exc.value) == str(expected.value)
+
+    @pytest.mark.parametrize("pair", [(2,), (2, 3, 1), 5])
+    def test_principal_precedes_rejects_what_is_not_a_pair(self, q3, pair):
+        with pytest.raises(AdmseqError):
+            principal_precedes(pair, AdmissibleSeq(q3, (3, 2, 3)))
+
     def test_principal_precedes_matches_materialized(self, q3, qk):
         for q in (q3, qk):
             for letters in enumerate_admissible(q, 6):

@@ -102,6 +102,13 @@ class TestWordEvaluation:
         with pytest.raises(AdmseqError, match="Weyl element entries must be integers"):
             WeylElement(A2, [[0.5, 0], [0, 1]]).inverse()
 
+    def test_rejects_matrix_of_wrong_shape(self):
+        # the short one used to be accepted and inverted to ((0, 1),), the
+        # ragged one to end in an IndexError
+        for matrix in ([[1, 0]], [[1, 0], [0]]):
+            with pytest.raises(AdmseqError, match="must be 3 x 3"):
+                WeylElement(A3, matrix)
+
 
 class TestIsReduced:
     def test_examples(self):
