@@ -87,3 +87,11 @@ def _int_tuple(values, what):
         return tuple(map(index, values))
     except TypeError:
         raise AdmseqError(f"{what} must be integers") from None
+
+
+def _int(value, what):
+    """The value as an int, read with ``operator.index`` as ``_int_tuple`` reads."""
+    try:
+        return index(value)
+    except TypeError:
+        raise AdmseqError(f"{what} must be an integer") from None

@@ -10,20 +10,23 @@ immutable after construction.
 
 A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
 builds, once, three masks per vertex: its in-neighbours, its
-out-neighbours and the vertices it reaches; the path order, filters and
-hulls are mask operations on these.  A walk of reflections at sinks
-or sources reverses the edge u-v exactly when u and v were reflected,
-together, an odd number of times, so the orientation after any prefix
-of a walk is this quiver plus one parity mask of the vertices reflected
-an odd number of times.  Sink and source tests after a walk read that
-mask, and the quiver it stands for is built only when asked for.
+out-neighbours and the vertices it reaches.  These masks are the
+quiver's one adjacency store: sink and source tests, the path order,
+filters and hulls are mask operations on them, and the positions of the
+arrows at a vertex are found by a scan of the arrow tuple.  A walk of
+reflections at sinks or sources reverses the edge u-v exactly when u
+and v were reflected, together, an odd number of times, so the
+orientation after any prefix of a walk is this quiver plus one parity
+mask of the vertices reflected an odd number of times.  Sink and source
+tests after a walk read that mask, and the quiver it stands for is built
+only when asked for.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import (
     AcyclicityError,
@@ -31,6 +34,7 @@ from .errors import (
     FilterViolationError,
     IndecomposabilityError,
     InvalidCartanError,
+    _int,
     _int_tuple,
 )
 
@@ -46,6 +50,7 @@ class Graph:
     __slots__ = ("n", "edges", "_cartan")
 
     def __init__(self, n, edges):
+        n = _int(n, "vertex count")
         if n < 2:
             raise IndecomposabilityError("graph must have more than one vertex")
         cartan = _cartan_of(n, edges, "edge")
@@ -147,17 +152,6 @@ def graph_from_cartan(A):
     return Graph(len(A), edges)
 
 
-def _arrow_index(n, arrows):
-    """Positions in ``arrows`` of the arrows out of and into each vertex,
-    as two tuples indexed by vertex (slot 0 unused)."""
-    out = [[] for _ in range(n + 1)]
-    into = [[] for _ in range(n + 1)]
-    for i, (s, e) in enumerate(arrows):
-        out[s].append(i)
-        into[e].append(i)
-    return tuple(map(tuple, out)), tuple(map(tuple, into))
-
-
 def _members(mask):
     """The set of vertices whose bits are set in ``mask``."""
     out = set()
@@ -172,11 +166,10 @@ class Quiver:
     """A graph together with an acyclic orientation.
 
     ``arrows`` is a tuple of ordered pairs (source, target), one entry
-    per edge instance.  Each quiver indexes, once, the positions in
-    ``arrows`` of the arrows out of and into every vertex; sink, source
-    and topological-order queries read that index.  Reachability,
-    filters and hulls read the per-vertex masks (see the module
-    docstring), built by the acyclicity check or on first use.
+    per edge instance.  The per-vertex masks (see the module docstring),
+    built by the acyclicity check or on first use, are its one adjacency
+    store: sink and source tests, reachability, filters and hulls read
+    them, and ``arrows_in`` and ``arrows_out`` scan the arrow tuple.
 
     ``reflect(x)`` at a sink or a source is trusted: reversing the
     arrows there keeps the multiplicities and cannot close a cycle
@@ -192,7 +185,7 @@ class Quiver:
     arrows: it is a sink and a source and reaches only itself.
     """
 
-    __slots__ = ("graph", "arrows", "_out", "_in", "_masks")
+    __slots__ = ("graph", "arrows", "_masks")
 
     def __init__(self, graph, arrows):
         arrows = tuple(_ends(graph.n, a, "arrow") for a in arrows)
@@ -200,15 +193,14 @@ class Quiver:
         if sorted((s, e) if s < e else (e, s) for s, e in arrows) != list(graph.edges):
             raise InvalidCartanError("arrows do not orient the edges of the graph")
         self.graph, self.arrows, self._masks = graph, arrows, None
-        self._out, self._in = _arrow_index(graph.n, arrows)
         self._vertex_masks()  # the acyclicity check
 
     @classmethod
-    def _trusted(cls, graph, arrows, out, into):
+    def _trusted(cls, graph, arrows):
         """The quiver of arrows already known to orient ``graph``
-        acyclically, with their index: installed without validation."""
+        acyclically: installed without validation."""
         q = object.__new__(cls)
-        q.graph, q.arrows, q._out, q._in, q._masks = graph, arrows, out, into, None
+        q.graph, q.arrows, q._masks = graph, arrows, None
         return q
 
     def _vertex_masks(self):
@@ -222,12 +214,10 @@ class Quiver:
         order = self._topological_order()
         if order is None:
             raise AcyclicityError("orientation has an oriented cycle")
-        into = [0] * (self.n + 1)
-        out = [0] * (self.n + 1)
+        into, out, reach = ([0] * (self.n + 1) for _ in range(3))
         for s, e in self.arrows:
             out[s] |= 1 << e
             into[e] |= 1 << s
-        reach = [0] * (self.n + 1)
         for v in reversed(order):
             r = 1 << v
             for w in _members(out[v]):
@@ -260,7 +250,7 @@ class Quiver:
         arrows = tuple(
             (e, s) if (flips >> s ^ flips >> e) & 1 else (s, e) for s, e in self.arrows
         )
-        return Quiver._trusted(self.graph, arrows, *_arrow_index(self.n, arrows))
+        return Quiver._trusted(self.graph, arrows)
 
     def _mask(self, X):
         """(mask of the vertices of X, set of the ids of X outside 1..n)."""
@@ -303,26 +293,27 @@ class Quiver:
 
     def arrows_out(self, x):
         """Positions in ``arrows`` of the arrows out of x, in order."""
-        return self._out[x] if 0 < x < len(self._out) else ()
+        return tuple(i for i, (s, _) in enumerate(self.arrows) if s == x)
 
     def arrows_in(self, x):
         """Positions in ``arrows`` of the arrows into x, in order."""
-        return self._in[x] if 0 < x < len(self._in) else ()
+        return tuple(i for i, (_, e) in enumerate(self.arrows) if e == x)
 
     def _topological_order(self):
-        arrows, out = self.arrows, self._out
-        indeg = [len(into) for into in self._in]
-        queue = deque(v for v in self.vertices() if indeg[v] == 0)
-        order = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for i in out[u]:
-                e = arrows[i][1]
+        """Kahn's order: the sources in increasing id, then each vertex's
+        targets released in arrow order; None on an oriented cycle."""
+        n = self.n
+        targets, indeg = [[] for _ in range(n + 1)], [0] * (n + 1)
+        for s, e in self.arrows:
+            targets[s].append(e)
+            indeg[e] += 1
+        order = [v for v in range(1, n + 1) if not indeg[v]]
+        for u in order:  # the list is the queue: it grows as it is read
+            for e in targets[u]:
                 indeg[e] -= 1
-                if indeg[e] == 0:
-                    queue.append(e)
-        return order if len(order) == self.n else None
+                if not indeg[e]:
+                    order.append(e)
+        return order if len(order) == n else None
 
     def topological_order(self):
         order = self._topological_order()
@@ -331,18 +322,16 @@ class Quiver:
 
     def sinks(self):
         """Vertices with no outgoing arrow."""
-        out = self._out
-        return {v for v in self.vertices() if not out[v]}
+        return {v for v in self.vertices() if self._sink_after(0, v)}
 
     def sources(self):
-        into = self._in
-        return {v for v in self.vertices() if not into[v]}
+        return {v for v in self.vertices() if self._source_after(0, v)}
 
     def is_sink(self, x):
-        return not (0 < x < len(self._out) and self._out[x])
+        return self._sink_after(0, x)
 
     def is_source(self, x):
-        return not (0 < x < len(self._in) and self._in[x])
+        return self._source_after(0, x)
 
     def reflect(self, x):
         """The quiver with every arrow incident to ``x`` reversed.
@@ -350,16 +339,11 @@ class Quiver:
         Involutive.  Trusted at a sink or a source; elsewhere validated,
         raising AcyclicityError when the result has an oriented cycle.
         """
-        if not 0 < x < len(self._out):
+        if not 0 < x <= self.n:
             return self  # no arrow is incident to x
-        into, out = self._in[x], self._out[x]
-        if not (into and out):
+        if self._sink_after(0, x) or self._source_after(0, x):
             return self._flipped(1 << x)
-        arrows = list(self.arrows)
-        for i in into + out:
-            s, e = arrows[i]
-            arrows[i] = (e, s)
-        return Quiver(self.graph, arrows)
+        return Quiver(self.graph, [(e, s) if x in (s, e) else (s, e) for s, e in self.arrows])
 
     def leq(self, u, v):
         """Path order: u <= v iff there is a (possibly empty) path u -> v."""
@@ -394,16 +378,9 @@ class Quiver:
         return frozenset(_members(self._hull(mask)) | extra)
 
     def all_filters(self):
-        """Every filter of the vertex poset, as frozensets."""
-        from itertools import combinations
-
-        out = []
-        verts = list(self.vertices())
-        for k in range(self.n + 1):
-            for sub in combinations(verts, k):
-                if self.is_filter(sub):
-                    out.append(frozenset(sub))
-        return out
+        """Every filter of the vertex poset, as frozensets, by size."""
+        return [frozenset(sub) for k in range(self.n + 1)
+                for sub in combinations(self.vertices(), k) if self.is_filter(sub)]
 
     def __eq__(self, other):
         return (

@@ -37,6 +37,7 @@ from .errors import (
     NotSinkError,
     NotSourceError,
     UndecidedError,
+    _int,
     _int_tuple,
 )
 from .sequences import AdmissibleSeq, seq_from_multiplicities
@@ -57,9 +58,12 @@ def _zero_rows(quiver, dims):
     )
 
 
-def _require_vertex(quiver, x):
+def _vertex(quiver, x):
+    """x as a vertex 1..n of the quiver, read with ``operator.index``."""
+    x = _int(x, "vertex")
     if not 1 <= x <= quiver.n:
         raise AdmseqError(f"{x} is not a vertex 1..{quiver.n}")
+    return x
 
 
 class Representation:
@@ -105,8 +109,7 @@ class Representation:
         return self._maps
 
     def dim(self, x):
-        _require_vertex(self.quiver, x)
-        return self.dims[x - 1]
+        return self.dims[_vertex(self.quiver, x) - 1]
 
     def support(self):
         return frozenset(x for x in self.quiver.vertices() if self.dim(x) > 0)
@@ -132,7 +135,7 @@ def zero_rep(quiver):
 
 def simple(quiver, x):
     """The simple representation concentrated at x."""
-    _require_vertex(quiver, x)
+    x = _vertex(quiver, x)
     dims = tuple(int(v == x) for v in quiver.vertices())
     return Representation(quiver, dims, _zero_rows(quiver, dims))
 
@@ -145,17 +148,18 @@ def _step(quiver, flips, dims, rows, x, plus):
     the map assembled takes them all, in increasing position.  F_x^- is
     D F_x^+ D: its map is the maps out of x transposed side by side, and
     each new map into x is a slice of every kernel basis row; F_x^+
-    slices the basis transposed."""
-    _require_vertex(quiver, x)
+    slices the basis transposed.  Every caller has read x as a vertex."""
     if plus:
         if not quiver._sink_after(flips, x):
             raise NotSinkError(f"{x} is not a sink")
     elif not quiver._source_after(flips, x):
         raise NotSourceError(f"{x} is not a source")
-    arrows = sorted(quiver.arrows_in(x) + quiver.arrows_out(x))
+    arrows, widths = [], []
+    for i, (s, e) in enumerate(quiver.arrows):
+        if s == x or e == x:
+            arrows.append(i)
+            widths.append(dims[s + e - x - 1])  # s + e - x: the end other than x
     dx = dims[x - 1]
-    # s + e - x is the end of arrow (s, e) other than x
-    widths = [dims[sum(quiver.arrows[i]) - x - 1] for i in arrows]
     total = sum(widths)
     if plus:
         h = [[a for i in arrows for a in rows[i][r]] for r in range(dx)]
@@ -195,7 +199,7 @@ def reflect_plus(rep, x):
     arrows into x; the new maps out of x are the block components of the
     kernel inclusion.
     """
-    return _functor(rep, (x,), True)
+    return _functor(rep, (_vertex(rep.quiver, x),), True)
 
 
 def reflect_minus(rep, x):
@@ -205,7 +209,7 @@ def reflect_minus(rep, x):
     arrows out of x; the new maps into x are inclusion followed by the
     quotient projection.  Computed as F_x^- = D F_x^+ D.
     """
-    return _functor(rep, (x,), False)
+    return _functor(rep, (_vertex(rep.quiver, x),), False)
 
 
 def apply_sequence(rep, seq):
@@ -289,7 +293,7 @@ def _annihilating_power(rep, max_iter):
     cycle.  Raises UndecidedError when the orbit is still nonzero then or
     repeats a state, seen at one checkpoint moved when p is 0 or a power
     of two (Brent): a pass is a function of (dims, rows)."""
-    q = rep.quiver
+    q, max_iter = rep.quiver, _int(max_iter, "Coxeter budget")
     cycle = _coxeter_cycle(q)
     p, last, state, saved = 0, None, (rep.dims, rep._rows), None
     while any(state[0]):

@@ -19,7 +19,6 @@ admissible by construction and installed without a second sink pass.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 
 from .errors import (
@@ -303,12 +302,18 @@ def complement_pair(s, t):
     return w, u, v
 
 
+def _int_pair(pair, what, wrong):
+    """The pair as two ints, or AdmseqError ``wrong`` when there are not two."""
+    pair = _int_tuple(pair, what)
+    if len(pair) != 2:
+        raise AdmseqError(wrong)
+    return pair
+
+
 def _size_and_vertex(n, pair):
     """The pair (r, x) as ints, for a size r >= 1 and a vertex x in 1..n."""
-    pair = _int_tuple(pair, "size and vertex")
-    if len(pair) != 2:
-        raise AdmseqError("a principal sequence is named by a size and a vertex")
-    r, x = pair
+    r, x = _int_pair(pair, "size and vertex",
+                     "a principal sequence is named by a size and a vertex")
     if r < 1:
         raise AdmseqError("size must be positive")
     if not 1 <= x <= n:
@@ -414,34 +419,21 @@ def psi(pair):
     return r - 1, x
 
 
-def nq_arrows_from(quiver, node):
-    """Outgoing arrows of a node of the translation quiver of the
-    opposite orientation: each arrow u -> v of the quiver contributes
-    (n, v) -> (n, u) and (n, u) -> (n + 1, v)."""
-    level, w = node
-    arrows = quiver.arrows
-    out = [(level, arrows[i][0]) for i in quiver.arrows_in(w)]
-    out.extend((level + 1, arrows[i][1]) for i in quiver.arrows_out(w))
-    return out
-
-
 def nq_reachable(quiver, a, b):
-    """Path existence between two nodes of the translation quiver."""
-    if a == b:
-        return True
-    target_level = b[0]
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        node = queue.popleft()
-        for nxt in nq_arrows_from(quiver, node):
-            if nxt[0] > target_level or nxt in seen:
-                continue
-            if nxt == b:
-                return True
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
+    """Path existence between two nodes (level, vertex) of the translation
+    quiver of the opposite orientation, whose arrows are (l, v) -> (l, u)
+    and (l, u) -> (l + 1, v) for each arrow u -> v.  On a connected
+    quiver the vertices whose nodes at level l - 1 reach a filter F at
+    level l form the hull of F, so (l, u) reaches (l + k, v) exactly when
+    u lies in the k-th hull of the principal filter of v; hulls only grow."""
+    (la, u), (lb, v) = (_int_pair(node, "node", "a node is a (level, vertex) pair")
+                        for node in (a, b))
+    if not (0 < u <= quiver.n and 0 < v <= quiver.n) or lb < la:
+        return (la, u) == (lb, v)
+    level, k = quiver._vertex_masks()[2][v], lb - la
+    while k and not level >> u & 1:
+        level, k = quiver._hull(level), k - 1
+    return level >> u & 1 == 1
 
 
 def enumerate_admissible(quiver, max_len):

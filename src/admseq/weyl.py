@@ -26,7 +26,7 @@ Fraction raises AdmseqError instead of being truncated.
 from __future__ import annotations
 
 from . import linalg
-from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int_tuple
+from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple
 
 
 def _int_matmul(a, b):
@@ -270,6 +270,7 @@ def coxeter_powers_reduced(seq, m_max):
     not reduced, so c^m is reduced exactly when that letter lies beyond
     its m n letters: the cost is O(m_max n) letters, not O(m_max^2 n).
     """
+    m_max = _int(m_max, "power bound")
     if m_max < 1:
         raise AdmseqError(f"power bound must be at least 1, got {m_max}")
     if not seq.is_complete():

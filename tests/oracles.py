@@ -60,6 +60,22 @@ def raw_reachable(arrows, u):
     return seen
 
 
+def raw_nq_reachable(arrows, a, b):
+    """Whether node a reaches node b of the translation quiver, by a
+    breadth-first search that scans the arrow list at every node: each
+    arrow u -> v gives (l, v) -> (l, u) and (l, u) -> (l + 1, v).  No
+    node above b's level is visited, since no arrow lowers the level."""
+    seen, queue = {a}, [a]
+    for level, w in queue:
+        steps = [(level, s) for s, e in arrows if e == w]
+        steps += [(level + 1, e) for s, e in arrows if s == w]
+        for node in steps:
+            if node[0] <= b[0] and node not in seen:
+                seen.add(node)
+                queue.append(node)
+    return b in seen
+
+
 def raw_topological_order(n, arrows):
     """Kahn's algorithm by whole-list scans: a queue seeded with the
     in-degree-0 vertices in increasing order, each vertex releasing its

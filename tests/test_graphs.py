@@ -71,6 +71,13 @@ class TestQuiver:
         assert q3.arrows == ((1, 2), (2, 3))
         assert qk.arrows == ((1, 2), (1, 2))
 
+    def test_non_integer_vertex_count_rejected(self):
+        for n in (3.0, "3"):
+            with pytest.raises(AdmseqError, match="vertex count must be an integer"):
+                Graph(n, [(1, 2), (2, 3)])
+        with pytest.raises(IndecomposabilityError):
+            Graph(True, [])
+
     def test_non_integer_edge_rejected(self):
         with pytest.raises(AdmseqError, match="edge ends must be integers"):
             Graph(2, [(1.0, 2)])

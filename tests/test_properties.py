@@ -10,6 +10,7 @@ is checked on graphs drawn the same way with up to 10 vertices.
 import json
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -53,6 +54,7 @@ from admseq.sequences import (
     complement_pair,
     join,
     meet,
+    nq_reachable,
     principal,
     seq_from_multiplicities,
 )
@@ -76,6 +78,7 @@ from oracles import (
     matmul,
     matrix_first_non_reduced,
     raw_graph,
+    raw_nq_reachable,
     raw_projective_dims,
     raw_reachable,
     raw_reflect,
@@ -374,7 +377,8 @@ def test_trusted_reflection_matches_validated(q):
 def test_parity_walk_matches_raw_reflections(case):
     # after every prefix of a walk, the sink and source tests on the parity
     # mask agree with scans of the raw reflected arrows, and the final
-    # quiver has the raw arrows in their order
+    # quiver, installed without validation, has the raw arrows in their
+    # order and answers every query on its own masks as the raw arrows do
     q, letters, orientations = case
     flips = 0
     for i, arrows in enumerate(orientations):
@@ -385,7 +389,27 @@ def test_parity_walk_matches_raw_reflections(case):
             assert q._source_after(flips, v) == (v in sources)
         if i < len(letters):
             flips ^= 1 << letters[i]
-    assert AdmissibleSeq(q, letters).final_quiver.arrows == orientations[-1]
+    r = AdmissibleSeq(q, letters).final_quiver
+    assert r.arrows == arrows
+    assert r.sinks() == set(sinks) and r.sources() == set(sources)
+    for v in range(q.n + 2):
+        assert r.is_sink(v) == all(s != v for s, _ in arrows)
+        assert r.is_source(v) == all(e != v for _, e in arrows)
+        assert r.arrows_out(v) == tuple(i for i, (s, _) in enumerate(arrows) if s == v)
+        assert r.arrows_in(v) == tuple(i for i, (_, e) in enumerate(arrows) if e == v)
+        assert r.reachable(v) == raw_reachable(arrows, v)
+    assert r.topological_order() == raw_topological_order(q.n, arrows)
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
+def test_nq_reachable_matches_raw_search(q, data):
+    # the hull walk against a breadth-first search of the translation
+    # quiver, from a drawn node to every node at ids 0..n+1 and levels
+    # -3..8, the drawn node included
+    a = data.draw(st.tuples(st.integers(-3, 8), st.integers(0, q.n + 1)))
+    for b in product(range(-3, 9), range(q.n + 2)):
+        assert nq_reachable(q, a, b) == raw_nq_reachable(q.arrows, a, b)
 
 
 @PROPERTY_SETTINGS

@@ -62,6 +62,16 @@ class TestBasics:
             with pytest.raises(AdmseqError, match=f"{x} is not a vertex"):
                 simple(q3, x)
 
+    def test_non_integer_vertex_rejected(self, q3):
+        # 2.0 used to give the simple at 2, the others a bare TypeError
+        m = simple(q3, 2)
+        calls = [lambda: simple(q3, 2.0), lambda: simple(q3, "2"), lambda: m.dim(2.0),
+                 lambda: reflect_plus(simple(q3, 3), 3.0),
+                 lambda: reflect_minus(simple(q3, 1), 1.0)]
+        for call in calls:
+            with pytest.raises(AdmseqError, match="vertex must be an integer"):
+                call()
+
     def test_dim_rejects_vertex_out_of_range(self, q3):
         m = simple(q3, 3)
         for x in (0, -1, 4):
@@ -225,6 +235,15 @@ class TestCoxeter:
         assert is_preprojective(simple(q3, 1), 8) == Preprojective(3)
         assert is_preprojective(qk_regular(qk), 16) == Undecided()
         assert is_preprojective(zero_rep(q3)) == Preprojective(0)
+
+    def test_non_integer_budget_rejected(self, q3):
+        # 2.5 used to run with a budget of 3, the others a bare TypeError
+        m = simple(q3, 1)
+        calls = [lambda: is_preprojective(m, "3"), lambda: is_preprojective(m, 2.5),
+                 lambda: shortest_annihilator_indec(m, None)]
+        for call in calls:
+            with pytest.raises(AdmseqError, match="Coxeter budget must be an integer"):
+                call()
 
     @pytest.fixture
     def steps(self, monkeypatch):

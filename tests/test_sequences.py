@@ -327,6 +327,13 @@ class TestTranslationQuiver:
         assert nq_reachable(q3, (0, 2), (1, 3))
         assert not nq_reachable(q3, (0, 1), (1, 3))
 
+    def test_rejects_what_is_not_a_node(self, q3):
+        # a triple, a string id, a bare int and a float level, either side
+        for bad in [(0, 3, 1), (0, "3"), 5, (0.0, 3)]:
+            for a, b in [(bad, (0, 3)), ((0, 3), bad)]:
+                with pytest.raises(AdmseqError):
+                    nq_reachable(q3, a, b)
+
     def test_order_isomorphism(self, q3, qk):
         # S_{q,y} precedes S_{r,x} iff (q-1, y) reaches (r-1, x); the
         # direction is pinned here against the materialized preorder.

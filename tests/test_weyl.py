@@ -251,6 +251,11 @@ class TestCoxeterPowers:
         with pytest.raises(AdmseqError, match="at least 1"):
             coxeter_powers_reduced(AdmissibleSeq(qk, (2, 1)), m_max)
 
+    @pytest.mark.parametrize("m_max", [2.5, "3"])
+    def test_rejects_non_integer_power_bound(self, qk, m_max):
+        with pytest.raises(AdmseqError, match="power bound must be an integer"):
+            coxeter_powers_reduced(AdmissibleSeq(qk, (2, 1)), m_max)
+
 
 class TestSorting:
     def test_full_coxeter_element(self):
