@@ -136,20 +136,24 @@ def _int_rows(value, width=None):
     )
 
 
-def graph_from_cartan(A):
-    """Build the graph whose Cartan matrix is ``A``.
-
-    Raises InvalidCartanError for anything but a square list of integer
-    rows that form a symmetric generalized Cartan matrix: A is one
-    exactly when it is the Cartan matrix of the edges read off its upper
-    triangle.  Raises IndecomposabilityError when it splits into blocks.
-    """
+def _cartan_rows(A):
+    """A as a tuple of rows.  Raises InvalidCartanError for anything but a
+    square list of integer rows that form a symmetric generalized Cartan
+    matrix: A is one exactly when it is the Cartan matrix of the edges
+    read off its upper triangle.  Connectivity is not checked."""
     if not _int_rows(A):
         raise InvalidCartanError("matrix is not a square list of integer rows")
-    edges = _upper_edges(A)
-    if _cartan_of(len(A), edges, "edge") != tuple(map(tuple, A)):
+    A = tuple(map(tuple, A))
+    if _cartan_of(len(A), _upper_edges(A), "edge") != A:
         raise InvalidCartanError("matrix is not symmetric with 2 on the diagonal and <= 0 off it")
-    return Graph(len(A), edges)
+    return A
+
+
+def graph_from_cartan(A):
+    """The graph whose Cartan matrix is ``A``; raises as ``_cartan_rows``
+    does, and IndecomposabilityError when A splits into blocks."""
+    A = _cartan_rows(A)
+    return Graph(len(A), _upper_edges(A))
 
 
 def _members(mask):

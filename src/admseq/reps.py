@@ -5,11 +5,11 @@ dims(target) x dims(source), once: as integer-first rows, with an entry
 an ``int`` wherever it is integral and a Fraction otherwise.  The public
 ``maps`` is a Fraction view of those rows, built on first read.  The
 positive reflection functor replaces the space at a sink by the kernel
-of the assembled incoming map; the negative functor replaces the space
-at a source by the cokernel of the assembled outgoing map, taken as the
-kernel of its transpose.  Both are one private step on rows, and every
-walk of functors, from a single reflection to a Coxeter orbit, is one
-fold of that step, so a chain of reflections stays in integers.  A fold
+of the assembled incoming map, and the negative one, F_x^- = D F_x^+ D
+with D the transpose of every map, is the same kernel step on dual rows,
+transposed once as a fold begins and once as it ends.  Every walk of
+functors, from a single reflection to a Coxeter orbit, is one fold of
+that step, so a chain of reflections stays in integers.  A fold
 walks one base quiver and a parity mask of the vertices it has
 reflected an odd number of times (see ``graphs``): each step tests its
 sink or source on the mask, and a caller that needs the quiver the
@@ -40,6 +40,7 @@ from .errors import (
     _int,
     _int_tuple,
 )
+from .graphs import quiver_from_dict, quiver_to_dict
 from .sequences import AdmissibleSeq, seq_from_multiplicities
 from . import sequences as seqmod
 from . import weyl as weylmod
@@ -143,12 +144,11 @@ def simple(quiver, x):
 def _step(quiver, flips, dims, rows, x, plus):
     """F_x^+ at a sink x when ``plus``, else F_x^- at a source x, on raw
     rows over ``quiver`` reflected at the bits of ``flips``; returns
-    (dims, rows), which live on that orientation reflected at x too.  At
-    a sink or a source every arrow incident to x points the same way, so
-    the map assembled takes them all, in increasing position.  F_x^- is
-    D F_x^+ D: its map is the maps out of x transposed side by side, and
-    each new map into x is a slice of every kernel basis row; F_x^+
-    slices the basis transposed.  Every caller has read x as a vertex."""
+    (dims, rows), which live on that orientation reflected at x too.  An
+    F^- fold runs on dual rows (F_x^- = D F_x^+ D, see ``_dual``), so
+    both put the maps at x side by side as rows of x, in increasing
+    position, and slice the kernel basis, transposed, into the new maps.
+    Every caller has read x as a vertex."""
     if plus:
         if not quiver._sink_after(flips, x):
             raise NotSinkError(f"{x} is not a sink")
@@ -159,21 +159,23 @@ def _step(quiver, flips, dims, rows, x, plus):
         if s == x or e == x:
             arrows.append(i)
             widths.append(dims[s + e - x - 1])  # s + e - x: the end other than x
-    dx = dims[x - 1]
-    total = sum(widths)
-    if plus:
-        h = [[a for i in arrows for a in rows[i][r]] for r in range(dx)]
-    else:
-        h = list(zip(*[row for i in arrows for row in rows[i]])) if total else [()] * dx
+    dx, total = dims[x - 1], sum(widths)
+    h = [[a for i in arrows for a in rows[i][r]] for r in range(dx)]
     basis = linalg.nullspace(h, dx, total)  # k x total
-    k = len(basis)
-    columns = (list(zip(*basis)) if k else [()] * total) if plus else None
+    columns = list(zip(*basis)) if basis else [()] * total
     new_rows, offset = list(rows), 0
     for i, w in zip(arrows, widths):
-        new_rows[i] = (tuple(columns[offset:offset + w]) if plus
-                       else tuple(tuple(v[offset:offset + w]) for v in basis))
+        new_rows[i] = tuple(columns[offset:offset + w])
         offset += w
-    return dims[:x - 1] + (k,) + dims[x:], tuple(new_rows)
+    return dims[:x - 1] + (len(basis),) + dims[x:], tuple(new_rows)
+
+
+def _dual(quiver, dims, rows):
+    """D: every map transposed.  An empty map has a zero target, whichever
+    way its arrow points, so its transpose has dims(s) + dims(e) empty
+    rows."""
+    return tuple(tuple(zip(*m)) if m else ((),) * (dims[s - 1] + dims[e - 1])
+                 for (s, e), m in zip(quiver.arrows, rows))
 
 
 def _fold(quiver, flips, dims, rows, letters, plus):
@@ -187,9 +189,13 @@ def _fold(quiver, flips, dims, rows, letters, plus):
 
 
 def _functor(rep, letters, plus):
-    """The fold of one functor over the letters, as a Representation."""
-    flips, dims, rows = _fold(rep.quiver, 0, rep.dims, rep._rows, letters, plus)
-    return Representation._trusted(rep.quiver._flipped(flips), dims, rows)
+    """The fold of one functor over the letters, as a Representation; an
+    F^- fold runs on dual rows."""
+    q = rep.quiver
+    rows = rep._rows if plus else _dual(q, rep.dims, rep._rows)
+    flips, dims, rows = _fold(q, 0, rep.dims, rows, letters, plus)
+    return Representation._trusted(q._flipped(flips), dims,
+                                   rows if plus else _dual(q, dims, rows))
 
 
 def reflect_plus(rep, x):
@@ -244,24 +250,22 @@ def coxeter_plus(rep):
 
 def build_module(seq):
     """The indecomposable representation M(S) of a sequence with reduced
-    word: start from the simple at the last letter on the fully
-    reflected orientation and fold negative reflection functors back.
+    word: start from the simple at the last letter on the orientation
+    sigma_{x_{s-1}} ... sigma_{x_1} Lambda, whose parity mask is that of
+    x_1 ... x_{s-1}, and fold negative reflection functors back.  The
+    fold runs on dual rows, and every map of the dual simple is empty.
     """
     if len(seq) == 0:
         raise AdmseqError("sequence must be nonempty")
     if not weylmod.is_reduced(weylmod.word_of(seq)):
         raise NotReducedError("word of the sequence is not reduced")
     letters, q = seq.letters, seq.quiver
-    # The parity of x_1 ... x_{s-1}: the orientation
-    # sigma_{x_{s-1}} ... sigma_{x_1} Lambda, on which x_s is a sink, so
-    # the simple there has a 1 x 0 map on each arrow at x_s, 0 x 0 elsewhere.
     x = letters[-1]
-    flips = seq._flips ^ 1 << x
     dims = tuple(int(v == x) for v in q.vertices())
-    rows = tuple(((),) if x in a else () for a in q.arrows)
-    flips, dims, rows = _fold(q, flips, dims, rows, reversed(letters[:-1]), False)
+    flips, dims, rows = _fold(q, seq._flips ^ 1 << x, dims, ((),) * len(q.arrows),
+                              reversed(letters[:-1]), False)
     assert flips == 0
-    return Representation._trusted(q, dims, rows)
+    return Representation._trusted(q, dims, _dual(q, dims, rows))
 
 
 class Preprojective:
@@ -409,8 +413,6 @@ def direct_sum(reps):
 
 
 def rep_to_dict(rep):
-    from .graphs import quiver_to_dict
-
     return {
         "quiver": quiver_to_dict(rep.quiver),
         "dims": list(rep.dims),
@@ -427,8 +429,6 @@ def rep_to_dict(rep):
 def rep_from_dict(data):
     """Parse the JSON module format; raises AdmseqError for any other
     shape."""
-    from .graphs import quiver_from_dict
-
     if not isinstance(data, dict):
         raise AdmseqError('a module is {"quiver": ..., "dims": [...], "maps": [...]}')
     q = quiver_from_dict(data.get("quiver"))

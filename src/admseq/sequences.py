@@ -395,7 +395,8 @@ def principal_tail(s):
 
     For s ~ S_{r,x} with length > 1, the tail T = x2,...,xs is principal
     on the reflected quiver; its size is r - 1 when x1 = x and r
-    otherwise, with the same generator vertex x.
+    otherwise, with the same generator vertex x.  T is a walk of sinks
+    of the reflected quiver, so it is installed without validation.
 
     Returns (reflected quiver, T, (q, x)).
     """
@@ -407,7 +408,7 @@ def principal_tail(s):
     r, x = info
     x1 = s.letters[0]
     new_quiver = s.quiver.reflect(x1)
-    tail = AdmissibleSeq(new_quiver, s.letters[1:])
+    tail = AdmissibleSeq._trusted(new_quiver, s.letters[1:], s._flips ^ 1 << x1)
     q = r - 1 if x1 == x else r
     return new_quiver, tail, (q, x)
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple
+from .graphs import _cartan_rows
+from .sequences import is_principal
 
 
 def _int_matmul(a, b):
@@ -58,15 +60,23 @@ class WeylElement:
     __slots__ = ("cartan", "matrix")
 
     def __init__(self, cartan, matrix):
-        self.cartan = tuple(tuple(row) for row in cartan)
+        self.cartan = _cartan_rows(cartan)
         self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in matrix)
         n = len(self.cartan)
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise AdmseqError(f"Weyl element matrix must be {n} x {n}")
 
     @classmethod
+    def _trusted(cls, cartan, matrix):
+        """The checked Cartan rows and n x n integer rows, unvalidated."""
+        w = object.__new__(cls)
+        w.cartan, w.matrix = cartan, matrix
+        return w
+
+    @classmethod
     def identity(cls, cartan):
-        return cls(cartan, _int_identity(len(cartan)))
+        cartan = _cartan_rows(cartan)
+        return cls._trusted(cartan, tuple(map(tuple, _int_identity(len(cartan)))))
 
     def apply(self, v):
         if len(v) != len(self.matrix):
@@ -76,7 +86,7 @@ class WeylElement:
     def __mul__(self, other):
         if self.cartan != other.cartan:
             raise AdmseqError("elements of different Weyl groups")
-        return WeylElement(self.cartan, _int_matmul(self.matrix, other.matrix))
+        return WeylElement._trusted(self.cartan, _int_matmul(self.matrix, other.matrix))
 
     def inverse(self):
         """The inverse matrix; raises AdmseqError when the matrix is
@@ -84,7 +94,7 @@ class WeylElement:
         inv = linalg.invert(self.matrix, len(self.matrix))
         if any(type(x) is not int for row in inv for x in row):
             raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
-        return WeylElement(self.cartan, inv)
+        return WeylElement._trusted(self.cartan, tuple(map(tuple, inv)))
 
     def is_identity(self):
         return list(map(list, self.matrix)) == _int_identity(len(self.matrix))
@@ -115,11 +125,18 @@ class WeylWord:
     __slots__ = ("cartan", "letters")
 
     def __init__(self, cartan, letters):
-        self.cartan = tuple(tuple(row) for row in cartan)
+        self.cartan = _cartan_rows(cartan)
         self.letters = _int_tuple(letters, "word letters")
         n = len(self.cartan)
         if any(not 1 <= x <= n for x in self.letters):
             raise AdmseqError("word letter out of range")
+
+    @classmethod
+    def _trusted(cls, cartan, letters):
+        """The checked Cartan rows and a tuple of letters 1..n, unvalidated."""
+        w = object.__new__(cls)
+        w.cartan, w.letters = cartan, letters
+        return w
 
     def __len__(self):
         return len(self.letters)
@@ -128,7 +145,7 @@ class WeylWord:
         cols = _int_identity(len(self.cartan))
         for x in reversed(self.letters):
             _right_reflect(self.cartan, cols, x)
-        return WeylElement(self.cartan, zip(*cols))
+        return WeylElement._trusted(self.cartan, tuple(zip(*cols)))
 
     def __repr__(self):
         return f"WeylWord({','.join(map(str, self.letters))})"
@@ -140,7 +157,7 @@ def simple_reflection(cartan, i):
 
 def word_of(seq):
     """The Weyl word of an admissible sequence (letters copied as is)."""
-    return WeylWord(seq.quiver.graph.cartan(), seq.letters)
+    return WeylWord._trusted(seq.quiver.graph.cartan(), seq.letters)
 
 
 def _peel(w, scan):
@@ -214,8 +231,6 @@ def principal_root(seq):
     dim M(S) (Bernstein-Gelfand-Ponomarev).  Raises NotPrincipalError
     for a sequence that is not principal.
     """
-    from .sequences import is_principal
-
     if is_principal(seq) is None:
         raise NotPrincipalError("criterion applies to principal sequences only")
     cartan = seq.quiver.graph.cartan()

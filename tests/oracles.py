@@ -193,6 +193,25 @@ def raw_reflect_plus(arrows, dims, maps, x):
     return raw_reflect(arrows, x), dims[:x - 1] + (len(basis),) + dims[x:], maps
 
 
+def raw_reflect_minus(arrows, dims, maps, x):
+    """F_x^- at a source x on raw arrows, dims and Fraction matrices: the
+    space at x becomes the cokernel of the outgoing maps stacked, the
+    quotient of their targets by the image, whose quotient map has as
+    its rows a basis of the vectors y with y A = 0 (A^T y = 0, A the
+    stacked matrix); each reversed arrow carries its block of columns of
+    the quotient map."""
+    outgoing = [i for i, (s, _) in enumerate(arrows) if s == x]
+    widths = [dims[arrows[i][1] - 1] for i in outgoing]
+    stacked = [row for i in outgoing for row in maps[i]]  # sum(widths) x dims(x)
+    transposed = [[row[c] for row in stacked] for c in range(dims[x - 1])]
+    basis = fraction_nullspace(transposed, dims[x - 1], sum(widths))
+    maps, offset = list(maps), 0
+    for i, w in zip(outgoing, widths):
+        maps[i] = [v[offset:offset + w] for v in basis]
+        offset += w
+    return raw_reflect(arrows, x), dims[:x - 1] + (len(basis),) + dims[x:], maps
+
+
 def exhaustive_annihilator(rep, bound):
     """The least multiplicity vector of an admissible sequence that kills
     rep, among all those coordinatewise <= bound.  Every sink walk within

@@ -1,4 +1,5 @@
-"""Every module-level import of a library module is read in that module."""
+"""Every import of a library module is made at module level and read in
+that module."""
 
 import ast
 from pathlib import Path
@@ -21,3 +22,12 @@ def test_no_unread_module_import(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names]
     assert [name for name in bound if name not in read] == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_in_a_function_body(path):
+    tree = ast.parse(path.read_text())
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [(f.name, node.lineno) for f in functions for node in ast.walk(f)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []

@@ -13,7 +13,7 @@ from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from admseq import linalg, reps
@@ -82,6 +82,8 @@ from oracles import (
     raw_projective_dims,
     raw_reachable,
     raw_reflect,
+    raw_reflect_minus,
+    raw_reflect_plus,
     raw_sinks,
     raw_topological_order,
     word_matrix,
@@ -232,6 +234,26 @@ def orbit_modules(draw):
     return direct_sum(draw(st.permutations([draw(walk_modules(q)), regular])))
 
 
+@st.composite
+def quiver_reps(draw):
+    """A representation of a random quiver, with dims 0..3 and maps of
+    small rationals, zero often, so that ranks drop."""
+    q = draw(quivers())
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=q.n, max_size=q.n)))
+    entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    return Representation(q, dims, [
+        [[draw(entries) for _ in range(dims[s - 1])] for _ in range(dims[e - 1])]
+        for s, e in q.arrows])
+
+
+# two modules of the fork 1 -> 2, 1 -> 3 with empty maps: one from a
+# nonzero space at 1 into 0 at 2, and one into a nonzero space at 3 from 0
+# at 1, after which F_1^- gives the new map from 2 two empty rows
+FORK = quiver_from_arrows(3, [(1, 2), (1, 3)])
+EMPTY_MAPS = (Representation(FORK, (2, 0, 1), [[], [[1, 2]]]),
+              Representation(FORK, (0, 0, 2), [[], [[], []]]))
+
+
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
 
@@ -241,6 +263,23 @@ def test_module_dims_equal_weyl_root(case):
     # dim M(S) = sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s})
     s, root, _ = case
     assert build_module(s).dims == root
+
+
+@PROPERTY_SETTINGS
+@given(quiver_reps())
+@example(EMPTY_MAPS[0])
+@example(EMPTY_MAPS[1])
+def test_functors_match_raw_oracles(rep):
+    # F^+ at every sink and F^- at every source, against a Fraction kernel
+    # and a Fraction cokernel on raw arrows: the arrows, dims and maps
+    q = rep.quiver
+    cases = [(x, reflect_plus, raw_reflect_plus) for x in sorted(q.sinks())]
+    cases += [(x, reflect_minus, raw_reflect_minus) for x in sorted(q.sources())]
+    for x, functor, oracle in cases:
+        out = functor(rep, x)
+        arrows, dims, maps = oracle(q.arrows, rep.dims, rep.maps, x)
+        assert (out.quiver.arrows, out.dims) == (arrows, dims)
+        assert [list(map(list, m)) for m in out.maps] == [list(map(list, m)) for m in maps]
 
 
 @PROPERTY_SETTINGS

@@ -288,6 +288,19 @@ class TestPrincipal:
         assert t.letters == (2, 1) and pair == (1, 1)
         assert canonical_form(t).supports()[0] == {1, 2}
 
+    def test_tail_is_the_validated_walk(self, q3, qk, a4_orientations):
+        # the tail is installed without a second sink pass: it must be the
+        # sequence that validation gives, ending where s ends
+        for q in [q3, qk, *a4_orientations]:
+            for r in range(1, 4):
+                for x in q.vertices():
+                    s = principal(q, r, x)
+                    if len(s) < 2:
+                        continue
+                    new_q, tail, _ = principal_tail(s)
+                    assert tail == AdmissibleSeq(new_q, tail.letters)
+                    assert tail.final_quiver == s.final_quiver
+
     def test_tail_rejects_non_principal(self, q3):
         with pytest.raises(NotPrincipalError):
             principal_tail(AdmissibleSeq(q3, (3, 2, 1, 3)))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from admseq.errors import AdmseqError, NotCompleteError, NotPrincipalError
+from admseq import weyl
+from admseq.errors import AdmseqError, InvalidCartanError, NotCompleteError, NotPrincipalError
 from admseq.graphs import Graph, acyclic_orientations, graph_from_cartan
 from admseq.sequences import AdmissibleSeq, enumerate_admissible, principal
 from admseq.weyl import (
@@ -108,6 +109,36 @@ class TestWordEvaluation:
         for matrix in ([[1, 0]], [[1, 0], [0]]):
             with pytest.raises(AdmseqError, match="must be 3 x 3"):
                 WeylElement(A3, matrix)
+
+    # the constructors used to accept all but the number, which was a bare
+    # TypeError; then the ragged one gave a reduced word and a wrong matrix,
+    # the 2 x 3 one ended in an IndexError, the string in a TypeError, and
+    # the positive one gave a word and a matrix
+    NOT_CARTAN = {"ragged": [[2, -1], [-1]], "not-square": [[2, -1, 0], [-1, 2, -1]],
+                  "string": "ab", "positive-off-diagonal": [[2, 1], [1, 2]], "number": 2}
+
+    @pytest.mark.parametrize("cartan", NOT_CARTAN.values(), ids=NOT_CARTAN)
+    def test_word_rejects_what_is_no_cartan_matrix(self, cartan):
+        with pytest.raises(InvalidCartanError):
+            WeylWord(cartan, (1, 2))
+
+    @pytest.mark.parametrize("cartan", NOT_CARTAN.values(), ids=NOT_CARTAN)
+    def test_element_rejects_what_is_no_cartan_matrix(self, cartan):
+        with pytest.raises(InvalidCartanError):
+            WeylElement(cartan, ((1, 0), (0, 1)))
+        with pytest.raises(InvalidCartanError):
+            WeylElement.identity(cartan)
+
+    def test_products_check_no_matrix_again(self, monkeypatch, q3):
+        # the matrix is checked once, by a public constructor; a word of a
+        # sequence, its value, products and inverses hold a checked one
+        calls = []
+        check = weyl._cartan_rows
+        monkeypatch.setattr(weyl, "_cartan_rows", lambda a: calls.append(a) or check(a))
+        w = word_of(AdmissibleSeq(q3, (3, 2, 1, 3))).evaluate()
+        assert (w * w.inverse()).is_identity() and calls == []
+        WeylWord(A3, (1, 2))
+        assert calls == [A3]
 
 
 class TestIsReduced:
