@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the reader of
-integer inputs that raises them."""
+"""Exception types shared across the package, and the readers of
+integer inputs and vertex ids that raise them."""
 
 from operator import index
 
@@ -95,3 +95,12 @@ def _int(value, what):
         return index(value)
     except TypeError:
         raise AdmseqError(f"{what} must be an integer") from None
+
+
+def _vertex(n, x):
+    """x as a vertex 1..n, read with ``_int``: the one reader of a single
+    vertex id."""
+    x = _int(x, "vertex")
+    if not 0 < x <= n:
+        raise AdmseqError(f"{x} is not a vertex 1..{n}")
+    return x

@@ -36,6 +36,7 @@ from .errors import (
     InvalidCartanError,
     _int,
     _int_tuple,
+    _vertex,
 )
 
 
@@ -65,15 +66,12 @@ class Graph:
         self.n, self.edges, self._cartan = n, _upper_edges(cartan), cartan
 
     def edge_mult(self, u, v):
-        if u == v or not (0 < u <= self.n and 0 < v <= self.n):
-            return 0
-        return -self._cartan[u - 1][v - 1]
+        u, v = _vertex(self.n, u), _vertex(self.n, v)
+        return 0 if u == v else -self._cartan[u - 1][v - 1]
 
     def neighbors(self, u):
-        """The vertices joined to u by an edge; empty for an id outside 1..n."""
-        if not 0 < u <= self.n:
-            return set()
-        return {v for v, a in enumerate(self._cartan[u - 1], 1) if a < 0}
+        """The vertices joined to the vertex u by an edge."""
+        return {v for v, a in enumerate(self._cartan[_vertex(self.n, u) - 1], 1) if a < 0}
 
     def cartan(self):
         """The symmetric generalized Cartan matrix: 2 on the diagonal,
@@ -185,8 +183,8 @@ class Quiver:
     orientation with its arrows listed in another order is a different
     quiver, because representations attach one matrix per arrow position.
 
-    Queries about an id outside 1..n answer as for a vertex with no
-    arrows: it is a sink and a source and reaches only itself.
+    Every query reads its vertex ids with ``errors._vertex``: an id that
+    is not a vertex 1..n is an AdmseqError.
     """
 
     __slots__ = ("graph", "arrows", "_masks")
@@ -235,15 +233,13 @@ class Quiver:
         whose bits are set in the parity mask ``flips``.  An arrow u -> v
         is reversed there exactly when bits u and v differ."""
         into, out, _ = self._vertex_masks()
-        if not 0 < x < len(out):
-            return True
         a, b = (into[x], out[x]) if flips >> x & 1 else (out[x], into[x])
         return not (a & ~flips or b & flips)
 
     def _source_after(self, flips, x):
         """Whether x is a source of this quiver reflected at the vertices
         whose bits are set in ``flips``: a sink once reflected at x too."""
-        return not 0 < x <= self.n or self._sink_after(flips ^ 1 << x, x)
+        return self._sink_after(flips ^ 1 << x, x)
 
     def _flipped(self, flips):
         """The quiver reflected at the vertices whose bits are set in
@@ -257,14 +253,11 @@ class Quiver:
         return Quiver._trusted(self.graph, arrows)
 
     def _mask(self, X):
-        """(mask of the vertices of X, set of the ids of X outside 1..n)."""
-        n, mask, extra = self.n, 0, set()
+        """The mask of the vertices of X, each read with ``_vertex``."""
+        mask = 0
         for x in X:
-            if 0 < x <= n:
-                mask |= 1 << x
-            else:
-                extra.add(x)
-        return mask, extra
+            mask |= 1 << _vertex(self.n, x)
+        return mask
 
     def _up(self, mask):
         """The mask of everything reached from a vertex of ``mask``.  A
@@ -297,10 +290,12 @@ class Quiver:
 
     def arrows_out(self, x):
         """Positions in ``arrows`` of the arrows out of x, in order."""
+        x = _vertex(self.n, x)
         return tuple(i for i, (s, _) in enumerate(self.arrows) if s == x)
 
     def arrows_in(self, x):
         """Positions in ``arrows`` of the arrows into x, in order."""
+        x = _vertex(self.n, x)
         return tuple(i for i, (_, e) in enumerate(self.arrows) if e == x)
 
     def _topological_order(self):
@@ -332,10 +327,10 @@ class Quiver:
         return {v for v in self.vertices() if self._source_after(0, v)}
 
     def is_sink(self, x):
-        return self._sink_after(0, x)
+        return self._sink_after(0, _vertex(self.n, x))
 
     def is_source(self, x):
-        return self._source_after(0, x)
+        return self._source_after(0, _vertex(self.n, x))
 
     def reflect(self, x):
         """The quiver with every arrow incident to ``x`` reversed.
@@ -343,27 +338,22 @@ class Quiver:
         Involutive.  Trusted at a sink or a source; elsewhere validated,
         raising AcyclicityError when the result has an oriented cycle.
         """
-        if not 0 < x <= self.n:
-            return self  # no arrow is incident to x
+        x = _vertex(self.n, x)
         if self._sink_after(0, x) or self._source_after(0, x):
             return self._flipped(1 << x)
         return Quiver(self.graph, [(e, s) if x in (s, e) else (s, e) for s, e in self.arrows])
 
     def leq(self, u, v):
         """Path order: u <= v iff there is a (possibly empty) path u -> v."""
-        if not 0 < u <= self.n:
-            return u == v
         reach = self._vertex_masks()[2]
-        return 0 < v <= self.n and reach[u] >> v & 1 == 1
+        return reach[_vertex(self.n, u)] >> _vertex(self.n, v) & 1 == 1
 
     def reachable(self, u):
-        if not 0 < u <= self.n:
-            return {u}
-        return _members(self._vertex_masks()[2][u])
+        return _members(self._vertex_masks()[2][_vertex(self.n, u)])
 
     def is_filter(self, X):
         """True iff X is upward closed in the path order."""
-        mask = self._mask(X)[0]
+        mask = self._mask(X)
         return self._up(mask) == mask
 
     def principal_filter(self, x):
@@ -371,15 +361,14 @@ class Quiver:
         return frozenset(self.reachable(x))
 
     def upward_closure(self, X):
-        mask, extra = self._mask(X)
-        return frozenset(_members(self._up(mask)) | extra)
+        return frozenset(_members(self._up(self._mask(X))))
 
     def hull(self, F):
         """Smallest filter containing F and every neighbor of F."""
-        mask, extra = self._mask(F)
+        mask = self._mask(F)
         if self._up(mask) != mask:
-            raise FilterViolationError(f"{sorted(_members(mask) | extra)} is not a filter")
-        return frozenset(_members(self._hull(mask)) | extra)
+            raise FilterViolationError(f"{sorted(_members(mask))} is not a filter")
+        return frozenset(_members(self._hull(mask)))
 
     def all_filters(self):
         """Every filter of the vertex poset, as frozensets, by size."""

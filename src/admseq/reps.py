@@ -39,6 +39,7 @@ from .errors import (
     UndecidedError,
     _int,
     _int_tuple,
+    _vertex,
 )
 from .graphs import quiver_from_dict, quiver_to_dict
 from .sequences import AdmissibleSeq, seq_from_multiplicities
@@ -57,14 +58,6 @@ def _zero_rows(quiver, dims):
     return tuple(
         tuple((0,) * dims[s - 1] for _ in range(dims[e - 1])) for s, e in quiver.arrows
     )
-
-
-def _vertex(quiver, x):
-    """x as a vertex 1..n of the quiver, read with ``operator.index``."""
-    x = _int(x, "vertex")
-    if not 1 <= x <= quiver.n:
-        raise AdmseqError(f"{x} is not a vertex 1..{quiver.n}")
-    return x
 
 
 class Representation:
@@ -110,7 +103,7 @@ class Representation:
         return self._maps
 
     def dim(self, x):
-        return self.dims[_vertex(self.quiver, x) - 1]
+        return self.dims[_vertex(self.quiver.n, x) - 1]
 
     def support(self):
         return frozenset(x for x in self.quiver.vertices() if self.dim(x) > 0)
@@ -136,7 +129,7 @@ def zero_rep(quiver):
 
 def simple(quiver, x):
     """The simple representation concentrated at x."""
-    x = _vertex(quiver, x)
+    x = _vertex(quiver.n, x)
     dims = tuple(int(v == x) for v in quiver.vertices())
     return Representation(quiver, dims, _zero_rows(quiver, dims))
 
@@ -205,7 +198,7 @@ def reflect_plus(rep, x):
     arrows into x; the new maps out of x are the block components of the
     kernel inclusion.
     """
-    return _functor(rep, (_vertex(rep.quiver, x),), True)
+    return _functor(rep, (_vertex(rep.quiver.n, x),), True)
 
 
 def reflect_minus(rep, x):
@@ -215,7 +208,7 @@ def reflect_minus(rep, x):
     arrows out of x; the new maps into x are inclusion followed by the
     quotient projection.  Computed as F_x^- = D F_x^+ D.
     """
-    return _functor(rep, (_vertex(rep.quiver, x),), False)
+    return _functor(rep, (_vertex(rep.quiver.n, x),), False)
 
 
 def apply_sequence(rep, seq):

@@ -29,6 +29,7 @@ from .errors import (
     NotAdmissibleError,
     NotPrincipalError,
     _int_tuple,
+    _vertex,
 )
 from .graphs import _members
 
@@ -310,14 +311,13 @@ def _int_pair(pair, what, wrong):
     return pair
 
 
-def _size_and_vertex(n, pair):
-    """The pair (r, x) as ints, for a size r >= 1 and a vertex x in 1..n."""
+def _principal_pair(pair):
+    """The pair (r, x) naming a principal sequence, as ints, for a size
+    r >= 1; a caller with a quiver reads x with ``_vertex``."""
     r, x = _int_pair(pair, "size and vertex",
                      "a principal sequence is named by a size and a vertex")
     if r < 1:
         raise AdmseqError("size must be positive")
-    if not 1 <= x <= n:
-        raise AdmseqError(f"letter {x} at position 1 is not a vertex 1..{n}")
     return r, x
 
 
@@ -328,8 +328,8 @@ def principal(quiver, r, x):
     one the hull of the next.  Raises AdmseqError unless r >= 1 and x is
     a vertex 1..n.
     """
-    r, x = _size_and_vertex(quiver.n, (r, x))
-    level = quiver._vertex_masks()[2][x]
+    r, x = _principal_pair((r, x))
+    level = quiver._vertex_masks()[2][_vertex(quiver.n, x)]
     filters = [level]
     for _ in range(r - 1):
         level = quiver._hull(level)
@@ -361,7 +361,8 @@ def principal_precedes(pair, s):
     """Whether the principal sequence S_{q,y} precedes s, decided on the
     level sets of s alone: q <= r and y in the q-th level set.  Raises
     AdmseqError, as ``principal`` does, unless q >= 1 and y is a vertex."""
-    q, y = _size_and_vertex(s.quiver.n, pair)
+    q, y = _principal_pair(pair)
+    y = _vertex(s.quiver.n, y)
     if len(s) == 0:
         return False
     supports = level_sets(s.multiplicities())
@@ -415,8 +416,10 @@ def principal_tail(s):
 
 def psi(pair):
     """Coordinates of a principal sequence in the translation quiver:
-    (r, x) -> (r - 1, x)."""
-    r, x = pair
+    (r, x) -> (r - 1, x).  Raises AdmseqError unless r >= 1, as
+    ``principal`` does; with no quiver at hand, x is read as an integer
+    but not checked as a vertex."""
+    r, x = _principal_pair(pair)
     return r - 1, x
 
 
@@ -426,11 +429,13 @@ def nq_reachable(quiver, a, b):
     and (l, u) -> (l + 1, v) for each arrow u -> v.  On a connected
     quiver the vertices whose nodes at level l - 1 reach a filter F at
     level l form the hull of F, so (l, u) reaches (l + k, v) exactly when
-    u lies in the k-th hull of the principal filter of v; hulls only grow."""
+    u lies in the k-th hull of the principal filter of v; hulls only grow,
+    and no arrow lowers the level."""
     (la, u), (lb, v) = (_int_pair(node, "node", "a node is a (level, vertex) pair")
                         for node in (a, b))
-    if not (0 < u <= quiver.n and 0 < v <= quiver.n) or lb < la:
-        return (la, u) == (lb, v)
+    u, v = _vertex(quiver.n, u), _vertex(quiver.n, v)
+    if lb < la:
+        return False
     level, k = quiver._vertex_masks()[2][v], lb - la
     while k and not level >> u & 1:
         level, k = quiver._hull(level), k - 1

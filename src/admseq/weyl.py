@@ -79,6 +79,7 @@ class WeylElement:
         return cls._trusted(cartan, tuple(map(tuple, _int_identity(len(cartan)))))
 
     def apply(self, v):
+        v = _int_tuple(v, "vector entries")
         if len(v) != len(self.matrix):
             raise AdmseqError("vector length does not match rank")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.matrix)

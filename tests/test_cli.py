@@ -388,6 +388,13 @@ class TestSequenceVerbs:
         code, out, _ = run(capsys, "psi", "-r", "3", "-x", "1")
         assert (code, out) == (0, "(2,1)")
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_psi_size_below_one(self, capsys, size):
+        # these used to print the levels -1 and -6 with exit 0
+        code, out, err = run(capsys, "psi", "-r", size, "-x", "1")
+        assert (code, out) == (2, "")
+        assert "size must be positive" in err
+
 
 class TestWordVerbs:
     def test_reduced(self, capsys, a4_cartan_file):
@@ -531,13 +538,13 @@ class TestErrors:
     def test_principal_vertex_out_of_range(self, capsys, q3_file):
         code, out, err = run(capsys, "principal", "-q", q3_file, "-r", "2", "-x", "7")
         assert (code, out) == (2, "")
-        assert "letter 7" in err
+        assert "7 is not a vertex 1..3" in err
 
     @pytest.mark.parametrize("x", ["0", "-1", "4"])
     def test_principal_generator_outside_the_quiver(self, capsys, q3_file, x):
         code, out, err = run(capsys, "principal", "-q", q3_file, "-r", "2", "-x", x)
         assert (code, out) == (2, "")
-        assert f"letter {x} at position 1 is not a vertex 1..3" in err
+        assert f"{x} is not a vertex 1..3" in err
 
     def test_format_dot_rejected(self, q3_file, l1_file):
         for argv in (["canon", "-q", q3_file, "-s", "3"], ["sm", "--module", l1_file]):
@@ -601,8 +608,9 @@ class TestErrors:
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["1/0"]]}]}),
         (["phi-plus"], "--module",
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["1e400"]]}]}),
+        (["phi-plus"], "--module", {"quiver": Q3, "dims": [1, 1, 0], "maps": 5}),
     ], ids=["cartan-list", "quiver-list", "arrows-int", "module-list", "dims-int",
-            "arrow-out-of-range", "zero-denominator", "exponent"])
+            "arrow-out-of-range", "zero-denominator", "exponent", "maps-int"])
     def test_malformed_json_shape(self, capsys, tmp_path, verb, flag, data):
         # valid JSON of the wrong shape is an input error, not a crash
         path = tmp_path / "bad.json"

@@ -56,6 +56,7 @@ from admseq.sequences import (
     meet,
     nq_reachable,
     principal,
+    principal_precedes,
     seq_from_multiplicities,
 )
 from admseq.weyl import (
@@ -431,12 +432,16 @@ def test_parity_walk_matches_raw_reflections(case):
     r = AdmissibleSeq(q, letters).final_quiver
     assert r.arrows == arrows
     assert r.sinks() == set(sinks) and r.sources() == set(sources)
-    for v in range(q.n + 2):
+    for v in r.vertices():
         assert r.is_sink(v) == all(s != v for s, _ in arrows)
         assert r.is_source(v) == all(e != v for _, e in arrows)
         assert r.arrows_out(v) == tuple(i for i, (s, _) in enumerate(arrows) if s == v)
         assert r.arrows_in(v) == tuple(i for i, (_, e) in enumerate(arrows) if e == v)
         assert r.reachable(v) == raw_reachable(arrows, v)
+    for v in (0, q.n + 1):
+        for query in (r.is_sink, r.is_source, r.arrows_out, r.arrows_in, r.reachable):
+            with pytest.raises(AdmseqError):
+                query(v)
     assert r.topological_order() == raw_topological_order(q.n, arrows)
 
 
@@ -444,11 +449,16 @@ def test_parity_walk_matches_raw_reflections(case):
 @given(quivers(), st.data())
 def test_nq_reachable_matches_raw_search(q, data):
     # the hull walk against a breadth-first search of the translation
-    # quiver, from a drawn node to every node at ids 0..n+1 and levels
-    # -3..8, the drawn node included
-    a = data.draw(st.tuples(st.integers(-3, 8), st.integers(0, q.n + 1)))
-    for b in product(range(-3, 9), range(q.n + 2)):
+    # quiver, from a drawn node to every node at vertices 1..n and levels
+    # -3..8, the drawn node included; a node at an id outside 1..n is an
+    # input error at either end
+    a = data.draw(st.tuples(st.integers(-3, 8), st.integers(1, q.n)))
+    for b in product(range(-3, 9), q.vertices()):
         assert nq_reachable(q, a, b) == raw_nq_reachable(q.arrows, a, b)
+    for x in (0, q.n + 1):
+        for pair in ((a, (a[0], x)), ((a[0], x), a)):
+            with pytest.raises(AdmseqError):
+                nq_reachable(q, *pair)
 
 
 @PROPERTY_SETTINGS
@@ -523,15 +533,56 @@ def test_emitted_sequences_are_admissible(q, data):
 
 
 def test_ids_outside_the_quiver(q3, tmp_path, capsys):
-    # an id outside 1..n answers as a vertex with no arrows; principal
-    # checks its generator before emitting a sequence
-    assert q3.reachable(0) == {0}
-    assert q3.is_sink(q3.n + 1)
-    assert q3._sink_after(0b1110, q3.n + 1)
+    # an id outside 1..n is an input error, not a vertex with no arrows;
+    # principal checks its generator before emitting a sequence
+    with pytest.raises(AdmseqError, match="0 is not a vertex 1..3"):
+        q3.reachable(0)
+    with pytest.raises(AdmseqError, match="4 is not a vertex 1..3"):
+        q3.is_sink(q3.n + 1)
     path = tmp_path / "q3.json"
     path.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [2, 3]]}))
     assert main(["principal", "-q", str(path), "-r", "2", "-x", "0"]) == 2
-    assert "letter 0 at position 1 is not a vertex" in capsys.readouterr().err
+    assert "0 is not a vertex 1..3" in capsys.readouterr().err
+
+
+# every public query that takes a single vertex id, called on the A3
+# quiver 1 -> 2 -> 3 with the id x in one place and vertices elsewhere
+VERTEX_QUERIES = {
+    "edge_mult-first": lambda q, x: q.graph.edge_mult(x, 1),
+    "edge_mult-second": lambda q, x: q.graph.edge_mult(1, x),
+    "neighbors": lambda q, x: q.graph.neighbors(x),
+    "is_sink": lambda q, x: q.is_sink(x),
+    "is_source": lambda q, x: q.is_source(x),
+    "arrows_out": lambda q, x: q.arrows_out(x),
+    "arrows_in": lambda q, x: q.arrows_in(x),
+    "reflect": lambda q, x: q.reflect(x),
+    "leq-first": lambda q, x: q.leq(x, 3),
+    "leq-second": lambda q, x: q.leq(1, x),
+    "reachable": lambda q, x: q.reachable(x),
+    "principal_filter": lambda q, x: q.principal_filter(x),
+    "is_filter": lambda q, x: q.is_filter({3, x}),
+    "upward_closure": lambda q, x: q.upward_closure({3, x}),
+    "hull": lambda q, x: q.hull({3, x}),
+    "principal": lambda q, x: principal(q, 2, x),
+    "principal_precedes": lambda q, x: principal_precedes((2, x), AdmissibleSeq(q, (3,))),
+    "nq_reachable-from": lambda q, x: nq_reachable(q, (0, x), (1, 3)),
+    "nq_reachable-to": lambda q, x: nq_reachable(q, (0, 3), (1, x)),
+    "simple": lambda q, x: simple(q, x),
+    "dim": lambda q, x: simple(q, 1).dim(x),
+    "reflect_plus": lambda q, x: reflect_plus(simple(q, 3), x),
+    "reflect_minus": lambda q, x: reflect_minus(simple(q, 1), x),
+}
+
+
+@pytest.mark.parametrize("x", [0, 4, -1, 2.0, "1"], ids=["0", "n+1", "-1", "float", "str"])
+@pytest.mark.parametrize("query", VERTEX_QUERIES.values(), ids=VERTEX_QUERIES)
+def test_every_vertex_id_is_read_by_one_reader(q3, query, x):
+    # an id that is not a vertex 1..n is an input error everywhere, and an
+    # integer one is named by the same message
+    with pytest.raises(AdmseqError) as exc:
+        query(q3, x)
+    if type(x) is int:
+        assert str(exc.value) == f"{x} is not a vertex 1..3"
 
 
 @PROPERTY_SETTINGS
@@ -624,9 +675,13 @@ def test_graph_is_its_cartan_matrix(case, data):
         return
     g = Graph(n, edges)
     assert (g.edges, g.cartan()) == (pairs, cartan)
-    assert [g.neighbors(v) for v in range(n + 2)] == [set(), *neighbours.values(), set()]
+    assert [g.neighbors(v) for v in range(1, n + 1)] == list(neighbours.values())
     assert all(g.edge_mult(u, v) == pairs.count((min(u, v), max(u, v)))
-               for u in range(n + 2) for v in range(n + 2))
+               for u in range(1, n + 1) for v in range(1, n + 1))
+    for x in (0, n + 1):
+        for query in (g.neighbors, lambda u: g.edge_mult(u, 1), lambda u: g.edge_mult(1, u)):
+            with pytest.raises(AdmseqError):
+                query(x)
     assert graph_from_cartan(g.cartan()) == g
 
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))

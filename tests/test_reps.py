@@ -87,6 +87,15 @@ class TestBasics:
         with pytest.raises(AdmseqError):
             Representation(q3, (1, 1, 0), [((1,), (1,)), ()])
 
+    @pytest.mark.parametrize("dims,maps,message", [
+        ((1, 0), [(), ()], "dimension vector does not fit"),
+        ((1, -1, 0), [(), ()], "dimension vector does not fit"),
+        ((1, 0, 0), [()], "one matrix per arrow instance"),
+    ], ids=["dims-length", "dims-negative", "matrix-count"])
+    def test_dims_and_matrix_count_validation(self, q3, dims, maps, message):
+        with pytest.raises(AdmseqError, match=message):
+            Representation(q3, dims, maps)
+
     def test_support(self, q3):
         assert p2_on_q3(q3).support() == frozenset({2, 3})
         assert zero_rep(q3).is_zero()
@@ -206,6 +215,11 @@ class TestApplySequence:
     def test_empty(self, q3):
         rep = simple(q3, 2)
         assert apply_sequence(rep, AdmissibleSeq(q3, ())) == rep
+
+    def test_rejects_sequence_on_another_quiver(self, q3):
+        other = quiver_from_arrows(3, [(2, 1), (2, 3)])
+        with pytest.raises(AdmseqError, match="different quivers"):
+            apply_sequence(simple(q3, 2), AdmissibleSeq(other, (1,)))
 
 
 class TestCoxeter:
@@ -372,6 +386,10 @@ class TestBuildModule:
         assert [build_module(s).dims for s in seqs] == [(1, 0, 0), (6, 7), (1, 1, 1)]
         assert calls == []
 
+    def test_rejects_empty(self, q3):
+        with pytest.raises(AdmseqError, match="sequence must be nonempty"):
+            build_module(AdmissibleSeq(q3, ()))
+
     def test_rejects_non_reduced(self, q3):
         # a long principal sequence on a Dynkin quiver leaves the group
         s = principal(q3, 4, 3)
@@ -387,6 +405,8 @@ class TestShortestAnnihilator:
         assert shortest_annihilator_indec(
             build_module(AdmissibleSeq(q3, (3, 2, 3)))
         ).letters == (3, 2, 3)
+        # the empty sequence already kills the zero module
+        assert shortest_annihilator_indec(zero_rep(q3)).letters == ()
 
     def test_bruteforce_examples(self, q3):
         k2 = AdmissibleSeq(q3, (3, 2, 1, 3, 2, 1))
@@ -433,6 +453,14 @@ class TestShortestAnnihilator:
         )
         assert equivalent(s_sum, s_big)
         assert both.dims != big.dims
+
+    def test_empty_or_mixed_inputs_rejected(self, q3, qk):
+        with pytest.raises(AdmseqError, match="at least one sequence"):
+            join_annihilators([])
+        with pytest.raises(AdmseqError, match="at least one representation"):
+            direct_sum([])
+        with pytest.raises(AdmseqError, match="different quivers"):
+            direct_sum([simple(q3, 1), simple(qk, 1)])
 
     def test_regular_raises(self, qk):
         with pytest.raises(AdmseqError):

@@ -8,6 +8,7 @@ from admseq.errors import (
     NotAdmissibleError,
     NotPrincipalError,
 )
+from admseq.graphs import quiver_from_arrows
 from admseq.sequences import (
     AdmissibleSeq,
     canonical_form,
@@ -147,6 +148,12 @@ class TestSeqFromMultiplicities:
         with pytest.raises(AdmseqError, match="multiplicities must be integers"):
             seq_from_multiplicities(q3, (0.5, 1.7, 2.9))
 
+    @pytest.mark.parametrize("m", [(0, 1), (0, 1, 1, 0), (0, -1, 1)])
+    def test_wrong_length_or_negative_vector_rejected(self, q3, m):
+        with pytest.raises(InvalidMultiplicityError) as exc:
+            seq_from_multiplicities(q3, m)
+        assert exc.value.level == 0
+
     def test_inverse_of_multiplicities(self, q3, qk):
         for q in (q3, qk):
             for letters in enumerate_admissible(q, 7):
@@ -198,7 +205,7 @@ class TestPrincipal:
         with pytest.raises(AdmseqError) as exc:
             principal(q3, 2, x)
         assert type(exc.value) is AdmseqError
-        assert str(exc.value) == f"letter {x} at position 1 is not a vertex 1..3"
+        assert str(exc.value) == f"{x} is not a vertex 1..3"
 
     def test_last_letter_is_generator(self, q3, qk, a4_orientations):
         for q in [q3, qk, *a4_orientations]:
@@ -226,12 +233,17 @@ class TestPrincipal:
         assert is_principal(AdmissibleSeq(q3, (3, 2, 3))) == (2, 3)
         assert is_principal(AdmissibleSeq(q3, (3,))) == (1, 3)
         assert is_principal(AdmissibleSeq(q3, (3, 2, 1, 3))) is None
+        assert is_principal(AdmissibleSeq(q3, ())) is None
+        # one level {1, 2, 3} on 1 -> 3 <- 2, which no vertex generates
+        v = quiver_from_arrows(3, [(1, 3), (2, 3)])
+        assert is_principal(AdmissibleSeq(v, (3, 1, 2))) is None
 
     def test_principal_precedes(self, q3):
         s = AdmissibleSeq(q3, (3, 2, 1, 3))
         assert principal_precedes((1, 3), s)
         assert not principal_precedes((2, 1), s)
         assert principal_precedes((2, 3), AdmissibleSeq(q3, (3, 2, 3)))
+        assert not principal_precedes((1, 3), AdmissibleSeq(q3, ()))
 
     @pytest.mark.parametrize("pair", [(0, 1), (-1, 3), (2, 0), (2, 4), (1.5, 1), (1, "3")])
     def test_principal_precedes_rejects_what_principal_rejects(self, q3, pair):
@@ -305,6 +317,11 @@ class TestPrincipal:
         with pytest.raises(NotPrincipalError):
             principal_tail(AdmissibleSeq(q3, (3, 2, 1, 3)))
 
+    def test_tail_rejects_one_letter(self, q3):
+        # S_{1,3} = 3 is principal, but has no tail
+        with pytest.raises(AdmseqError, match="tail requires length > 1"):
+            principal_tail(AdmissibleSeq(q3, (3,)))
+
     def test_tail_support_transformation(self, q3, qk, a4_orientations):
         for q in [q3, qk, *a4_orientations]:
             for r in range(1, 5):
@@ -334,6 +351,15 @@ class TestPrincipal:
 class TestTranslationQuiver:
     def test_psi(self):
         assert psi((2, 3)) == (1, 3)
+        # with no quiver at hand, the vertex is read but not range-checked
+        assert psi((1, 9)) == (0, 9)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (-5, 1), (2.5, "a"), (2, 1.5), (2,), 5])
+    def test_psi_rejects_what_names_no_principal_sequence(self, pair):
+        # a size below 1 used to give a level below 0, and a float or a
+        # string came back shifted or unchanged
+        with pytest.raises(AdmseqError):
+            psi(pair)
 
     def test_arrow_rules(self, q3):
         assert nq_reachable(q3, (0, 3), (0, 2))

@@ -61,6 +61,7 @@ class TestWordEvaluation:
 
     def test_identity(self, q3):
         assert word_of(AdmissibleSeq(q3, ())).evaluate().is_identity()
+        assert WeylElement.identity(A3) == WeylWord(A3, ()).evaluate()
 
     def test_equivalence_invariance(self, q3):
         a = word_of(AdmissibleSeq(q3, (3, 2, 1, 3))).evaluate()
@@ -97,6 +98,28 @@ class TestWordEvaluation:
         # int() would truncate this to the word 1,2
         with pytest.raises(AdmseqError, match="word letters must be integers"):
             WeylWord(A2, [1.7, 2])
+
+    @pytest.mark.parametrize("letters", [(1, 3), (0,), (-1, 2)])
+    def test_letter_out_of_range_rejected(self, letters):
+        with pytest.raises(AdmseqError, match="word letter out of range"):
+            WeylWord(A2, letters)
+
+    @pytest.mark.parametrize("v,message", [
+        ((1.5, 2), "vector entries must be integers"),
+        (("a", 1), "vector entries must be integers"),
+        ((1, 0, 0), "vector length does not match rank"),
+    ])
+    def test_apply_reads_its_vector(self, v, message):
+        # the float used to come back as (0.5, 2.0), the string as a bare
+        # TypeError
+        with pytest.raises(AdmseqError, match=message):
+            simple_reflection(A2, 1).apply(v)
+
+    def test_elements_of_different_groups_rejected(self):
+        with pytest.raises(AdmseqError, match="different Weyl groups"):
+            simple_reflection(A2, 1) * simple_reflection(KRONECKER, 1)
+        with pytest.raises(AdmseqError, match="different Cartan matrices"):
+            c_sorting_word(WeylWord(A2, (2, 1)), simple_reflection(KRONECKER, 1))
 
     def test_non_integer_entry_rejected(self):
         # rejected when built, before the elimination ever sees a float
