@@ -9,19 +9,20 @@ of the assembled incoming map, and the negative one, F_x^- = D F_x^+ D
 with D the transpose of every map, is the same kernel step on dual rows,
 transposed once as a fold begins and once as it ends.  Every walk of
 functors, from a single reflection to a Coxeter orbit, is one fold of
-that step, so a chain of reflections stays in integers.  A fold
-walks one base quiver and a parity mask of the vertices it has
-reflected an odd number of times (see ``graphs``): each step tests its
-sink or source on the mask, and a caller that needs the quiver the
-result lives on builds it once, from the final mask.  The Coxeter
-functor returns to its quiver, so its letters are found once per call
-as a cycle; the Coxeter orbit loop folds pass after pass of it, builds
-no quiver, and stops at zero, at its budget or at its first repeated
-state.  The shortest annihilating sequence of a preprojective module is
-read off that orbit when the module is indecomposable, and is otherwise
-found by descent in the lattice of multiplicity vectors, one functor
-fold per step tried.  Bases come from deterministic echelon forms, so
-results are bit-reproducible.
+that step, so a chain of reflections stays in integers.  A fold walks
+one base quiver and a parity mask of the vertices it has reflected an
+odd number of times (see ``graphs``): each step tests its sink or
+source on the mask, and a caller that needs the quiver the result lives
+on builds it once, from the final mask.  The Coxeter functor returns to
+its quiver, so its letters are found once per call as a cycle; the
+Coxeter orbit loop folds pass after pass of it, builds no quiver, and
+stops at zero, at its budget or at its first repeated state.  The
+shortest annihilating sequence of a preprojective module is the join of
+the principal sequences S_{j,x} of the summands M(S_{j,x}) that the
+step at x of pass j kills, read off the dims of that orbit; only the
+reference search from a known annihilator descends in the lattice, one
+functor fold per step tried.  Bases come from deterministic echelon
+forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -285,37 +286,68 @@ class Undecided:
 
 
 def _annihilating_power(rep, max_iter):
-    """The least p with (Phi^+)^p rep = 0 and the dims of the last nonzero
-    image (None when p = 0), from at most max_iter raw passes over one
-    cycle.  Raises UndecidedError when the orbit is still nonzero then or
-    repeats a state, seen at one checkpoint moved when p is 0 or a power
-    of two (Brent): a pass is a function of (dims, rows)."""
+    """The dims of (Phi^+)^j rep for j = 0..p, p the least power with
+    (Phi^+)^p rep = 0, from at most max_iter raw passes over one cycle.
+    Raises UndecidedError when the orbit is still nonzero then or repeats
+    a state, seen at one checkpoint moved when p is 0 or a power of two
+    (Brent): a pass is a function of (dims, rows)."""
     q, max_iter = rep.quiver, _int(max_iter, "Coxeter budget")
+    if max_iter < 0:
+        raise AdmseqError("Coxeter budget must not be negative")
     cycle = _coxeter_cycle(q)
-    p, last, state, saved = 0, None, (rep.dims, rep._rows), None
+    orbit, state, saved = [rep.dims], (rep.dims, rep._rows), None
     while any(state[0]):
+        p = len(orbit) - 1
         if p >= max_iter or state == saved:
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
         if not p & (p - 1):
             saved = state
-        p, last = p + 1, state[0]
         state = _fold(q, 0, *state, cycle, True)[1:]
-    return p, last
+        orbit.append(state[0])
+    return orbit
 
 
 def is_preprojective(rep, max_iter=64):
     """The least annihilating power of the Coxeter functor, applied at
     most max_iter times, or Undecided."""
     try:
-        return Preprojective(_annihilating_power(rep, max_iter)[0])
+        return Preprojective(len(_annihilating_power(rep, max_iter)) - 1)
     except UndecidedError:
         return Undecided()
 
 
-def _descend(rep, m):
-    """The shortest annihilating sequence of rep, from an annihilating
-    multiplicity vector m: steps down to m - e_i whenever that vector is
-    valid and its sequence still kills rep, until no step is kept.
+def shortest_annihilator_indec(rep, max_iter=64):
+    """Shortest annihilating sequence of a preprojective representation.
+
+    Iterates the Coxeter functor until zero, at most max_iter times.  A
+    summand M(S_{j,x}) = tau^{-(j-1)} P_x is the simple at the sink x when
+    pass j reaches x, and F_x^+ kills it; that step kills d_x + d'_x - t
+    simples, d_x and d'_x the dims at x before and after it and t the sum
+    of the dims at the other ends of x's arrows then, all read off the
+    orbit.  The answer is the join of those S_{j,x}.
+    """
+    orbit = _annihilating_power(rep, max_iter)
+    q, seqs = rep.quiver, []
+    if len(orbit) == 1:
+        return AdmissibleSeq(q, ())
+    # each letter x with the other end y of each arrow at x, and whether
+    # the pass reflects y before x, so that the step reads its new dim
+    cycle = _coxeter_cycle(q)
+    steps = [(x, [(s + e - x - 1, s + e - x in cycle[:i]) for s, e in q.arrows if x in (s, e)])
+             for i, x in enumerate(cycle)]
+    for j in range(1, len(orbit)):
+        dims = orbit[j - 1], orbit[j]
+        for x, ends in steps:
+            if dims[0][x - 1] + dims[1][x - 1] > sum(dims[b][y] for y, b in ends):
+                seqs.append(seqmod.principal(q, j, x))
+    return join_annihilators(seqs)
+
+
+def shortest_annihilator_bruteforce(rep, annihilator):
+    """Shortest annihilating sequence of rep, by descent from the
+    multiplicity vector m of a known annihilator, which must kill rep:
+    step down to a valid m - e_i whose sequence still kills rep, until
+    none does.
 
     Annihilators form an up-set of the lattice (F^+ of zero is zero)
     with a unique minimum S.  An annihilator T above S is S U for a
@@ -323,16 +355,15 @@ def _descend(rep, m):
     still lies above S; so a vector none of whose valid m - e_i kills
     rep is S itself.
     """
-    q, m = rep.quiver, list(m)
-    best = seq_from_multiplicities(q, m)
-    stepped = True
+    if not apply_sequence(rep, annihilator).is_zero():
+        raise AdmseqError("given sequence does not annihilate the module")
+    q, m = rep.quiver, list(annihilator.multiplicities())
+    best, stepped = seq_from_multiplicities(q, m), True
     while stepped:
         stepped = False
         for i in range(q.n):
-            if not m[i]:
-                continue
             m[i] -= 1
-            try:
+            try:  # a negative entry is invalid too
                 s = seq_from_multiplicities(q, m)
             except InvalidMultiplicityError:
                 s = None
@@ -341,37 +372,6 @@ def _descend(rep, m):
             else:
                 m[i] += 1
     return best
-
-
-def shortest_annihilator_indec(rep, max_iter=64):
-    """Shortest annihilating sequence of a preprojective representation.
-
-    Iterates the Coxeter functor until zero, at most max_iter times.  The
-    last nonzero image is a sum of projectives; the first vertex x of its
-    support in a topological order generates one of them, P_x.  When
-    dim rep is the root of the principal sequence S_{p,x}, rep is the
-    indecomposable M(S_{p,x}) (any other summand would add to the dims),
-    and the answer is S_{p,x}; otherwise it is the descent from k^p, the
-    p-th power of the canonical complete sequence.
-    """
-    p, last = _annihilating_power(rep, max_iter)
-    q = rep.quiver
-    if p == 0:
-        return AdmissibleSeq(q, ())
-    x = next(v for v in q.topological_order() if last[v - 1])
-    s = seqmod.principal(q, p, x)
-    if weylmod.principal_root(s) == rep.dims:
-        return s
-    return _descend(rep, (p,) * q.n)
-
-
-def shortest_annihilator_bruteforce(rep, annihilator):
-    """Shortest annihilating sequence of rep, by descent from the
-    multiplicity vector of a known annihilator; raises AdmseqError when
-    the given sequence does not kill rep."""
-    if not apply_sequence(rep, annihilator).is_zero():
-        raise AdmseqError("given sequence does not annihilate the module")
-    return _descend(rep, annihilator.multiplicities())
 
 
 def join_annihilators(seqs):

@@ -28,6 +28,7 @@ from .errors import (
     InvalidMultiplicityError,
     NotAdmissibleError,
     NotPrincipalError,
+    _int,
     _int_tuple,
     _vertex,
 )
@@ -226,9 +227,18 @@ def _level_masks(m):
     return levels
 
 
+def _multiplicities(m, n):
+    """m read with ``_int_tuple``; InvalidMultiplicityError on a negative
+    entry, or unless it has n entries when n is given."""
+    m = _int_tuple(m, "multiplicities")
+    if n is not None and len(m) != n or any(c < 0 for c in m):
+        raise InvalidMultiplicityError(0, "vector has wrong length or negative entries")
+    return m
+
+
 def level_sets(m):
     """Level sets F_i = {v : m(v) >= i}, i = 1..max(m)."""
-    return [frozenset(_members(f)) for f in _level_masks(m)]
+    return [frozenset(_members(f)) for f in _level_masks(_multiplicities(m, None))]
 
 
 def seq_from_multiplicities(quiver, m):
@@ -238,10 +248,7 @@ def seq_from_multiplicities(quiver, m):
     contain the hull of the next; otherwise InvalidMultiplicityError
     names the failing level.
     """
-    m = _int_tuple(m, "multiplicities")
-    if len(m) != quiver.n or any(c < 0 for c in m):
-        raise InvalidMultiplicityError(0, "vector has wrong length or negative entries")
-    filters = _level_masks(m)
+    filters = _level_masks(_multiplicities(m, quiver.n))
     for i, f in enumerate(filters, start=1):
         if quiver._up(f) != f:
             raise InvalidMultiplicityError(i, f"{sorted(_members(f))} is not a filter")
@@ -363,10 +370,8 @@ def principal_precedes(pair, s):
     AdmseqError, as ``principal`` does, unless q >= 1 and y is a vertex."""
     q, y = _principal_pair(pair)
     y = _vertex(s.quiver.n, y)
-    if len(s) == 0:
-        return False
-    supports = level_sets(s.multiplicities())
-    return q <= len(supports) and y in supports[q - 1]
+    levels = _level_masks(s.multiplicities())
+    return q <= len(levels) and levels[q - 1] >> y & 1 == 1
 
 
 def principal_decomposition(s):
@@ -445,6 +450,7 @@ def nq_reachable(quiver, a, b):
 def enumerate_admissible(quiver, max_len):
     """All admissible letter tuples of length <= max_len (including the
     empty one), by breadth-first extension."""
+    max_len = _int(max_len, "maximum length")
     out = [()]
     frontier = [((), 0)]
     for _ in range(max_len):

@@ -558,6 +558,12 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("verb", ["preproj", "sm", "sm-brute"])
+    def test_negative_coxeter_budget(self, capsys, l1_file, verb):
+        code, out, err = run(capsys, verb, "--module", l1_file, "-m", "-1")
+        assert (code, out) == (2, "")
+        assert "Coxeter budget must not be negative" in err
+
     @pytest.mark.parametrize("levels", ["0", "-1"])
     def test_component_levels_below_one(self, capsys, q3_file, levels):
         code, out, err = run(capsys, "component", "-q", q3_file, "--levels", levels)

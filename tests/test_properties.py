@@ -52,10 +52,12 @@ from admseq.sequences import (
     AdmissibleSeq,
     canonical_rep,
     complement_pair,
+    is_principal,
     join,
     meet,
     nq_reachable,
     principal,
+    principal_decomposition,
     principal_precedes,
     seq_from_multiplicities,
 )
@@ -308,7 +310,8 @@ def test_principal_module_annihilated_by_its_sequence(case):
     p, last, cur = 0, None, m
     while not cur.is_zero():
         p, last, cur = p + 1, cur.dims, coxeter_plus(cur)
-    assert reps._annihilating_power(m, 64) == (p, last)
+    orbit = reps._annihilating_power(m, 64)
+    assert (len(orbit) - 1, orbit[-2]) == (p, last) and not any(orbit[-1])
     assert p == r and last in raw_projective_dims(m.quiver.n, m.quiver.arrows)
 
 
@@ -326,7 +329,9 @@ def test_orbit_power_matches_budget_only_oracle(m, budget):
             reps._annihilating_power(m, budget)
     else:
         assert is_preprojective(m, budget) == Preprojective(expected[0])
-        assert reps._annihilating_power(m, budget) == expected
+        orbit = reps._annihilating_power(m, budget)
+        assert (len(orbit) - 1, orbit[-2] if len(orbit) > 1 else None) == expected
+        assert not any(orbit[-1])
 
 
 @PROPERTY_SETTINGS
@@ -352,6 +357,19 @@ def test_shortest_annihilator_of_a_direct_sum(case):
     k = AdmissibleSeq(q, canonical_complete_sequence(q).letters * p)
     assert shortest_annihilator_bruteforce(m, k).letters == found.letters
     assert mult == exhaustive_annihilator(m, (p,) * q.n)
+
+
+@PROPERTY_SETTINGS
+@given(module_sums())
+def test_annihilator_of_a_sum_joins_its_summands_principal_sequences(case):
+    # each summand M(S) is indecomposable, so its shortest annihilator is
+    # a principal sequence; the answer for the sum is their join, so every
+    # principal sequence of its minimal decomposition is one of them
+    m, summands = case
+    found = shortest_annihilator_indec(m)
+    own = {is_principal(shortest_annihilator_indec(n)) for n in summands}
+    assert None not in own
+    assert set(principal_decomposition(found)) <= own
 
 
 @PROPERTY_SETTINGS

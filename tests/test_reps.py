@@ -51,6 +51,21 @@ def qk_regular(qk):
     return Representation(qk, (1, 1), [((1,),), ((0,),)])
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The functor steps taken, one entry per letter: counted at the
+    one per-letter step that every functor call goes through."""
+    steps = []
+    step = reps._step
+
+    def counted(quiver, flips, dims, rows, x, plus):
+        steps.append(plus)
+        return step(quiver, flips, dims, rows, x, plus)
+
+    monkeypatch.setattr(reps, "_step", counted)
+    return steps
+
+
 class TestBasics:
     def test_simple(self, q3, qk):
         assert simple(q3, 3).dims == (0, 0, 1)
@@ -259,19 +274,15 @@ class TestCoxeter:
             with pytest.raises(AdmseqError, match="Coxeter budget must be an integer"):
                 call()
 
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        """The functor steps taken, one entry per letter: counted at the
-        one per-letter step that every functor call goes through."""
-        steps = []
-        step = reps._step
-
-        def counted(quiver, flips, dims, rows, x, plus):
-            steps.append(plus)
-            return step(quiver, flips, dims, rows, x, plus)
-
-        monkeypatch.setattr(reps, "_step", counted)
-        return steps
+    def test_negative_budget_rejected(self, q3):
+        # a budget of -1 answered Undecided(); a budget of 0 is still one
+        m = simple(q3, 1)
+        for call in (is_preprojective, shortest_annihilator_indec):
+            with pytest.raises(AdmseqError, match="Coxeter budget must not be negative"):
+                call(m, -1)
+        assert is_preprojective(m, 0) == Undecided()
+        assert is_preprojective(zero_rep(q3), 0) == Preprojective(0)
+        assert shortest_annihilator_indec(zero_rep(q3), 0).letters == ()
 
     def test_budget_counts_coxeter_calls(self, qk, steps):
         # an orbit that never repeats and is cut by a budget of 16 applies
@@ -309,7 +320,8 @@ class TestCoxeter:
         m = direct_sum([build_module(s) for s in parts])
         assert m.dims == coxeter_plus(m).dims == (1, 1, 1)
         assert is_preprojective(m, 16) == Preprojective(2)
-        assert reps._annihilating_power(m, 16) == (2, (1, 1, 1))
+        orbit = reps._annihilating_power(m, 16)
+        assert len(orbit) - 1 == 2 and orbit[-2] == (1, 1, 1) and not any(orbit[-1])
 
     def test_walks_call_no_reflect(self, monkeypatch):
         # every walk of sinks or sources runs on a parity mask over its
@@ -461,6 +473,21 @@ class TestShortestAnnihilator:
             direct_sum([])
         with pytest.raises(AdmseqError, match="different quivers"):
             direct_sum([simple(q3, 1), simple(qk, 1)])
+
+    def test_affine_d4_sum_is_read_off_its_orbit(self, steps):
+        # on affine D4 (arrows 1, 2, 3, 4 -> 5) the sum of M(S_{2,4}),
+        # M(S_{30,4}) and M(S_{30,5}) is killed by 30 Coxeter passes; the
+        # answer is the join of the three principal sequences, read off
+        # the orbit's dims with no functor step beyond its 30 x 5
+        q = quiver_from_arrows(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
+        parts = [principal(q, r, x) for r, x in ((2, 4), (30, 4), (30, 5))]
+        m = direct_sum([build_module(s) for s in parts])
+        assert m.dims == (45, 45, 45, 43, 91)
+        steps.clear()
+        found = shortest_annihilator_indec(m)
+        assert steps == [True] * 150
+        assert found.multiplicities() == (29, 29, 29, 30, 30)
+        assert found == join_annihilators(parts)
 
     def test_regular_raises(self, qk):
         with pytest.raises(AdmseqError):

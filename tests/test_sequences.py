@@ -19,6 +19,7 @@ from admseq.sequences import (
     equivalent,
     is_principal,
     join,
+    level_sets,
     meet,
     nq_reachable,
     parse_letters,
@@ -153,6 +154,21 @@ class TestSeqFromMultiplicities:
         with pytest.raises(InvalidMultiplicityError) as exc:
             seq_from_multiplicities(q3, m)
         assert exc.value.level == 0
+
+    def test_level_sets_read_their_vector(self):
+        # level_sets reads its vector as seq_from_multiplicities does: a
+        # float is not truncated and a negative entry is not dropped
+        assert level_sets((1, 2, 0)) == [{1, 2}, {2}]
+        with pytest.raises(AdmseqError, match="multiplicities must be integers"):
+            level_sets((1.5, 1, 0))
+        with pytest.raises(InvalidMultiplicityError) as exc:
+            level_sets((-1, 2, 0))
+        assert exc.value.level == 0
+
+    def test_enumeration_reads_its_length(self, q3):
+        assert enumerate_admissible(q3, 1) == [(), (3,)]
+        with pytest.raises(AdmseqError, match="maximum length must be an integer"):
+            enumerate_admissible(q3, 1.5)
 
     def test_inverse_of_multiplicities(self, q3, qk):
         for q in (q3, qk):
