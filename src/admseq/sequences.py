@@ -449,8 +449,11 @@ def nq_reachable(quiver, a, b):
 
 def enumerate_admissible(quiver, max_len):
     """All admissible letter tuples of length <= max_len (including the
-    empty one), by breadth-first extension."""
+    empty one), by breadth-first extension.  A negative max_len raises
+    AdmseqError."""
     max_len = _int(max_len, "maximum length")
+    if max_len < 0:
+        raise AdmseqError(f"maximum length must not be negative, got {max_len}")
     out = [()]
     frontier = [((), 0)]
     for _ in range(max_len):

@@ -6,13 +6,16 @@ first letter acts first, matching the reading order of admissible
 sequences.  All matrix entries are Python ints, so nothing overflows for
 infinite types.
 
-Walking a word keeps a product P as a list of columns and steps by
-P -> P sigma_x (``_right_reflect``): column j of P sigma_x is
-column j - a_xj column x, so one letter updates only column x and the
-columns of its neighbours, O(n deg x) integer operations.  Reducedness,
-Coxeter powers, finiteness of W, word evaluation and the descent peels
-are all such walks; full matrix products serve only
-``WeylElement.__mul__`` and ``preserves_form``.
+Reducedness, word length, Coxeter powers and finiteness of W walk a word
+on heights (``_heights``).  A real root is positive or negative (Kac,
+Infinite-dimensional Lie algebras, 1.3 and 5.1), so the sign of its
+height, the sum of its entries, decides it.  For the prefix product
+P = sigma_{x_1} ... sigma_{x_{k-1}}, u = P^T (1, ..., 1) holds the height
+of each root P(e_j); column j of P sigma_x is column j - a_xj column x,
+so one letter costs O(deg x) integer operations.  Word evaluation and
+the descent peels need whole columns and step by ``_right_reflect``;
+full matrix products serve only ``WeylElement.__mul__`` and
+``preserves_form``.
 
 ``WeylElement.inverse`` hands the integer matrix straight to
 ``linalg.invert``.  An element of W has determinant +-1, so its inverse
@@ -24,6 +27,8 @@ Fraction raises AdmseqError instead of being truncated.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import linalg
 from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple
@@ -187,42 +192,52 @@ def _peel(w, scan):
     return blocks
 
 
+@lru_cache(maxsize=64)
+def _sparse_rows(cartan):
+    """Row x of A as its (j, a_xj) pairs with a_xj != 0, for each x."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan)
+
+
+def _heights(cartan, letters):
+    """Yield, for each letter x_k, the height of the real root
+    sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}), stepping u by
+    u_j -= a_xj u_x (so u_x changes sign)."""
+    rows = _sparse_rows(cartan)
+    u = [1] * len(cartan)
+    for x in letters:
+        i = x - 1
+        h = u[i]
+        yield h
+        for j, a in rows[i]:
+            u[j] -= a * h
+
+
 def _first_non_reduced(cartan, letters, cap=None):
     """1-based position of the first letter x_k whose root
-    sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) has a negative entry, or
-    None when every such root is positive.  The prefix product is kept
-    by columns, so the root is column x_k and one letter costs one
-    column update.  Given a cap, the walk also ends with None at the
-    first root with an entry above it (see ``weyl_is_finite``)."""
-    cols = _int_identity(len(cartan))
-    for k, x in enumerate(letters, start=1):
-        root = cols[x - 1]
-        if min(root) < 0:
+    sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) is negative, or None.
+    Given a cap, the walk also ends with None at the first root of
+    height above it (see ``weyl_is_finite``)."""
+    for k, h in enumerate(_heights(cartan, letters), start=1):
+        if h < 0:
             return k
-        if cap is not None and max(root) > cap:
+        if cap is not None and h > cap:
             return None
-        _right_reflect(cartan, cols, x)
     return None
 
 
 def is_reduced(word):
-    """Incremental reducedness test.
-
-    Appending a letter x to a word with element u increases length
-    exactly when x is not a right descent of u^{-1}, that is when
-    u^{-1}(e_x) = sigma_{x_1} ... sigma_{x_{k-1}}(e_x) is a positive
-    root.  u^{-1} is kept as a list of columns and updated by one
-    column step per letter, so no matrix product or group table is
-    needed.
-    """
+    """Incremental reducedness test: appending x to a word with element
+    u adds one to the length exactly when the real root
+    u^{-1}(e_x) = sigma_{x_1} ... sigma_{x_{k-1}}(e_x) is positive, that
+    is when its height is.  No matrix is built."""
     return _first_non_reduced(word.cartan, word.letters) is None
 
 
 def length_of_word(word):
-    """Length of the element the word evaluates to: the number of right
-    descents peeled off before reaching the identity."""
-    blocks = _peel(word.evaluate(), range(1, len(word.cartan) + 1))
-    return sum(len(b) for b in blocks)
+    """Length of the element the word evaluates to, which is that of its
+    inverse P = sigma_{x_1} ... sigma_{x_s}: l(P sigma_x) = l(P) + 1 when
+    the root P(e_x) is positive and l(P) - 1 when it is negative."""
+    return sum(1 if h > 0 else -1 for h in _heights(word.cartan, word.letters))
 
 
 def principal_root(seq):
@@ -268,21 +283,21 @@ def weyl_is_finite(graph):
     is infinite exactly when every power of a Coxeter element c is
     reduced.  A finite W has Coxeter number h <= max(2n - 2, 30) and a
     longest element of length nh/2, so c^m is not reduced once m > h/2;
-    one walk over c^m, c = 1, 2, ..., n and m = max(n, 15) + 1, looks
-    for its first non-reduced letter.  The roots of a finite simply
-    laced type have entries at most 6 (the highest root of E8), so a
-    larger entry proves W infinite and ends the walk early."""
+    one height walk over c^m, c = 1, 2, ..., n and m = max(n, 15) + 1,
+    looks for its first non-reduced letter.  The highest root of A_n, D_n
+    or E_6-8 has height h - 1 <= max(2n - 3, 29), so a positive root
+    above that height proves W infinite and ends the walk early."""
     n = graph.n
     letters = tuple(range(1, n + 1)) * (max(n, 15) + 1)
-    return _first_non_reduced(graph.cartan(), letters, cap=6) is not None
+    return _first_non_reduced(graph.cartan(), letters, cap=max(2 * n - 3, 29)) is not None
 
 
 def coxeter_powers_reduced(seq, m_max):
     """For each power c^m, m = 1..m_max, of the Coxeter word of a
     complete sequence, report (m, reduced?, word length m * n).
 
-    One column-update pass over the letters of c^{m_max} finds the first
-    letter that breaks reducedness.  A word with a non-reduced prefix is
+    One height walk over the letters of c^{m_max} finds the first letter
+    that breaks reducedness.  A word with a non-reduced prefix is
     not reduced, so c^m is reduced exactly when that letter lies beyond
     its m n letters: the cost is O(m_max n) letters, not O(m_max^2 n).
     """

@@ -351,6 +351,21 @@ def matrix_first_non_reduced(cartan, letters):
     return None
 
 
+def matrix_length(cartan, letters):
+    """Length of the element a word evaluates to, on any Weyl group:
+    right descents (a column with a negative entry) are peeled off the
+    full word_matrix product, one matrix product per peel, until the
+    identity is left.  Each peel drops the length by one."""
+    n = len(cartan)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    m, length = word_matrix(cartan, letters), 0
+    while m != ident:
+        v = next(v for v in range(n) if any(row[v] < 0 for row in m))
+        m = matmul(m, reflection_matrix(cartan, v + 1))
+        length += 1
+    return length
+
+
 @lru_cache(maxsize=None)
 def bfs_lengths(cartan):
     """Word length of every element of a finite Weyl group, by

@@ -80,6 +80,7 @@ from oracles import (
     fraction_rref,
     matmul,
     matrix_first_non_reduced,
+    matrix_length,
     raw_graph,
     raw_nq_reachable,
     raw_projective_dims,
@@ -606,7 +607,7 @@ def test_every_vertex_id_is_read_by_one_reader(q3, query, x):
 @PROPERTY_SETTINGS
 @given(words())
 def test_is_reduced_matches_matrix_oracle(case):
-    # the column-update scan against full prefix products
+    # the height walk against full prefix products
     _, word = case
     expected = matrix_first_non_reduced(word.cartan, word.letters) is None
     assert is_reduced(word) == expected
@@ -656,6 +657,30 @@ def test_length_of_word_matches_bfs(case):
     assume(weyl_is_finite(q.graph))
     lengths = bfs_lengths(word.cartan)
     assert length_of_word(word) == lengths[word_matrix(word.cartan, word.letters)]
+
+
+@PROPERTY_SETTINGS
+@given(graph_words())
+def test_length_of_word_matches_matrix_peel(case):
+    # the height walk against descents peeled off the full product, on
+    # infinite Weyl groups too; a word is reduced exactly when its
+    # element is as long as the word
+    cartan, letters = case
+    word = WeylWord(cartan, letters)
+    length = length_of_word(word)
+    assert length == matrix_length(cartan, letters)
+    assert is_reduced(word) == (length == len(letters))
+
+
+@PROPERTY_SETTINGS
+@given(complete_sequences())
+def test_coxeter_powers_reduced_exactly_for_infinite_w(seq):
+    # the paper's application: W is infinite exactly when every power of a
+    # Coxeter element is reduced.  With n <= 5, a finite W has Coxeter
+    # number h <= 8, so c^m stops being reduced by m = h/2 + 1 < 16
+    q = seq.quiver
+    infinite = not ade_is_finite(q.n, q.graph.edges)
+    assert all(ok for _, ok, _ in coxeter_powers_reduced(seq, 16)) == infinite
 
 
 @settings(max_examples=400, deadline=None)

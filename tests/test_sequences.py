@@ -170,6 +170,12 @@ class TestSeqFromMultiplicities:
         with pytest.raises(AdmseqError, match="maximum length must be an integer"):
             enumerate_admissible(q3, 1.5)
 
+    def test_enumeration_refuses_a_negative_length(self, q3):
+        # no sequence has length <= -1, and the empty one is not such a sequence
+        assert enumerate_admissible(q3, 0) == [()]
+        with pytest.raises(AdmseqError, match="maximum length must not be negative, got -1"):
+            enumerate_admissible(q3, -1)
+
     def test_inverse_of_multiplicities(self, q3, qk):
         for q in (q3, qk):
             for letters in enumerate_admissible(q, 7):
