@@ -4,7 +4,6 @@ exact-arithmetic representations, and reduced words in the Weyl group."""
 from .graphs import (
     Graph,
     Quiver,
-    acyclic_orientations,
     graph_from_cartan,
     load_quiver,
     quiver_from_arrows,
@@ -17,7 +16,6 @@ from .sequences import (
     canonical_rep,
     check_admissible,
     complement_pair,
-    enumerate_admissible,
     equivalent,
     is_principal,
     join,

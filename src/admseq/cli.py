@@ -152,11 +152,8 @@ def _apply(args):
 
 
 def _sm_brute(args):
-    """Shortest annihilator by descent below -t, or else as ``sm`` finds
-    it, from a Coxeter orbit cut at -m passes or its first repeated state."""
+    """Shortest annihilator by descent below the known annihilator -t."""
     m = reps.load_rep(args.module)
-    if args.other is None:
-        return reps.shortest_annihilator_indec(m, args.power)
     return reps.shortest_annihilator_bruteforce(
         m, sequences.AdmissibleSeq(m.quiver, parse(args.other)))
 
@@ -190,9 +187,8 @@ FLAGS = {
     "cartan": (("--cartan",), {"help": "Cartan matrix JSON file"}),
     "module": (("--module",), {"required": True, "help": "representation JSON file"}),
     "seq": (("-s", "--seq"), {"required": True, "help": "sequence literal, e.g. 3,2,3"}),
-    "other": (("-t", "--other"), {"required": True,
-                                  "help": "second sequence, or target word, literal"}),
-    "known": (("-t", "--other"), {"help": "known annihilating sequence"}),
+    "other": (("-t", "--other"), {"required": True, "help": "second sequence, target "
+                                  "word, or known annihilating sequence, literal"}),
     "word": (("-w", "--word"), {"required": True,
                                 "help": "word literal, first letter acts first"}),
     "size": (("-r", "--size"), {"type": int, "required": True}),
@@ -247,7 +243,7 @@ VERBS = {
     "sm": ("module budget format",
            lambda a: reps.shortest_annihilator_indec(reps.load_rep(a.module), a.power),
            as_letters),
-    "sm-brute": ("module budget known format", _sm_brute, as_letters),
+    "sm-brute": ("module other format", _sm_brute, as_letters),
     "component": ("quiver levels", lambda a: export_component(_quiver(a), a.levels),
                   lambda dot: (dot, None, True)),
 }

@@ -1,4 +1,4 @@
-"""Graphs, Cartan matrices, acyclic orientations, and the vertex poset.
+"""Graphs, Cartan matrices, quivers, and the vertex poset.
 
 Vertices are contiguous ids 1..n.  A graph is held once, as its Cartan
 matrix, and its edge tuple is read off that matrix.  Edges and arrows
@@ -25,8 +25,6 @@ only when asked for.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from itertools import combinations
 
 from .errors import (
     AcyclicityError,
@@ -370,11 +368,6 @@ class Quiver:
             raise FilterViolationError(f"{sorted(_members(mask))} is not a filter")
         return frozenset(_members(self._hull(mask)))
 
-    def all_filters(self):
-        """Every filter of the vertex poset, as frozensets, by size."""
-        return [frozenset(sub) for k in range(self.n + 1)
-                for sub in combinations(self.vertices(), k) if self.is_filter(sub)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Quiver)
@@ -390,8 +383,16 @@ class Quiver:
 
 
 def quiver_from_arrows(n, arrows):
-    """Quiver whose underlying graph is read off from the arrow list."""
-    return Quiver(Graph(n, arrows), arrows)
+    """Quiver whose underlying graph is read off from the arrow list.
+
+    The arrows are read once, as the edges of that graph, so they orient
+    it by construction and only the acyclicity check is left; an
+    iterator of arrows is read like a list.
+    """
+    arrows = tuple(arrows)
+    q = Quiver._trusted(Graph(n, arrows), tuple(_int_tuple(a, "arrow ends") for a in arrows))
+    q._vertex_masks()  # the acyclicity check
+    return q
 
 
 def quiver_from_dict(data):
@@ -419,19 +420,3 @@ def load_quiver(path):
 def quiver_to_dict(q):
     return {"n": q.n, "arrows": [list(a) for a in q.arrows]}
 
-
-@lru_cache(maxsize=None)
-def acyclic_orientations(graph):
-    """All acyclic orientations of a graph, as quivers."""
-    edges, out = graph.edges, []
-    top = len(edges) - 1
-    # bit top - i of flips reverses edge i, so the first edge flips slowest
-    for flips in range(1 << len(edges)):
-        arrows = tuple(
-            (v, u) if flips >> (top - i) & 1 else (u, v) for i, (u, v) in enumerate(edges)
-        )
-        try:
-            out.append(Quiver(graph, arrows))
-        except AcyclicityError:
-            continue
-    return tuple(out)

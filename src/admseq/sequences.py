@@ -1,5 +1,6 @@
 """(+)-admissible sequences: equivalence, the preorder, canonical forms,
-the meet/join lattice, and principal sequences.
+the meet/join lattice, principal sequences, and reachability in the
+translation quiver.
 
 A sequence is stored together with its base quiver; two sequences can be
 compared only when their base quivers coincide.  The multiplicity vector
@@ -28,7 +29,6 @@ from .errors import (
     InvalidMultiplicityError,
     NotAdmissibleError,
     NotPrincipalError,
-    _int,
     _int_tuple,
     _vertex,
 )
@@ -445,26 +445,6 @@ def nq_reachable(quiver, a, b):
     while k and not level >> u & 1:
         level, k = quiver._hull(level), k - 1
     return level >> u & 1 == 1
-
-
-def enumerate_admissible(quiver, max_len):
-    """All admissible letter tuples of length <= max_len (including the
-    empty one), by breadth-first extension.  A negative max_len raises
-    AdmseqError."""
-    max_len = _int(max_len, "maximum length")
-    if max_len < 0:
-        raise AdmseqError(f"maximum length must not be negative, got {max_len}")
-    out = [()]
-    frontier = [((), 0)]
-    for _ in range(max_len):
-        nxt = []
-        for letters, flips in frontier:
-            for x in quiver.vertices():
-                if quiver._sink_after(flips, x):
-                    nxt.append((letters + (x,), flips ^ 1 << x))
-        out.extend(letters for letters, _ in nxt)
-        frontier = nxt
-    return out
 
 
 def parse_letters(text):

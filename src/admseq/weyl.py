@@ -172,23 +172,24 @@ def _peel(w, scan):
     v is a right descent of w when w sends the simple root e_v to a
     negative root, that is when column v of w has a negative entry.
     Each peel w -> w sigma_v drops the length by one; returns one block
-    of peeled letters per pass, and stops as soon as w is the identity.
+    of peeled letters per pass, and stops at the first pass that peels
+    nothing.  Only the identity has no descent in W, so a remainder that
+    is not the identity is not in W.
     """
     cartan = w.cartan
     cols = [list(c) for c in zip(*w.matrix)]
-    ident = _int_identity(len(cols))
     blocks = []
-    while cols != ident:
+    while True:
         block = []
         for v in scan:
-            if any(c < 0 for c in cols[v - 1]):
+            if min(cols[v - 1]) < 0:
                 _right_reflect(cartan, cols, v)
                 block.append(v)
-                if cols == ident:
-                    break
         if not block:
-            raise AdmseqError("stuck peel: element is not in the Weyl group span")
+            break
         blocks.append(block)
+    if cols != _int_identity(len(cols)):
+        raise AdmseqError("stuck peel: element is not in the Weyl group span")
     return blocks
 
 
@@ -250,13 +251,14 @@ def principal_root(seq):
     if is_principal(seq) is None:
         raise NotPrincipalError("criterion applies to principal sequences only")
     cartan = seq.quiver.graph.cartan()
+    rows = _sparse_rows(cartan)
     letters = seq.letters
     v = [int(j == letters[-1] - 1) for j in range(len(cartan))]
     for x in reversed(letters[:-1]):
         # sigma_x(v) = v - <row x of A, v> e_x changes entry x only, and
         # every other entry is already known to be non-negative
         i = x - 1
-        v[i] -= sum(a * c for a, c in zip(cartan[i], v))
+        v[i] -= sum(a * v[j] for j, a in rows[i])
         if v[i] < 0:
             return None
     return tuple(v)

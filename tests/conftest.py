@@ -5,7 +5,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from admseq.graphs import Graph, acyclic_orientations, quiver_from_arrows
+from admseq.graphs import Graph, Quiver, quiver_from_arrows
+
+from oracles import raw_acyclic_orientations
+
+
+def acyclic_orientations(graph):
+    """Every acyclic orientation of a graph, as quivers, in the oracle's order."""
+    return tuple(Quiver(graph, arrows) for arrows in raw_acyclic_orientations(graph.n, graph.edges))
 
 
 @pytest.fixture(scope="session")

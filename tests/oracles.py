@@ -93,9 +93,32 @@ def raw_topological_order(n, arrows):
     return queue
 
 
+def raw_acyclic_orientations(n, edges):
+    """Every acyclic orientation of the edge list, as arrow tuples: bit
+    top - i of a counter reverses edge i, so the first edge flips
+    slowest, and an orientation is kept when Kahn's order reaches every
+    vertex."""
+    top = len(edges) - 1
+    out = []
+    for flips in range(1 << len(edges)):
+        arrows = tuple((v, u) if flips >> (top - i) & 1 else (u, v)
+                       for i, (u, v) in enumerate(edges))
+        if len(raw_topological_order(n, arrows)) == n:
+            out.append(arrows)
+    return out
+
+
+def raw_filters(n, arrows):
+    """Every filter of the path order, as frozensets, by size: the vertex
+    sets that hold everything each member reaches."""
+    return [frozenset(sub) for k in range(n + 1) for sub in combinations(range(1, n + 1), k)
+            if all(raw_reachable(arrows, v) <= set(sub) for v in sub)]
+
+
 def raw_enumerate(n, arrows, max_len):
     """All admissible letter tuples of length <= max_len, with the final
-    orientation of each."""
+    orientation of each, breadth first: by length, and the extensions of
+    each tuple in increasing order of the new letter."""
     out = {(): arrows}
     frontier = [((), arrows)]
     for _ in range(max_len):

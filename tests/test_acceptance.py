@@ -8,7 +8,6 @@ assertion anywhere in a test marks that criterion as failed.
 import pytest
 
 from admseq.errors import NotReducedError
-from admseq.graphs import acyclic_orientations
 from admseq.reps import (
     apply_sequence,
     build_module,
@@ -24,7 +23,6 @@ from admseq.sequences import (
     AdmissibleSeq,
     canonical_form,
     complement_pair,
-    enumerate_admissible,
     equivalent,
     join,
     level_sets,
@@ -53,6 +51,7 @@ from oracles import (
     bfs_lengths,
     exhaustive_annihilator,
     lex_first_sorting_word,
+    raw_enumerate,
     sorting_blocks_from_indices,
     swap_closure_classes,
     word_matrix,
@@ -84,7 +83,7 @@ def complete_sequences(quiver):
     target = (1,) * quiver.n
     return [
         AdmissibleSeq(quiver, s)
-        for s in enumerate_admissible(quiver, quiver.n)
+        for s in raw_enumerate(quiver.n, quiver.arrows, quiver.n)
         if mult_of(s, quiver.n) == target
     ]
 
@@ -102,7 +101,7 @@ def all_words(n, max_len):
 def reduced_family(quiver):
     """Every enumerated admissible sequence whose word is reduced."""
     out = []
-    for letters in enumerate_admissible(quiver, MAX_LEN):
+    for letters in raw_enumerate(quiver.n, quiver.arrows, MAX_LEN):
         s = AdmissibleSeq(quiver, letters)
         if is_reduced(word_of(s)):
             out.append(s)
@@ -112,7 +111,7 @@ def reduced_family(quiver):
 def test_criterion_1_lattice_suite(q3, qk, a4_orientations, triangle_orientations):
     for q in lattice_quivers(q3, qk, a4_orientations, triangle_orientations):
         n = q.n
-        raw = enumerate_admissible(q, MAX_LEN)
+        raw = raw_enumerate(q.n, q.arrows, MAX_LEN)
         seqs = {letters: AdmissibleSeq(q, letters) for letters in raw}
         mults = {letters: mult_of(letters, n) for letters in raw}
 
@@ -148,7 +147,7 @@ def test_criterion_1_lattice_suite(q3, qk, a4_orientations, triangle_orientation
         # left cancellation
         for a in [r for r in reps if len(r) <= 3]:
             base = seqs[a].final_quiver
-            exts = enumerate_admissible(base, 3)
+            exts = raw_enumerate(base.n, base.arrows, 3)
             for u in exts:
                 for v in exts:
                     su = AdmissibleSeq(q, a + u)
@@ -205,7 +204,7 @@ def test_criterion_2_canonical_round_trip(
     q3, qk, a4_orientations, triangle_orientations
 ):
     for q in lattice_quivers(q3, qk, a4_orientations, triangle_orientations):
-        for letters in enumerate_admissible(q, MAX_LEN):
+        for letters in raw_enumerate(q.n, q.arrows, MAX_LEN):
             s = AdmissibleSeq(q, letters)
             m = s.multiplicities()
             back = seq_from_multiplicities(q, m)
@@ -225,7 +224,7 @@ def test_criterion_2_canonical_round_trip(
 def test_criterion_3_principal_suite(q3, qk, a4_orientations, triangle_orientations):
     for q in lattice_quivers(q3, qk, a4_orientations, triangle_orientations):
         # decomposition joins back
-        for letters in enumerate_admissible(q, MAX_LEN):
+        for letters in raw_enumerate(q.n, q.arrows, MAX_LEN):
             if not letters:
                 continue
             s = AdmissibleSeq(q, letters)
@@ -237,7 +236,7 @@ def test_criterion_3_principal_suite(q3, qk, a4_orientations, triangle_orientati
 
         # the membership test for principal sequences below a sequence
         # agrees with the materialized preorder
-        for letters in enumerate_admissible(q, 6):
+        for letters in raw_enumerate(q.n, q.arrows, 6):
             if not letters:
                 continue
             s = AdmissibleSeq(q, letters)
@@ -290,7 +289,7 @@ def test_criterion_4_word_suite(q3, qk, a4_orientations, triangle_orientations):
     assert is_reduced(probe)
     target = probe.evaluate()
     for q in a4_orientations:
-        for letters in enumerate_admissible(q, 3):
+        for letters in raw_enumerate(q.n, q.arrows, 3):
             if len(letters) != 3:
                 continue
             assert word_of(AdmissibleSeq(q, letters)).evaluate() != target

@@ -1,9 +1,15 @@
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from admseq.cli import export_component, main
+from admseq.cli import FLAGS, VERBS, export_component, main
+
+from oracles import raw_graph, raw_reflect, raw_sinks
 
 
 Q3 = {"n": 3, "arrows": [[1, 2], [2, 3]]}
@@ -213,17 +219,20 @@ GOLDEN = [
     ('preproj --module {kr} -m 5 --format json', 1, '{"preprojective": null}'),
     ('sm --module {l1}', 0, '3,2,1,3,2,3'),
     ('sm --module {l1} --format json', 0, '{"letters": [3, 2, 1, 3, 2, 3]}'),
-    ('sm-brute --module {l1} -m 8', 0, '3,2,1,3,2,3'),
-    ('sm-brute --module {l1} -m 8 --format json', 0, '{"letters": [3, 2, 1, 3, 2, 3]}'),
     ('sm-brute --module {l1} -t 3,2,1,3,2,3,1,2,3', 0, '3,2,1,3,2,3'),
     ('sm-brute --module {l1} -t 3,2,1,3,2,3,1,2,3 --format json', 0,
      '{"letters": [3, 2, 1, 3, 2, 3]}'),
     ('sm --module {dec}', 0, '3,2,1,3'),
     ('sm --module {dec} --format json', 0, '{"letters": [3, 2, 1, 3]}'),
-    ('sm-brute --module {dec} -m 8', 0, '3,2,1,3'),
-    ('sm-brute --module {dec} -m 8 --format json', 0, '{"letters": [3, 2, 1, 3]}'),
+    ('sm-brute --module {dec} -t 3,2,1,3,2,3,1,2,3', 0, '3,2,1,3'),
+    ('sm-brute --module {dec} -t 3,2,1,3,2,3,1,2,3 --format json', 0,
+     '{"letters": [3, 2, 1, 3]}'),
     ('sm-brute --module {l1} --other=', 2, None),
     ('sm-brute --module {l1} --other= --format json', 2, None),
+    ('sm-brute --module {l1}', 2, None),
+    ('sm-brute --module {l1} --format json', 2, None),
+    ('sm-brute --module {l1} -m 8', 2, None),
+    ('sm-brute --module {l1} -m 8 --format json', 2, None),
     ('canon -q {q3} --seq=', 2, None),
     ('canon -q {q3} --seq= --format json', 2, None),
     ('decompose -q {q3} --seq=', 2, None),
@@ -242,8 +251,6 @@ GOLDEN = [
     ('principal -q {q3} -r 0 -x 1 --format json', 2, None),
     ('sm --module {kr} -m 5', 2, None),
     ('sm --module {kr} -m 5 --format json', 2, None),
-    ('sm-brute --module {kr} -m 3', 2, None),
-    ('sm-brute --module {kr} -m 3 --format json', 2, None),
     ('meet -q {q3} -s 3,2 -t 3,1', 2, None),
     ('meet -q {q3} -s 3,2 -t 3,1 --format json', 2, None),
     ('component -q {q3} --levels 3', 0,
@@ -479,7 +486,7 @@ class TestModuleVerbs:
         assert (code, out) == (0, "3,2,1,3,2,3")
 
     def test_sm_brute(self, capsys, l1_file):
-        code, out, _ = run(capsys, "sm-brute", "--module", l1_file, "-m", "8")
+        code, out, _ = run(capsys, "sm-brute", "--module", l1_file, "-t", "3,2,1,3,2,3,1,2,3")
         assert (code, out) == (0, "3,2,1,3,2,3")
 
 
@@ -530,6 +537,15 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "given sequence does not annihilate" in err
 
+    def test_sm_brute_refuses_a_coxeter_budget(self, capsys, l1_file):
+        # sm-brute only descends from -t; it has no -m to fall back on sm with
+        with pytest.raises(SystemExit) as exc:
+            main(["sm-brute", "--module", l1_file, "-t", "3,2,1,3,2,3,1,2,3", "-m", "8"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: -m 8" in out.err
+
     def test_sequence_letter_out_of_range(self, capsys, q3_file):
         code, out, err = run(capsys, "mult", "-q", q3_file, "-s", "99")
         assert (code, out) == (2, "")
@@ -558,7 +574,7 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "at least 1" in err
 
-    @pytest.mark.parametrize("verb", ["preproj", "sm", "sm-brute"])
+    @pytest.mark.parametrize("verb", ["preproj", "sm"])
     def test_negative_coxeter_budget(self, capsys, l1_file, verb):
         code, out, err = run(capsys, verb, "--module", l1_file, "-m", "-1")
         assert (code, out) == (2, "")
@@ -674,3 +690,119 @@ def test_component_on_a_wild_quiver_reads_roots():
         prefix = word_matrix(cartan, letters[-2::-1])
         assert dims == ", ".join(str(row[letters[-1] - 1]) for row in prefix)
     assert labels[-1] == ("3,2,1,3,2,1,3,2,1,3,2,1,3,2,1,3", "1537, 3219, 4059")
+
+
+
+# ------------------------------------------------------------- fuzzing
+
+# the verbs whose output is a checked property: only these may exit 1
+VERDICT_VERBS = {"check-seq", "equiv", "preceq", "reduced", "principal-reduced",
+                 "coxeter-check", "finite", "sortable", "preproj"}
+
+JUNK = st.sampled_from([None, True, -1, 0, 7, 1.5, "p/0", "1e5", "1/2", "x", [], {},
+                        [[1, 7]], [-1, 2], [[1, 2], [2, 1]]])
+
+
+@st.composite
+def corrupted(draw, value):
+    """The JSON value, or, half the time, a copy with one node replaced
+    by junk or one dict key dropped."""
+    if draw(st.booleans()):
+        return value
+    value = root = json.loads(json.dumps({"": value}))
+    key = ""
+    while isinstance(value[key], (list, dict)) and value[key] and draw(st.booleans()):
+        value = value[key]
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+    if isinstance(value, dict) and key and draw(st.booleans()):
+        del value[key]
+    else:
+        value[key] = draw(JUNK)
+    return root[""]
+
+
+@st.composite
+def small_quivers(draw, tame):
+    """(n, arrows) on n <= 4, oriented along a random ranking, so acyclic.
+    A tame one is a tree, a cycle or the Kronecker quiver, whose Coxeter
+    orbits grow at most linearly; any other is a tree plus at most one
+    edge, which may make it wild."""
+    n = draw(st.integers(2, 4))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    if tame and draw(st.booleans()):
+        edges = [(v, v % n + 1) for v in range(1, n + 1)] if n > 2 else [(1, 2), (1, 2)]
+    elif not tame:
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=1))
+    rank = draw(st.permutations(range(1, n + 1)))
+    return n, [(u, v) if rank[u - 1] < rank[v - 1] else (v, u) for u, v in edges]
+
+
+@st.composite
+def module_data(draw):
+    """(n, arrows, module JSON) over a tame quiver, dims <= 3, with small
+    rational entries."""
+    n, arrows = draw(small_quivers(tame=True))
+    dims = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    entry = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3/2"]))
+    maps = [{"arrow": i, "matrix": [[draw(entry) for _ in range(dims[s - 1])]
+                                    for _ in range(dims[e - 1])]}
+            for i, (s, e) in enumerate(arrows)]
+    return n, arrows, {"quiver": {"n": n, "arrows": arrows}, "dims": dims, "maps": maps}
+
+
+@st.composite
+def letter_literals(draw, n, arrows):
+    """A letter literal: half the time a walk of at most 8 sinks of the
+    arrows, else random ids or text."""
+    if draw(st.booleans()):
+        walk = []
+        for _ in range(draw(st.integers(0, 8))):
+            walk.append(draw(st.sampled_from(raw_sinks(n, arrows))))
+            arrows = raw_reflect(arrows, walk[-1])
+        return ",".join(map(str, walk))
+    return draw(st.one_of(st.lists(st.integers(-1, 5), max_size=8).map(
+        lambda w: ",".join(map(str, w))), st.sampled_from(["a", "1,,2", "1.5", " "])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(VERBS)), st.data())
+def test_fuzzed_command_lines_exit_0_1_or_2(fuzz_dir, verb, data):
+    # any command line and any JSON file ends in an answer, a false
+    # verdict or an input error, never in a traceback; a flag is left out
+    # one time in ten
+    flags = VERBS[verb][0].split()
+    n, arrows = data.draw(small_quivers(tame=False))
+    if "module" in flags:  # a walk on the module's quiver
+        n, arrows, module = data.draw(module_data())
+        (fuzz_dir / "module.json").write_text(json.dumps(data.draw(corrupted(module))))
+    cartan = raw_graph(n, arrows)[1]
+    quiver = data.draw(st.sampled_from([{"n": n}, {"cartan": cartan}]))
+    (fuzz_dir / "quiver.json").write_text(
+        json.dumps(data.draw(corrupted({**quiver, "arrows": arrows}))))
+    (fuzz_dir / "cartan.json").write_text(json.dumps(data.draw(corrupted({"cartan": cartan}))))
+    draws = {
+        "seq": letter_literals(n, arrows), "other": letter_literals(n, arrows),
+        "word": letter_literals(n, arrows),
+        "size": st.integers(-1, 5), "vertex": st.integers(-1, 5), "power": st.integers(-1, 8),
+        "budget": st.integers(-1, 8), "levels": st.integers(-1, 3),
+        "format": st.sampled_from(["text", "json", "dot"]),
+    }
+    argv = [verb]
+    for flag in flags:
+        if data.draw(st.integers(0, 9)):
+            value = draws[flag] if flag in draws else st.just(str(fuzz_dir / f"{flag}.json"))
+            argv += [FLAGS[flag][0][0], str(data.draw(value))]
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 1, 2), argv
+    assert code != 1 or verb in VERDICT_VERBS, argv

@@ -10,12 +10,13 @@ from admseq.errors import (
 from admseq.graphs import (
     Graph,
     Quiver,
-    acyclic_orientations,
     graph_from_cartan,
     quiver_from_arrows,
     quiver_from_dict,
 )
 from admseq.sequences import AdmissibleSeq
+
+from oracles import raw_filters
 
 
 A3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -94,6 +95,13 @@ class TestQuiver:
     def test_two_cycle_rejected(self):
         with pytest.raises(AcyclicityError):
             quiver_from_arrows(2, [(1, 2), (2, 1)])
+
+    def test_arrow_iterator_builds_its_quiver(self):
+        # the arrows are read once, so an iterator builds the quiver of its list
+        arrows = [(1, 2), (1, 2), (3, 2)]
+        q = quiver_from_arrows(3, iter(arrows))
+        assert q == quiver_from_arrows(3, arrows) == Quiver(Graph(3, arrows), arrows)
+        assert q.arrows == ((1, 2), (1, 2), (3, 2))
 
     def test_topological_order_computed_once(self, monkeypatch):
         # the order the acyclicity check finds also builds the vertex
@@ -182,11 +190,19 @@ class TestQuiver:
 
 
 class TestSmallExhaustive:
-    def test_sinks_are_maximal_elements(self, a4_graph, triangle_graph, q3, qk):
-        quivers = list(acyclic_orientations(a4_graph))
-        quivers += list(acyclic_orientations(triangle_graph))
-        quivers += [q3, qk]
-        for q in quivers:
+    def test_orientation_oracle_counts(self, a4_orientations, triangle_orientations):
+        # a forest on k edges has 2^k acyclic orientations, and a triangle
+        # loses the two cyclic ones of its 8
+        assert (len(a4_orientations), len(triangle_orientations)) == (8, 6)
+        assert a4_orientations[0].arrows == ((1, 2), (2, 3), (3, 4))
+        assert a4_orientations[1].arrows == ((1, 2), (2, 3), (4, 3))
+
+    def test_filter_oracle(self, q3, qk):
+        assert raw_filters(q3.n, q3.arrows) == [set(), {3}, {2, 3}, {1, 2, 3}]
+        assert raw_filters(qk.n, qk.arrows) == [set(), {2}, {1, 2}]
+
+    def test_sinks_are_maximal_elements(self, a4_orientations, triangle_orientations, q3, qk):
+        for q in [*a4_orientations, *triangle_orientations, q3, qk]:
             maximal = {
                 v
                 for v in q.vertices()
@@ -207,7 +223,7 @@ class TestSmallExhaustive:
 
     def test_hull_properties(self, q3, qk):
         for q in (q3, qk):
-            filters = q.all_filters()
+            filters = raw_filters(q.n, q.arrows)
             for f in filters:
                 h = q.hull(f)
                 assert f <= h
@@ -219,7 +235,7 @@ class TestSmallExhaustive:
                     assert q.hull(f1 & f2) <= q.hull(f1) & q.hull(f2)
 
     def test_hull_monotone(self, q3):
-        filters = q3.all_filters()
+        filters = raw_filters(q3.n, q3.arrows)
         for f1 in filters:
             for f2 in filters:
                 if f1 <= f2:

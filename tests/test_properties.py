@@ -765,6 +765,30 @@ def test_graph_is_its_cartan_matrix(case, data):
                 build()
 
 
+def _outcome(build):
+    """What build() returns, or the type and message of the AdmseqError it raises."""
+    try:
+        return build()
+    except AdmseqError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(), st.data())
+def test_quiver_from_arrows_reads_its_arrows_once(case, data):
+    # the arrows read once, as the edges of their graph, against the graph
+    # and the quiver each reading them, also when one arrow is broken
+    n, arrows = case
+    arrows = list(arrows)
+    if arrows and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(arrows) - 1))
+        u, v = arrows[k]
+        arrows[k] = data.draw(st.sampled_from(
+            [(v, u), (u, u), (u, n + 1), (0, v), (u,), (u, v, u), (u + 0.5, v), 7]))
+    assert _outcome(lambda: quiver_from_arrows(n, arrows)) == _outcome(
+        lambda: Quiver(Graph(n, arrows), list(arrows)))
+
+
 # Entries that make pivots other than +-1, given as int or as Fraction
 # (integral ones too), mostly zero as in the maps of a module.
 NON_UNIT = st.sampled_from(

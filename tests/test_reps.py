@@ -34,12 +34,11 @@ from admseq.reps import (
 from admseq.sequences import (
     AdmissibleSeq,
     canonical_form,
-    enumerate_admissible,
     equivalent,
     principal,
 )
 from admseq.weyl import is_reduced, word_of
-from oracles import fraction_rref, raw_projective_dims
+from oracles import fraction_rref, raw_enumerate, raw_projective_dims
 
 
 def p2_on_q3(q3):
@@ -367,7 +366,7 @@ class TestBuildModule:
 
     def test_dims_are_word_images(self, q3, qk):
         for q in (q3, qk):
-            for letters in enumerate_admissible(q, 5):
+            for letters in raw_enumerate(q.n, q.arrows, 5):
                 if not letters:
                     continue
                 s = AdmissibleSeq(q, letters)

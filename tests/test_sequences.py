@@ -15,7 +15,6 @@ from admseq.sequences import (
     canonical_rep,
     check_admissible,
     complement_pair,
-    enumerate_admissible,
     equivalent,
     is_principal,
     join,
@@ -112,7 +111,7 @@ class TestCanonicalForm:
 
     def test_round_trip_everywhere(self, q3, qk, a4_orientations, triangle_orientations):
         for q in [q3, qk, *a4_orientations, *triangle_orientations]:
-            for letters in enumerate_admissible(q, 6):
+            for letters in raw_enumerate(q.n, q.arrows, 6):
                 if not letters:
                     continue
                 s = AdmissibleSeq(q, letters)
@@ -165,20 +164,9 @@ class TestSeqFromMultiplicities:
             level_sets((-1, 2, 0))
         assert exc.value.level == 0
 
-    def test_enumeration_reads_its_length(self, q3):
-        assert enumerate_admissible(q3, 1) == [(), (3,)]
-        with pytest.raises(AdmseqError, match="maximum length must be an integer"):
-            enumerate_admissible(q3, 1.5)
-
-    def test_enumeration_refuses_a_negative_length(self, q3):
-        # no sequence has length <= -1, and the empty one is not such a sequence
-        assert enumerate_admissible(q3, 0) == [()]
-        with pytest.raises(AdmseqError, match="maximum length must not be negative, got -1"):
-            enumerate_admissible(q3, -1)
-
     def test_inverse_of_multiplicities(self, q3, qk):
         for q in (q3, qk):
-            for letters in enumerate_admissible(q, 7):
+            for letters in raw_enumerate(q.n, q.arrows, 7):
                 s = AdmissibleSeq(q, letters)
                 assert equivalent(seq_from_multiplicities(q, s.multiplicities()), s)
 
@@ -285,7 +273,7 @@ class TestPrincipal:
 
     def test_principal_precedes_matches_materialized(self, q3, qk):
         for q in (q3, qk):
-            for letters in enumerate_admissible(q, 6):
+            for letters in raw_enumerate(q.n, q.arrows, 6):
                 if not letters:
                     continue
                 s = AdmissibleSeq(q, letters)
@@ -302,7 +290,7 @@ class TestPrincipal:
 
     def test_decomposition_joins_back(self, q3, qk, a4_orientations):
         for q in [q3, qk, *a4_orientations]:
-            for letters in enumerate_admissible(q, 6):
+            for letters in raw_enumerate(q.n, q.arrows, 6):
                 if not letters:
                     continue
                 s = AdmissibleSeq(q, letters)

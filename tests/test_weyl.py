@@ -4,8 +4,8 @@ import pytest
 
 from admseq import weyl
 from admseq.errors import AdmseqError, InvalidCartanError, NotCompleteError, NotPrincipalError
-from admseq.graphs import Graph, acyclic_orientations, graph_from_cartan
-from admseq.sequences import AdmissibleSeq, enumerate_admissible, principal
+from admseq.graphs import Graph, graph_from_cartan
+from admseq.sequences import AdmissibleSeq, principal
 from admseq.weyl import (
     SortingWord,
     WeylElement,
@@ -327,6 +327,15 @@ class TestSorting:
         sw = c_sorting_word(c, target)
         assert sw.render() == "2 | 1"
         assert not is_c_sortable(c, target)
+
+    def test_element_outside_w_is_a_stuck_peel(self):
+        # the A2 diagram automorphism swaps the simple roots: it preserves
+        # the form and has an integer inverse, but no descent, and is not
+        # the identity, so it is not in W
+        swap = WeylElement(A2, [[0, 1], [1, 0]])
+        assert swap.preserves_form() and swap.inverse() == swap
+        with pytest.raises(AdmseqError, match="stuck peel"):
+            c_sorting_word(WeylWord(A2, (2, 1)), swap)
 
     def test_sortable_from_principal(self, q3):
         c = coxeter_element(AdmissibleSeq(q3, (3, 2, 1)))
