@@ -10,7 +10,9 @@ shared table ``FLAGS``; the library call that turns the parsed
 arguments into a result; and the output shape that turns the result
 into (text, JSON payload, verdict).  The shapes ``as_letters``,
 ``as_module`` and ``as_truth`` serve the verbs that repeat; a false
-verdict exits 1.  ``build_parser`` and ``main`` are loops over the
+verdict exits 1.  A module's payload is the module itself, written out
+with ``reps.rep_to_dict`` only under ``--format json``: text mode prints
+its dims alone.  ``build_parser`` and ``main`` are loops over the
 tables.
 """
 
@@ -66,7 +68,7 @@ def as_letters(seq):
 
 
 def as_module(m):
-    return f"dims {m.dims}", reps.rep_to_dict(m), True
+    return f"dims {m.dims}", m, True
 
 
 def as_truth(key):
@@ -272,7 +274,10 @@ def main(argv=None):
     except (AdmseqError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload) if getattr(args, "format", "text") == "json" else text)
+    if getattr(args, "format", "text") == "json":
+        print(json.dumps(payload, default=reps.rep_to_dict))
+    else:
+        print(text)
     return 0 if verdict else 1
 
 

@@ -1,22 +1,27 @@
 """Exact rational linear algebra: one elimination and its two readers.
 
-Matrices are sequences of rows with int or Fraction entries; all
-shapes are passed explicitly so that zero-dimensional matrices behave.
-``rref`` is the only elimination.  It is fraction-free inside: while
-every pivot is +-1, rows are updated in place and keep their integral
-entries as ``int``; at the first other pivot every row is scaled once to
-integers, and the elimination goes on by cross-multiplication, each
-updated row divided by the gcd of its entries (a fraction-free
-elimination, as in Bareiss, Math. Comp. 22, 1968, which divides by the
-previous pivot instead).  Each pivot row is divided by its
-pivot only at the end, so a Fraction is built only for an entry of the
-result that is not integral: the inverse of a Weyl group element, which
-has determinant +-1, builds none.  Pivoting is
-deterministic (leftmost column, smallest row), and the reduced form is
-unique, so kernel bases are reproducible across runs.  ``nullspace``
-reads a kernel basis off the echelon form, one vector per row, and
-``invert`` reads the right half of the echelon form of [m | I]; it
-serves only ``weyl.WeylElement.inverse``.
+A matrix is a sequence of sparse rows, each a dict from column index to
+its nonzero int or Fraction entries, with the shape passed explicitly
+so that zero-dimensional matrices behave.  ``rref`` is the only
+elimination.  It takes the rows one at a time and touches only nonzero
+entries: a row is cleared at the pivot columns it holds, and a new pivot
+is cleared from the pivot rows nonzero in its column, which a column
+index names.  So an elimination costs in the nonzeros it reads and
+makes, not in rows x columns; the maps of a module stay sparse as its
+dims grow.  It is fraction-free inside: every row is first scaled to
+integers by the lcm of its denominators, and a pivot p clears the entry
+f of another row by cross-multiplication, the row becoming (p/g) row -
+(f/g) pivot row with g = gcd(p, f) and then divided by the gcd of its
+entries (a fraction-free elimination, as in Bareiss, Math. Comp. 22,
+1968, which divides by the previous pivot instead).  When p divides f
+this only subtracts, in the columns of the pivot row.  Each pivot row is
+divided by its pivot only at the end, so a Fraction is built only for an
+entry of the result that is not integral: the inverse of a Weyl group
+element, which has determinant +-1, builds none.  The reduced form is
+unique, so kernel bases are reproducible across runs.  ``kernel`` reads
+the inclusion of the kernel off the echelon form, one sparse row per
+column of the matrix, and ``invert`` reads the right half of the echelon
+form of [m | I]; it serves only ``weyl.WeylElement.inverse``.
 """
 
 from __future__ import annotations
@@ -27,140 +32,126 @@ from math import gcd, lcm
 from .errors import AdmseqError
 
 
-def _integer_rows(m):
-    """Each row times the lcm of its denominators: rows of ints with the
-    same spans."""
-    out = []
-    for row in m:
-        d = lcm(*[x.denominator for x in row if type(x) is not int])
-        out.append(row if d == 1 else
-                   [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row])
-    return out
+def _integer_row(row):
+    """A sparse row times the lcm of its denominators: a new dict of
+    ints with the same span."""
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        return dict(row)
+    d = lcm(*[x.denominator for x in row.values() if type(x) is not int])
+    return {c: x * d if type(x) is int else x.numerator * (d // x.denominator)
+            for c, x in row.items()}
 
 
-def _cross_eliminate(m, r, c, rows, support):
-    """Clear column c outside row r of an int matrix, in place: a row
-    with entry f there becomes (p/g) row - (f/g) m[r], p = m[r][c] > 0
-    and g = gcd(p, f), divided by the gcd of its entries.  When p/g is 1
-    only the columns in ``support``, where m[r] is nonzero, change."""
-    row = m[r]
+def _clear(target, c, row, holders=None, key=None):
+    """Clear column c of the int row ``target`` with the int row ``row``,
+    whose entry p there is positive, in place: with f the entry of
+    target there and g = gcd(p, f), target becomes (p/g) target - (f/g)
+    row, divided by the gcd of its entries; when p/g is 1 only the
+    columns of ``row`` change.  ``holders[j]``, when given, holds
+    ``key`` exactly while target is nonzero at column j."""
     p = row[c]
-    for i in range(rows):
-        target = m[i]
-        f = target[c]
-        if i != r and f:
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a == 1:
-                for j in support:
-                    target[j] -= b * row[j]
-            else:
-                target = [a * x - b * y for x, y in zip(target, row)]
-            g = gcd(*target)
-            m[i] = [x // g for x in target] if g > 1 else target
-
-
-def _divide_pivot_rows(m, pivots, cols):
-    """Divide each row of an int matrix by its pivot, in place: an entry
-    is an int where the division is exact and a Fraction otherwise.  A
-    pivot row is zero in every other pivot column, so only its pivot and
-    the free columns are divided."""
-    pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    for i, c in enumerate(pivots):
-        row = m[i]
-        p = row[c]
-        if p != 1:
-            row[c] = 1
-            for j in free:
-                x = row[j]
-                if x:
-                    row[j] = x // p if not x % p else Fraction(x, p)
+    f = target.pop(c)
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for j in target:
+            target[j] *= a
+    for j, y in row.items():
+        if j != c:
+            x = target.get(j, 0) - b * y
+            if x:
+                if holders is not None and j not in target:
+                    holders.setdefault(j, set()).add(key)
+                target[j] = x
+            elif j in target:
+                del target[j]
+                if holders is not None:
+                    holders[j].discard(key)
+    if a != 1:
+        g = gcd(*target.values())
+        if g > 1:
+            for j in target:
+                target[j] //= g
 
 
 def rref(m, rows, cols):
-    """Reduced row echelon form; returns (matrix, pivot column list).
+    """Reduced row echelon form of the sparse rows ``m``, a rows x cols
+    matrix; returns (sparse rows, pivot column list).
 
-    Entries of the result are ``int`` where integral and ``Fraction``
-    otherwise.  The RREF of a matrix is unique, so the values do not
-    depend on how entries are held or which nonzero multiple of a row is
-    kept along the way.  A pivot row is first negated if its pivot is
-    negative.  A pivot of 1 clears its column by updating the other rows
-    only in the columns where the pivot row is nonzero.  At the first
-    other pivot every row is scaled once to integers, and from there on
-    such a pivot clears its column by cross-multiplication
-    (``_cross_eliminate``).  The pivot rows are divided by their pivots
-    only at the end, so a Fraction is built only for an entry of the
-    result that is not integral.
+    The rows are taken in order.  Each is cleared at the pivot columns
+    of the rows before it, and its leftmost remaining column becomes a
+    new pivot, which is then cleared from the earlier pivot rows that
+    are nonzero there, found through a column index.  So every pivot row
+    stays zero in every other pivot column and starts at its own, and
+    the pivot rows, in pivot order and each divided by its pivot, are
+    the RREF, which is unique.  The result has ``rows`` rows: the pivot
+    rows, then empty rows.  Its entries are ``int`` where integral and
+    ``Fraction`` otherwise.  ``m`` is not changed.
     """
-    m = [[x if type(x) is int else x.numerator if x.denominator == 1 else x for x in row]
-         for row in m]
-    integral = False
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    echelon = {}  # pivot column -> its row
+    holders = {}  # other column -> the pivot columns of the rows nonzero there
+    last = len(m) - 1
+    for i, row in enumerate(m):
+        row = _integer_row(row)
+        if echelon:
+            for c in [c for c in row if c in echelon]:
+                _clear(row, c, echelon[c])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        row = m[r]
-        # Entries left of c are zero in every row from r on.
-        support = [j for j in range(c, cols) if row[j]]
-        p = row[c]
-        if p < 0:
-            for j in support:
+        c = min(row)
+        if row[c] < 0:
+            for j in row:
                 row[j] = -row[j]
-            p = -p
-        if p == 1:
-            for i in range(rows):
-                target = m[i]
-                f = target[c]
-                if i != r and f:
-                    for j in support:
-                        x = target[j] - f * row[j]
-                        target[j] = x if type(x) is int else x.numerator if x.denominator == 1 else x
-        else:
-            if not integral:
-                m = _integer_rows(m)
-                integral = True
-            _cross_eliminate(m, r, c, rows, support)
-        pivots.append(c)
-        r += 1
-    if integral:
-        _divide_pivot_rows(m, pivots, cols)
-    return m, pivots
+        for q in holders.pop(c, ()):
+            _clear(echelon[q], c, row, holders, q)
+        if i < last:  # the last row is cleared from no later one
+            for j in row:
+                if j != c:
+                    holders.setdefault(j, set()).add(c)
+        echelon[c] = row
+    pivots = sorted(echelon)
+    out = []
+    for c in pivots:
+        row = echelon[c]
+        p = row[c]
+        if p != 1:
+            for j, x in row.items():
+                row[j] = x // p if not x % p else Fraction(x, p)
+        out.append(row)
+    return out + [{} for _ in range(rows - len(pivots))], pivots
 
 
-def nullspace(m, rows, cols):
-    """Basis of the kernel, as the rows of a k x cols matrix.
+def kernel(m, rows, cols):
+    """The kernel of the sparse rows ``m``, a rows x cols matrix, as its
+    inclusion: (k, the cols sparse rows of a cols x k matrix whose
+    columns are a kernel basis).
 
     Basis vectors are ordered by free column index and have a 1 in
-    their own free coordinate.
+    their own free coordinate, so the row of a free column is that 1 and
+    the row of a pivot column is minus the free part of its pivot row.
     """
-    r, pivots = rref(m, rows, cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
+    red, pivots = rref(m, rows, cols)
+    pivot_set, index, out = set(pivots), {}, []
+    for c in range(cols):
+        if c in pivot_set:
+            out.append(None)
+        else:
+            index[c] = len(index)
+            out.append({index[c]: 1})
+    for row, c in zip(red, pivots):
+        out[c] = {index[j]: -x for j, x in row.items() if j != c}
+    return len(index), out
 
 
 def invert(m, n):
-    """Inverse of a nonsingular n x n matrix: the right half of the rref
-    of [m | I].  Raises AdmseqError when m is singular."""
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    """Inverse of a nonsingular n x n matrix, given and returned as dense
+    rows: the right half of the rref of [m | I].  Raises AdmseqError
+    when m is singular."""
+    aug = [{j: x for j, x in enumerate(row) if x} | {n + i: 1} for i, row in enumerate(m)]
     red, pivots = rref(aug, n, 2 * n)
     if pivots[:n] != list(range(n)):
         raise AdmseqError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[row.get(j, 0) for j in range(n, 2 * n)] for row in red]

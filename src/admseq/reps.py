@@ -1,13 +1,17 @@
 """Quiver representations over the rationals and reflection functors.
 
 A representation stores one matrix per arrow instance, shaped
-dims(target) x dims(source), once: as integer-first rows, with an entry
-an ``int`` wherever it is integral and a Fraction otherwise.  The public
-``maps`` is a Fraction view of those rows, built on first read.  The
-positive reflection functor replaces the space at a sink by the kernel
-of the assembled incoming map, and the negative one, F_x^- = D F_x^+ D
-with D the transpose of every map, is the same kernel step on dual rows,
-transposed once as a fold begins and once as it ends.  Every walk of
+dims(target) x dims(source), once: as sparse integer-first rows, each a
+dict from column to its nonzero entries, an ``int`` wherever it is
+integral and a Fraction otherwise.  The maps of wild quivers stay sparse
+as their dims grow, so every step below costs in nonzeros, not in
+products of dims.  The public ``maps`` is a dense Fraction view of those
+rows, built on first read.  The positive reflection functor replaces the
+space at a sink by the kernel of the assembled incoming map, whose
+inclusion ``linalg.kernel`` returns as the rows of the new maps, and the
+negative one, F_x^- = D F_x^+ D with D the transpose of every map, is
+the same kernel step on dual rows, transposed once as a fold begins and
+once as it ends.  Every walk of
 functors, from a single reflection to a Coxeter orbit, is one fold of
 that step, so a chain of reflections stays in integers.  A fold walks
 one base quiver and a parity mask of the vertices it has reflected an
@@ -55,40 +59,66 @@ def _int_first(x):
 
 
 def _zero_rows(quiver, dims):
-    """The zero matrix dims(target) x dims(source) of every arrow."""
-    return tuple(
-        tuple((0,) * dims[s - 1] for _ in range(dims[e - 1])) for s, e in quiver.arrows
-    )
+    """The zero matrix dims(target) x dims(source) of every arrow, as
+    empty sparse rows."""
+    return tuple(tuple({} for _ in range(dims[e - 1])) for _, e in quiver.arrows)
+
+
+def _checked_dims(quiver, dims):
+    dims = _int_tuple(dims, "dimensions")
+    if len(dims) != quiver.n or any(d < 0 for d in dims):
+        raise AdmseqError("dimension vector does not fit the quiver")
+    return dims
+
+
+def _sparse_matrix(m, dims, arrow):
+    """The sparse integer-first rows of the dense matrix ``m`` of an
+    arrow (s, e); raises AdmseqError unless it is dims(e) x dims(s)."""
+    (s, e), m = arrow, [[_int_first(x) for x in row] for row in m]
+    r, c = dims[e - 1], dims[s - 1]
+    if len(m) != r or any(len(row) != c for row in m):
+        raise AdmseqError(f"matrix for arrow {s}->{e} must be {r} x {c}")
+    return tuple({j: x for j, x in enumerate(row) if x} for row in m)
+
+
+def _dense(rep, entry):
+    """Each matrix of rep as a list of dense rows, an entry x read as
+    entry(x) and an absent one as entry(0)."""
+    zero = entry(0)
+    for (s, _), m in zip(rep.quiver.arrows, rep._rows):
+        dense, width = [], rep.dims[s - 1]
+        for row in m:
+            out = [zero] * width
+            for j, x in row.items():
+                out[j] = entry(x)
+            dense.append(out)
+        yield dense
 
 
 class Representation:
     """Spaces and maps over a fixed quiver; immutable.
 
-    ``_rows`` holds the matrices, with integral entries as ``int`` and
-    the others as Fractions; the functors read and build these, and
-    never change them in place.  ``maps`` reads the same matrices as
-    tuples of Fractions, built from the rows on first read and kept.
+    ``_rows`` holds the matrices as tuples of sparse rows, each a dict
+    from column to nonzero entry, integral entries as ``int`` and the
+    others as Fractions, and no zero stored, so that equal matrices have
+    equal rows; the functors read and build these, and never change them
+    in place.  ``maps`` reads the same matrices as dense tuples of
+    Fractions, built from the rows on first read and kept.
     """
 
     __slots__ = ("quiver", "dims", "_rows", "_maps")
 
     def __init__(self, quiver, dims, maps):
-        dims = _int_tuple(dims, "dimensions")
-        if len(dims) != quiver.n or any(d < 0 for d in dims):
-            raise AdmseqError("dimension vector does not fit the quiver")
-        rows = tuple(tuple(tuple(map(_int_first, row)) for row in m) for m in maps)
-        if len(rows) != len(quiver.arrows):
+        dims, maps = _checked_dims(quiver, dims), tuple(maps)
+        if len(maps) != len(quiver.arrows):
             raise AdmseqError("one matrix per arrow instance is required")
-        for (s, e), m in zip(quiver.arrows, rows):
-            r, c = dims[e - 1], dims[s - 1]
-            if len(m) != r or any(len(row) != c for row in m):
-                raise AdmseqError(f"matrix for arrow {s}->{e} must be {r} x {c}")
+        rows = tuple(_sparse_matrix(m, dims, a) for a, m in zip(quiver.arrows, maps))
         self.quiver, self.dims, self._rows, self._maps = quiver, dims, rows, None
 
     @classmethod
     def _trusted(cls, quiver, dims, rows):
-        """The representation of integer-first rows already known to fit
-        the quiver, such as a functor fold produces: installed without
+        """The representation of sparse integer-first rows already known
+        to fit the quiver, such as a functor fold produces: installed without
         validation."""
         rep = object.__new__(cls)
         rep.quiver, rep.dims, rep._rows, rep._maps = quiver, dims, rows, None
@@ -98,9 +128,7 @@ class Representation:
     def maps(self):
         """The matrices as tuples of tuples of Fractions."""
         if self._maps is None:
-            self._maps = tuple(
-                tuple(tuple(map(Fraction, row)) for row in m) for m in self._rows
-            )
+            self._maps = tuple(tuple(map(tuple, m)) for m in _dense(self, Fraction))
         return self._maps
 
     def dim(self, x):
@@ -132,7 +160,7 @@ def simple(quiver, x):
     """The simple representation concentrated at x."""
     x = _vertex(quiver.n, x)
     dims = tuple(int(v == x) for v in quiver.vertices())
-    return Representation(quiver, dims, _zero_rows(quiver, dims))
+    return Representation._trusted(quiver, dims, _zero_rows(quiver, dims))
 
 
 def _step(quiver, flips, dims, rows, x, plus):
@@ -141,35 +169,54 @@ def _step(quiver, flips, dims, rows, x, plus):
     (dims, rows), which live on that orientation reflected at x too.  An
     F^- fold runs on dual rows (F_x^- = D F_x^+ D, see ``_dual``), so
     both put the maps at x side by side as rows of x, in increasing
-    position, and slice the kernel basis, transposed, into the new maps.
+    position, and slice the rows of the kernel inclusion into the new
+    maps.  A zero space at x keeps all of its neighbours' spaces, and no
+    neighbour space leaves nothing, so neither needs an elimination.
     Every caller has read x as a vertex."""
     if plus:
         if not quiver._sink_after(flips, x):
             raise NotSinkError(f"{x} is not a sink")
     elif not quiver._source_after(flips, x):
         raise NotSourceError(f"{x} is not a source")
-    arrows, widths = [], []
+    blocks, total = [], 0  # (arrow, first column, end column) of each map at x
     for i, (s, e) in enumerate(quiver.arrows):
         if s == x or e == x:
-            arrows.append(i)
-            widths.append(dims[s + e - x - 1])  # s + e - x: the end other than x
-    dx, total = dims[x - 1], sum(widths)
-    h = [[a for i in arrows for a in rows[i][r]] for r in range(dx)]
-    basis = linalg.nullspace(h, dx, total)  # k x total
-    columns = list(zip(*basis)) if basis else [()] * total
-    new_rows, offset = list(rows), 0
-    for i, w in zip(arrows, widths):
-        new_rows[i] = tuple(columns[offset:offset + w])
-        offset += w
-    return dims[:x - 1] + (len(basis),) + dims[x:], tuple(new_rows)
+            start, total = total, total + dims[s + e - x - 1]  # s + e - x: the other end
+            blocks.append((i, start, total))
+    dx = dims[x - 1]
+    if dx and total:
+        h = []
+        for r in range(dx):
+            row = {}
+            for i, start, _ in blocks:
+                for j, a in rows[i][r].items():
+                    row[j + start] = a
+            h.append(row)
+        k, inclusion = linalg.kernel(h, dx, total)
+    else:
+        k, inclusion = total, [{j: 1} for j in range(total)]
+    new_rows = list(rows)
+    for i, start, end in blocks:
+        new_rows[i] = tuple(inclusion[start:end])
+    return dims[:x - 1] + (k,) + dims[x:], tuple(new_rows)
 
 
-def _dual(quiver, dims, rows):
-    """D: every map transposed.  An empty map has a zero target, whichever
-    way its arrow points, so its transpose has dims(s) + dims(e) empty
-    rows."""
-    return tuple(tuple(zip(*m)) if m else ((),) * (dims[s - 1] + dims[e - 1])
-                 for (s, e), m in zip(quiver.arrows, rows))
+def _dual(quiver, dims, rows, mask=-1):
+    """D on the maps of the arrows with an end in the vertex mask ``mask``,
+    every arrow by default: each transposed in one pass over its
+    nonzeros, the others passed through.  A map has one row per dimension
+    of its target, whichever way its arrow points, so its transpose has
+    dims(s) + dims(e) - len(m) rows."""
+    out = []
+    for (s, e), m in zip(quiver.arrows, rows):
+        if (mask >> s | mask >> e) & 1:
+            t = [{} for _ in range(dims[s - 1] + dims[e - 1] - len(m))]
+            for i, row in enumerate(m):
+                for j, a in row.items():
+                    t[j][i] = a
+            m = tuple(t)
+        out.append(m)
+    return tuple(out)
 
 
 def _fold(quiver, flips, dims, rows, letters, plus):
@@ -183,13 +230,16 @@ def _fold(quiver, flips, dims, rows, letters, plus):
 
 
 def _functor(rep, letters, plus):
-    """The fold of one functor over the letters, as a Representation; an
-    F^- fold runs on dual rows."""
-    q = rep.quiver
-    rows = rep._rows if plus else _dual(q, rep.dims, rep._rows)
+    """The fold of one functor over the letters, as a Representation.  An
+    F^- fold runs on the dual rows of the maps at its letters, the only
+    ones a step reads or changes."""
+    q, mask = rep.quiver, 0
+    for x in letters:
+        mask |= 1 << x
+    rows = rep._rows if plus else _dual(q, rep.dims, rep._rows, mask)
     flips, dims, rows = _fold(q, 0, rep.dims, rows, letters, plus)
     return Representation._trusted(q._flipped(flips), dims,
-                                   rows if plus else _dual(q, dims, rows))
+                                   rows if plus else _dual(q, dims, rows, mask))
 
 
 def reflect_plus(rep, x):
@@ -394,13 +444,11 @@ def direct_sum(reps):
         raise AdmseqError("representations live on different quivers")
     dims = tuple(sum(r.dims[i] for r in reps) for i in range(q.n))
     rows = []
-    for i, (s, e) in enumerate(q.arrows):
-        width, co = dims[s - 1], 0
-        block = []
+    for i, (s, _) in enumerate(q.arrows):
+        block, co = [], 0
         for r in reps:
-            bc = r.dims[s - 1]
-            block += ((0,) * co + row + (0,) * (width - co - bc) for row in r._rows[i])
-            co += bc
+            block += ({j + co: a for j, a in row.items()} for row in r._rows[i])
+            co += r.dims[s - 1]
         rows.append(tuple(block))
     return Representation._trusted(q, dims, tuple(rows))
 
@@ -409,13 +457,7 @@ def rep_to_dict(rep):
     return {
         "quiver": quiver_to_dict(rep.quiver),
         "dims": list(rep.dims),
-        "maps": [
-            {
-                "arrow": i,
-                "matrix": [[str(x) for x in row] for row in m],
-            }
-            for i, m in enumerate(rep._rows)
-        ],
+        "maps": [{"arrow": i, "matrix": m} for i, m in enumerate(_dense(rep, str))],
     }
 
 
@@ -430,7 +472,8 @@ def rep_from_dict(data):
     if not (isinstance(dims, lists) and len(dims) == q.n
             and all(type(d) is int for d in dims)):
         raise AdmseqError(f"dims must be a list of {q.n} integers")
-    maps = list(_zero_rows(q, dims))
+    dims = _checked_dims(q, dims)
+    rows = list(_zero_rows(q, dims))
     entries = data.get("maps", [])
     if not isinstance(entries, lists) or not all(
         isinstance(e, dict) and isinstance(e.get("matrix"), lists)
@@ -439,17 +482,18 @@ def rep_from_dict(data):
         raise AdmseqError('maps must be a list of {"arrow": i, "matrix": [[...]]}')
     for entry in entries:
         i = entry.get("arrow")
-        if type(i) is not int or not 0 <= i < len(maps):
-            raise AdmseqError(f"arrow {i!r} is not an arrow index 0..{len(maps) - 1}")
+        if type(i) is not int or not 0 <= i < len(rows):
+            raise AdmseqError(f"arrow {i!r} is not an arrow index 0..{len(rows) - 1}")
         matrix = entry["matrix"]
         # Fraction("1e10000000") builds the whole power of ten
         if any(isinstance(x, str) and ("e" in x or "E" in x) for row in matrix for x in row):
             raise AdmseqError(f"matrix of arrow {i} has an entry with an exponent")
         try:
-            maps[i] = [[Fraction(str(x)) for x in row] for row in matrix]
+            matrix = [[Fraction(str(x)) for x in row] for row in matrix]
         except ZeroDivisionError:
             raise AdmseqError(f"matrix of arrow {i} has a zero denominator") from None
-    return Representation(q, dims, maps)
+        rows[i] = _sparse_matrix(matrix, dims, q.arrows[i])
+    return Representation._trusted(q, dims, tuple(rows))
 
 
 def load_rep(path):

@@ -155,6 +155,17 @@ def raw_projective_dims(n, arrows):
 # ---------------------------------------------------------- linear algebra
 
 
+def sparse(m):
+    """The rows of a dense matrix as dicts of their nonzero entries, the
+    form ``linalg`` reads."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def dense(rows, cols):
+    """Sparse rows as dense lists, an absent entry read as 0."""
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
 def fraction_rref(m, rows, cols):
     """Plain Gauss-Jordan over Fraction: every entry is converted, every
     pivot row is scaled and every other row is updated in full.  Returns

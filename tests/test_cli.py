@@ -451,6 +451,16 @@ class TestModuleVerbs:
         code, out, _ = run(capsys, "module", "-q", q3_file, "-s", "3,2,3")
         assert (code, out) == (0, "dims (0, 1, 0)")
 
+    def test_text_mode_builds_no_payload(self, capsys, monkeypatch, q3_file, l1_file):
+        # the JSON module payload holds every entry as a string; text mode
+        # prints only the dims and must not build it
+        monkeypatch.setattr("admseq.reps.rep_to_dict", None)
+        for argv in (["module", "-q", q3_file, "-s", "3,2,3"],
+                     ["apply", "--module", l1_file, "-s", "3,2,1"],
+                     ["phi-plus", "--module", l1_file]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.startswith("dims (")
+
     def test_module_json_round_trip(self, capsys, q3_file, tmp_path):
         from admseq.reps import load_rep
 

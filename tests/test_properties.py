@@ -74,6 +74,7 @@ from oracles import (
     ade_is_finite,
     bfs_lengths,
     budget_orbit_power,
+    dense,
     exhaustive_annihilator,
     fraction_direct_sum,
     fraction_nullspace,
@@ -90,6 +91,7 @@ from oracles import (
     raw_reflect_plus,
     raw_sinks,
     raw_topological_order,
+    sparse,
     word_matrix,
 )
 
@@ -261,6 +263,17 @@ EMPTY_MAPS = (Representation(FORK, (2, 0, 1), [[], [[1, 2]]]),
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
 
+def _stored_canonically(rep):
+    """Each map of rep is stored as one sparse row per dimension of its
+    target, holding only nonzero integer-first entries inside the width
+    of its source, so that == and the orbit checkpoint compare canonical
+    rows."""
+    return all(
+        len(m) == rep.dims[e - 1] and _integer_first(m)
+        and all(0 <= j < rep.dims[s - 1] for row in m for j in row)
+        for (s, e), m in zip(rep.quiver.arrows, rep._rows))
+
+
 @PROPERTY_SETTINGS
 @given(principal_modules())
 def test_module_dims_equal_weyl_root(case):
@@ -283,6 +296,7 @@ def test_functors_match_raw_oracles(rep):
         out = functor(rep, x)
         arrows, dims, maps = oracle(q.arrows, rep.dims, rep.maps, x)
         assert (out.quiver.arrows, out.dims) == (arrows, dims)
+        assert _stored_canonically(out)
         assert [list(map(list, m)) for m in out.maps] == [list(map(list, m)) for m in maps]
 
 
@@ -376,14 +390,16 @@ def test_annihilator_of_a_sum_joins_its_summands_principal_sequences(case):
 @PROPERTY_SETTINGS
 @given(scaled_summands())
 def test_row_readers_match_fraction_maps(summands):
-    # a representation stores integer-first rows only: direct_sum, ==,
-    # the JSON round trip and the Fraction view of maps all read them
+    # a representation stores sparse integer-first rows only: direct_sum,
+    # ==, the JSON round trip and the Fraction view of maps all read them
     total = direct_sum(summands)
     parts = [(m.dims, m.maps) for m in summands]
     assert total.maps == fraction_direct_sum(total.quiver.arrows, parts)
     assert any(x.denominator != 1 for a in total.maps for r in a for x in r)
     for m in summands + [total]:
+        assert _stored_canonically(m)
         assert Representation(m.quiver, m.dims, m.maps) == m
+        assert _stored_canonically(rep_from_dict(rep_to_dict(m)))
         assert rep_from_dict(rep_to_dict(m)) == m
         assert all(type(x) is Fraction for a in m.maps for r in a for x in r)
     for a in summands:
@@ -396,7 +412,7 @@ def test_row_readers_match_fraction_maps(summands):
 def test_functor_folds_match_single_steps(case):
     # build_module and coxeter_plus step on a parity mask over one base
     # quiver; single public functor steps, each on the quiver the previous
-    # one returned, must give the same bases
+    # one returned, must give the same bases, all stored canonically
     s, _, _ = case
     arrows = s.quiver.arrows
     for x in s.letters[:-1]:
@@ -404,11 +420,15 @@ def test_functor_folds_match_single_steps(case):
     m = simple(Quiver(s.quiver.graph, arrows), s.letters[-1])
     for x in reversed(s.letters[:-1]):
         m = reflect_minus(m, x)
+        assert _stored_canonically(m)
     assert m == build_module(s)
+    assert _stored_canonically(build_module(s))
     image = m
     for x in canonical_complete_sequence(m.quiver).letters:
         image = reflect_plus(image, x)
+        assert _stored_canonically(image)
     assert image == coxeter_plus(m)
+    assert _stored_canonically(coxeter_plus(m))
 
 
 @PROPERTY_SETTINGS
@@ -823,24 +843,44 @@ def dependent_matrices(draw):
     return m, rows, cols
 
 
-def _integer_first(matrix):
+@st.composite
+def sparse_matrices(draw):
+    """(m, rows, cols) with rows and cols <= 14, nine entries in ten zero,
+    the others of NON_UNIT or up to 10^3 in absolute value, as in the
+    maps of a module, so that eliminations fill in columns."""
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    entry = st.one_of(NON_UNIT, st.integers(-1000, 1000))
+    return [[draw(entry) if draw(st.integers(0, 9)) == 0 else 0 for _ in range(cols)]
+            for _ in range(rows)], rows, cols
+
+
+def _integer_first(rows):
+    """Sparse rows in the library's one form: nonzero entries only, an
+    int where integral and a Fraction otherwise."""
     return all(
-        type(x) is int or (type(x) is Fraction and x.denominator != 1)
-        for row in matrix for x in row
+        type(row) is dict and all(
+            type(x) is int and x or type(x) is Fraction and x.denominator != 1
+            for x in row.values())
+        for row in rows
     )
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(matrices(), dependent_matrices()))
+@given(st.one_of(matrices(), dependent_matrices(), sparse_matrices()))
+@example(([], 0, 5))
+@example(([[], [], []], 3, 0))
 def test_rref_and_nullspace_match_fraction_elimination(case):
     m, rows, cols = case
-    before = [list(row) for row in m]
-    red, pivots = linalg.rref(m, rows, cols)
+    rows_in = sparse(m)
+    before = [dict(row) for row in rows_in]
+    red, pivots = linalg.rref(rows_in, rows, cols)
     expected, expected_pivots = fraction_rref(m, rows, cols)
     assert pivots == expected_pivots
-    assert red == expected
+    assert dense(red, cols) == expected
     assert _integer_first(red)
-    kernel = linalg.nullspace(m, rows, cols)
-    assert kernel == fraction_nullspace(m, rows, cols)
-    assert _integer_first(kernel)
-    assert m == before
+    k, inclusion = linalg.kernel(rows_in, rows, cols)
+    assert len(inclusion) == cols
+    assert [[row.get(t, 0) for row in inclusion] for t in range(k)] == fraction_nullspace(
+        m, rows, cols)
+    assert _integer_first(inclusion)
+    assert rows_in == before

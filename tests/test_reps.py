@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -396,6 +397,21 @@ class TestBuildModule:
         monkeypatch.setattr(Quiver, "_trusted", classmethod(counted))
         assert [build_module(s).dims for s in seqs] == [(1, 0, 0), (6, 7), (1, 1, 1)]
         assert calls == []
+
+    def test_wild_growth_costs_nonzeros(self):
+        # three arrows 1 -> 2: the maps of M(S_{5,1}) would hold 52 M
+        # entries densely but have 9,662 nonzeros, and each functor step
+        # costs in nonzeros, so the build, the Coxeter orbit and the
+        # shortest annihilator take a fraction of the time bound together
+        start = time.perf_counter()
+        q = quiver_from_arrows(2, [(1, 2)] * 3)
+        s = principal(q, 5, 1)
+        m = build_module(s)
+        assert m.dims == (2584, 6765)
+        assert sum(len(row) for rows in m._rows for row in rows) == 9662
+        assert is_preprojective(m) == Preprojective(5)
+        assert shortest_annihilator_indec(m).multiplicities() == s.multiplicities()
+        assert time.perf_counter() - start < 10
 
     def test_rejects_empty(self, q3):
         with pytest.raises(AdmseqError, match="sequence must be nonempty"):
