@@ -6,24 +6,26 @@ first letter acts first, matching the reading order of admissible
 sequences.  All matrix entries are Python ints, so nothing overflows for
 infinite types.
 
-Reducedness, word length, Coxeter powers and finiteness of W walk a word
-on heights (``_heights``).  A real root is positive or negative (Kac,
-Infinite-dimensional Lie algebras, 1.3 and 5.1), so the sign of its
-height, the sum of its entries, decides it.  For the prefix product
-P = sigma_{x_1} ... sigma_{x_{k-1}}, u = P^T (1, ..., 1) holds the height
-of each root P(e_j); column j of P sigma_x is column j - a_xj column x,
-so one letter costs O(deg x) integer operations.  Word evaluation and
-the descent peels need whole columns and step by ``_right_reflect``;
-full matrix products serve only ``WeylElement.__mul__`` and
-``preserves_form``.
+Reducedness, word length, Coxeter powers, finiteness of W and the
+c-sorting word walk on heights.  A real root is positive or negative
+(Kac, Infinite-dimensional Lie algebras, 1.3 and 5.1), so the sign of
+its height, the sum of its entries, decides it.  For the product
+P = sigma_{x_1} ... sigma_{x_{k-1}}, u = P^T (1, ..., 1) holds the
+height of each root P(e_j); column j of P sigma_x is column j - a_xj
+column x, so every walk steps by one rule, u_j -= a_xj u_x
+(``_heights``), at O(deg x) integer operations a letter.  Word
+evaluation steps whole columns by ``_right_reflect``; full matrix
+products serve only ``WeylElement.__mul__`` and ``preserves_form``.
 
 ``WeylElement.inverse`` hands the integer matrix straight to
 ``linalg.invert``.  An element of W has determinant +-1, so its inverse
 is an integer matrix, which the fraction-free elimination finds without
 building a Fraction; a singular matrix, or one whose inverse has a
-non-integral entry, is not in W and raises AdmseqError.  Letters and
-matrix entries are read with ``operator.index``, so a float or a
-Fraction raises AdmseqError instead of being truncated.
+non-integral entry, is not in W and raises AdmseqError.  No library
+function inverts: the c-sorting word reads the heights of w^-1 off a
+descent walk of w.  Letters and matrix entries are read with
+``operator.index``, so a float or a Fraction raises AdmseqError instead
+of being truncated.
 """
 
 from __future__ import annotations
@@ -166,45 +168,16 @@ def word_of(seq):
     return WeylWord._trusted(seq.quiver.graph.cartan(), seq.letters)
 
 
-def _peel(w, scan):
-    """Peel right descents off w in passes over the letters of scan.
-
-    v is a right descent of w when w sends the simple root e_v to a
-    negative root, that is when column v of w has a negative entry.
-    Each peel w -> w sigma_v drops the length by one; returns one block
-    of peeled letters per pass, and stops at the first pass that peels
-    nothing.  Only the identity has no descent in W, so a remainder that
-    is not the identity is not in W.
-    """
-    cartan = w.cartan
-    cols = [list(c) for c in zip(*w.matrix)]
-    blocks = []
-    while True:
-        block = []
-        for v in scan:
-            if min(cols[v - 1]) < 0:
-                _right_reflect(cartan, cols, v)
-                block.append(v)
-        if not block:
-            break
-        blocks.append(block)
-    if cols != _int_identity(len(cols)):
-        raise AdmseqError("stuck peel: element is not in the Weyl group span")
-    return blocks
-
-
 @lru_cache(maxsize=64)
 def _sparse_rows(cartan):
     """Row x of A as its (j, a_xj) pairs with a_xj != 0, for each x."""
     return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan)
 
 
-def _heights(cartan, letters):
-    """Yield, for each letter x_k, the height of the real root
-    sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}), stepping u by
-    u_j -= a_xj u_x (so u_x changes sign)."""
-    rows = _sparse_rows(cartan)
-    u = [1] * len(cartan)
+def _heights(rows, u, letters):
+    """Yield, for each letter x_k, the height u_x of the real root
+    P(e_x), P = sigma_{x_1} ... sigma_{x_{k-1}}, then step u in place to
+    the heights of P sigma_x."""
     for x in letters:
         i = x - 1
         h = u[i]
@@ -213,16 +186,30 @@ def _heights(cartan, letters):
             u[j] -= a * h
 
 
+def _walk(rows, u, letters):
+    """Step u in place through the letters, as ``_heights`` does; returns u."""
+    for _ in _heights(rows, u, letters):
+        pass
+    return u
+
+
 def _first_non_reduced(cartan, letters, cap=None):
     """1-based position of the first letter x_k whose root
     sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) is negative, or None.
     Given a cap, the walk also ends with None at the first root of
-    height above it (see ``weyl_is_finite``)."""
-    for k, h in enumerate(_heights(cartan, letters), start=1):
+    height above it (see ``weyl_is_finite``).  The walk is ``_heights``
+    written out, which spares a generator step per letter."""
+    rows = _sparse_rows(cartan)
+    u = [1] * len(cartan)
+    for k, x in enumerate(letters, start=1):
+        i = x - 1
+        h = u[i]
         if h < 0:
             return k
         if cap is not None and h > cap:
             return None
+        for j, a in rows[i]:
+            u[j] -= a * h
     return None
 
 
@@ -238,7 +225,8 @@ def length_of_word(word):
     """Length of the element the word evaluates to, which is that of its
     inverse P = sigma_{x_1} ... sigma_{x_s}: l(P sigma_x) = l(P) + 1 when
     the root P(e_x) is positive and l(P) - 1 when it is negative."""
-    return sum(1 if h > 0 else -1 for h in _heights(word.cartan, word.letters))
+    rows = _sparse_rows(word.cartan)
+    return sum(1 if h > 0 else -1 for h in _heights(rows, [1] * len(rows), word.letters))
 
 
 def principal_root(seq):
@@ -340,18 +328,123 @@ class SortingWord:
         return f"SortingWord({self.render()})"
 
 
+_STUCK = "stuck peel: element is not in the Weyl group span"
+
+
+def _det(m):
+    """Determinant of the integer rows m by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): every division is exact."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p], sign = a[p], a[k], -sign
+        rk, p = a[k], a[k][k]
+        for ri in a[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
+
+
+def _fire_descents(rows, u, scan):
+    """Fire right descents in passes over the letters of scan: with u the
+    heights of the columns of P, a letter v with u_v < 0 (the root P(e_v)
+    is negative) steps u to the heights of P sigma_v.  Returns one block
+    of fired letters per pass, and stops at the first pass that fires
+    nothing."""
+    blocks = []
+    while True:
+        block = []
+        for v in scan:
+            i = v - 1
+            h = u[i]
+            if h < 0:
+                for j, a in rows[i]:
+                    u[j] -= a * h
+                block.append(v)
+        if not block:
+            return blocks
+        blocks.append(block)
+
+
+def _probe(rows, cols, letters, s):
+    """Whether Q^T b = w^T b for the covector b = (1, 2^s, ..., 2^(s(n-1))),
+    Q the product sigma_{x_1} ... sigma_{x_k} of the letters and w the
+    matrix with columns ``cols``: Q^T b is the walk of b through the
+    letters, and (w^T b)_j packs column j of w into one integer."""
+    b = [1 << s * i for i in range(len(cols))]
+    return _walk(rows, b, letters) == [sum(x << s * i for i, x in enumerate(c)) for c in cols]
+
+
 def c_sorting_word(c_word, target):
     """Greedy left-descent peel realizing the lexicographically first
-    reduced subsequence of the repeated Coxeter word.
+    reduced subsequence of the repeated Coxeter word (Reading, Trans.
+    AMS 359, 2007).
 
     Scans the Coxeter word letters cyclically in acting order (last
     letter of the word first); a letter v is taken whenever sigma_v
-    shortens the current remainder.  Left descents of the target are the
-    right descents of its inverse, so the inverse is peeled.
+    shortens the current remainder.  Left descents of the target w are
+    the right descents of w^-1, so the sort fires right descents on the
+    heights of the columns of w^-1, found without inverting w:
+
+    - the gate: w has determinant +-1 and every column c the norm
+      c^T A c = 2 of a real root, as in W.  A singular matrix, or one
+      whose inverse is not integral, raises the error
+      ``WeylElement.inverse`` raises.  Outside W the first walk may run
+      for ever; the gate stops many such matrices, but not -I;
+    - the first walk fires right descents of w, from the heights of its
+      columns, in passes over 1..n.  Its letters r_1, ..., r_k give
+      w sigma_{r_1} ... sigma_{r_k} = 1, so walking them from the
+      heights 1 of the identity gives those of
+      w^-1 = sigma_{r_1} ... sigma_{r_k};
+    - the sort fires on those heights in passes over the scan, one
+      divider block per pass.
+
+    Heights decide descents only inside W, so one product check ends
+    the sort.  The product Q of the blocks is in W, and each of its
+    columns is a real root, whose entries share the sign of its height.
+    A walk of the blocks from 1 gives the heights of Q's columns; they
+    must be those of w, which bounds every |Q_ij| by H, the largest of
+    their absolute values.  A walk from b = (1, B, ..., B^(n-1)), with B = 2^s above
+    H + max |w_ij|, gives Q^T b, which must be w^T b: then
+    sum_i (Q_ij - w_ij) B^i = 0 with every |Q_ij - w_ij| < B, so Q = w.
+    Each walk costs O(deg x) operations a letter, not O(n deg x).  A
+    failed check means w is not in W, and raises AdmseqError ("stuck
+    peel").
     """
     if c_word.cartan != target.cartan:
         raise AdmseqError("word and element over different Cartan matrices")
-    return SortingWord(_peel(target.inverse(), list(reversed(c_word.letters))))
+    m = target.matrix
+    det = _det(m)
+    if not det:
+        raise AdmseqError("matrix is singular")
+    if det * det != 1:
+        raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
+    rows = _sparse_rows(target.cartan)
+    cols = list(zip(*m))
+    for c in cols:
+        norm = 0
+        for x, row in zip(c, rows):
+            if x:
+                for j, a in row:
+                    norm += x * a * c[j]
+        if norm != 2:
+            raise AdmseqError(_STUCK)
+    n = len(m)
+    heights = [sum(c) for c in cols]
+    fired = _fire_descents(rows, list(heights), range(1, n + 1))
+    u = _walk(rows, [1] * n, [x for block in fired for x in block])
+    blocks = _fire_descents(rows, u, tuple(reversed(c_word.letters)))
+    letters = [x for block in blocks for x in block]
+    bound = max(map(abs, heights)) + max(abs(x) for row in m for x in row)
+    if not (_probe(rows, cols, letters, 0) and _probe(rows, cols, letters, bound.bit_length())):
+        raise AdmseqError(_STUCK)
+    return SortingWord(blocks)
 
 
 def is_c_sortable(c_word, target):

@@ -500,6 +500,35 @@ def lex_first_sorting_word(cartan, scan, target):
     return best
 
 
+def matrix_sorting_blocks(cartan, c_letters, matrix):
+    """Divider blocks of the c-sorting word of ``matrix`` by the column
+    peel of its inverse: the inverse is the right half of the Fraction
+    Gauss-Jordan form of [w | I]; then, in passes over the reversed
+    Coxeter word, every letter v whose column of the remainder has a
+    negative entry is peeled by a full matrix product.  Returns None when
+    a pass peels nothing and the remainder is not the identity (a stuck
+    peel); on an element outside W whose peel never ends, neither does
+    this."""
+    n = len(cartan)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    aug = [list(row) + list(e) for row, e in zip(matrix, ident)]
+    red, pivots = fraction_rref(aug, n, 2 * n)
+    if pivots[:n] != list(range(n)) or any(x.denominator != 1 for row in red for x in row):
+        raise ValueError("not an integer matrix with an integer inverse")
+    m = tuple(tuple(int(x) for x in row[n:]) for row in red)
+    blocks = []
+    while True:
+        block = []
+        for v in reversed(c_letters):
+            if any(row[v - 1] < 0 for row in m):
+                m = matmul(m, reflection_matrix(cartan, v))
+                block.append(v)
+        if not block:
+            break
+        blocks.append(tuple(block))
+    return tuple(blocks) if m == ident else None
+
+
 def sorting_blocks_from_indices(indices, scan_letters, period):
     """Divider blocks of a sorting word given flat indices into the
     repeated scan."""

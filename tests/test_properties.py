@@ -62,8 +62,11 @@ from admseq.sequences import (
     seq_from_multiplicities,
 )
 from admseq.weyl import (
+    WeylElement,
     WeylWord,
+    c_sorting_word,
     coxeter_powers_reduced,
+    is_c_sortable,
     is_reduced,
     length_of_word,
     simple_reflection,
@@ -82,6 +85,7 @@ from oracles import (
     matmul,
     matrix_first_non_reduced,
     matrix_length,
+    matrix_sorting_blocks,
     raw_graph,
     raw_nq_reachable,
     raw_projective_dims,
@@ -690,6 +694,24 @@ def test_length_of_word_matches_matrix_peel(case):
     length = length_of_word(word)
     assert length == matrix_length(cartan, letters)
     assert is_reduced(word) == (length == len(letters))
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
+def test_sorting_word_matches_column_peel_of_inverse(q, data):
+    # the two height walks and the product check against the peel of
+    # whole columns of the inverse, on finite, affine and wild quivers;
+    # the target is a bare matrix built from a random word, so it carries
+    # no word of its own
+    cartan = q.graph.cartan()
+    c_letters = data.draw(st.permutations(range(1, q.n + 1)))
+    letters = data.draw(st.lists(st.integers(1, q.n), max_size=20))
+    matrix = word_matrix(cartan, letters)
+    c_word, target = WeylWord(cartan, c_letters), WeylElement(cartan, matrix)
+    blocks = matrix_sorting_blocks(cartan, c_letters, matrix)
+    assert c_sorting_word(c_word, target).blocks == blocks
+    sets = [set(b) for b in blocks]
+    assert is_c_sortable(c_word, target) == all(b <= a for a, b in zip(sets, sets[1:]))
 
 
 @PROPERTY_SETTINGS

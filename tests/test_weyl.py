@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,6 +26,26 @@ from admseq.weyl import (
 )
 
 from oracles import bfs_lengths, word_matrix
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block after ``seconds`` of wall time where SIGALRM exists."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"no answer within {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 A2 = ((2, -1), (-1, 2))
 A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
@@ -336,6 +358,32 @@ class TestSorting:
         assert swap.preserves_form() and swap.inverse() == swap
         with pytest.raises(AdmseqError, match="stuck peel"):
             c_sorting_word(WeylWord(A2, (2, 1)), swap)
+
+    # Without the determinant in the gate, [[0, 0], [-1, 1]] (singular,
+    # but its columns have the norm 2 of a real root) would cycle for ever
+    # in the first height walk, with period 2.
+    @pytest.mark.parametrize("matrix,message", [
+        ([[-1, 0], [0, 0]], "matrix is singular"),
+        ([[0, 0], [-1, 1]], "matrix is singular"),
+        ([[-2, 0], [0, 1]], "inverse is not an integer matrix"),
+        ([[-2, 0], [0, -2]], "inverse is not an integer matrix"),
+    ])
+    @pytest.mark.parametrize("query", [c_sorting_word, is_c_sortable])
+    def test_gate_rejects_matrices_with_no_integer_inverse(self, query, matrix, message):
+        with pytest.raises(AdmseqError, match=message):
+            query(WeylWord(KRONECKER, (1, 2)), WeylElement(KRONECKER, matrix))
+
+    # Both shears have determinant 1 and a column that is no real root.
+    # On [[1, 1], [0, 1]], whose column (1, 1) is the imaginary root delta
+    # of norm 0, a column peel of the inverse never ends.  On
+    # [[1, -2], [0, 1]], whose column (-2, 1) has norm 18, the first height
+    # walk never ends without the norm test.  A regression fails at a
+    # deadline instead of hanging.
+    @pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[1, -2], [0, 1]]])
+    @pytest.mark.parametrize("query", [c_sorting_word, is_c_sortable])
+    def test_column_that_is_not_a_real_root_is_a_stuck_peel(self, query, matrix):
+        with deadline(5), pytest.raises(AdmseqError, match="stuck peel"):
+            query(WeylWord(KRONECKER, (1, 2)), WeylElement(KRONECKER, matrix))
 
     def test_sortable_from_principal(self, q3):
         c = coxeter_element(AdmissibleSeq(q3, (3, 2, 1)))
