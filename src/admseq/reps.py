@@ -11,16 +11,16 @@ space at a sink by the kernel of the assembled incoming map, whose
 inclusion ``linalg.kernel`` returns as the rows of the new maps, and the
 negative one, F_x^- = D F_x^+ D with D the transpose of every map, is
 the same kernel step on dual rows, transposed once as a fold begins and
-once as it ends.  Every walk of
-functors, from a single reflection to a Coxeter orbit, is one fold of
-that step, so a chain of reflections stays in integers.  A fold walks
-one base quiver and a parity mask of the vertices it has reflected an
-odd number of times (see ``graphs``): each step tests its sink or
-source on the mask, and a caller that needs the quiver the result lives
-on builds it once, from the final mask.  The Coxeter functor returns to
-its quiver, so its letters are found once per call as a cycle; the
-Coxeter orbit loop folds pass after pass of it, builds no quiver, and
-stops at zero, at its budget or at its first repeated state.  The
+once as it ends.  Every walk of functors, from a single reflection to a
+Coxeter orbit, is that step letter by letter, so a chain of reflections
+stays in integers.  A step reads the ends of arrows, not their
+orientation: a letter is checked once, where its walk is formed
+(``AdmissibleSeq``, the level-set emitter, or the one vertex of
+``reflect_plus`` and ``reflect_minus``), and never in a fold.  The
+Coxeter functor returns to its quiver, so its letters are found once
+per call as a cycle; the Coxeter orbit loop folds pass after pass of
+it, builds no quiver, and stops at zero, at its budget or at its first
+repeated state.  The
 shortest annihilating sequence of a preprojective module is the join of
 the principal sequences S_{j,x} of the summands M(S_{j,x}) that the
 step at x of pass j kills, read off the dims of that orbit; only the
@@ -53,8 +53,12 @@ from . import weyl as weylmod
 
 
 def _int_first(x):
-    """The value of Fraction(x), as an ``int`` when it is integral."""
-    x = Fraction(x)
+    """The value of Fraction(x), as an ``int`` when it is integral; raises
+    AdmseqError for a value that Fraction refuses."""
+    try:
+        x = Fraction(x)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise AdmseqError(f"map entry {x!r} is not a rational number") from None
     return x.numerator if x.denominator == 1 else x
 
 
@@ -163,21 +167,15 @@ def simple(quiver, x):
     return Representation._trusted(quiver, dims, _zero_rows(quiver, dims))
 
 
-def _step(quiver, flips, dims, rows, x, plus):
-    """F_x^+ at a sink x when ``plus``, else F_x^- at a source x, on raw
-    rows over ``quiver`` reflected at the bits of ``flips``; returns
-    (dims, rows), which live on that orientation reflected at x too.  An
-    F^- fold runs on dual rows (F_x^- = D F_x^+ D, see ``_dual``), so
-    both put the maps at x side by side as rows of x, in increasing
-    position, and slice the rows of the kernel inclusion into the new
-    maps.  A zero space at x keeps all of its neighbours' spaces, and no
-    neighbour space leaves nothing, so neither needs an elimination.
-    Every caller has read x as a vertex."""
-    if plus:
-        if not quiver._sink_after(flips, x):
-            raise NotSinkError(f"{x} is not a sink")
-    elif not quiver._source_after(flips, x):
-        raise NotSourceError(f"{x} is not a source")
+def _step(quiver, dims, rows, x):
+    """F_x^+ at a sink x on raw rows over ``quiver``, or F_x^- at a source
+    x on dual rows (F_x^- = D F_x^+ D, see ``_dual``); returns (dims,
+    rows).  It reads the ends of the arrows, not their orientation: the
+    maps at x go side by side as rows of x, in increasing position, and
+    the rows of the kernel inclusion are sliced into the new maps.  A
+    zero space at x keeps all of its neighbours' spaces, and no neighbour
+    space leaves nothing, so neither needs an elimination.  Every caller
+    has read x as a vertex and checked it as a sink (or source)."""
     blocks, total = [], 0  # (arrow, first column, end column) of each map at x
     for i, (s, e) in enumerate(quiver.arrows):
         if s == x or e == x:
@@ -219,27 +217,12 @@ def _dual(quiver, dims, rows, mask=-1):
     return tuple(out)
 
 
-def _fold(quiver, flips, dims, rows, letters, plus):
-    """(flips, dims, rows) after one functor step per letter, in order,
-    from ``quiver`` reflected at the bits of ``flips``: the result lives
-    on ``quiver`` reflected at the bits of the returned mask."""
+def _fold(quiver, dims, rows, letters):
+    """(dims, rows) after one functor step per letter, in order, on
+    letters checked where their walk was formed."""
     for x in letters:
-        dims, rows = _step(quiver, flips, dims, rows, x, plus)
-        flips ^= 1 << x
-    return flips, dims, rows
-
-
-def _functor(rep, letters, plus):
-    """The fold of one functor over the letters, as a Representation.  An
-    F^- fold runs on the dual rows of the maps at its letters, the only
-    ones a step reads or changes."""
-    q, mask = rep.quiver, 0
-    for x in letters:
-        mask |= 1 << x
-    rows = rep._rows if plus else _dual(q, rep.dims, rep._rows, mask)
-    flips, dims, rows = _fold(q, 0, rep.dims, rows, letters, plus)
-    return Representation._trusted(q._flipped(flips), dims,
-                                   rows if plus else _dual(q, dims, rows, mask))
+        dims, rows = _step(quiver, dims, rows, x)
+    return dims, rows
 
 
 def reflect_plus(rep, x):
@@ -249,7 +232,11 @@ def reflect_plus(rep, x):
     arrows into x; the new maps out of x are the block components of the
     kernel inclusion.
     """
-    return _functor(rep, (_vertex(rep.quiver.n, x),), True)
+    q = rep.quiver
+    x = _vertex(q.n, x)
+    if not q._sink_after(0, x):
+        raise NotSinkError(f"{x} is not a sink")
+    return Representation._trusted(q._flipped(1 << x), *_step(q, rep.dims, rep._rows, x))
 
 
 def reflect_minus(rep, x):
@@ -257,16 +244,24 @@ def reflect_minus(rep, x):
 
     The space at x becomes the cokernel of the map assembled from all
     arrows out of x; the new maps into x are inclusion followed by the
-    quotient projection.  Computed as F_x^- = D F_x^+ D.
+    quotient projection.  Computed as F_x^- = D F_x^+ D on the maps at x,
+    the only ones the step reads or changes.
     """
-    return _functor(rep, (_vertex(rep.quiver.n, x),), False)
+    q = rep.quiver
+    x = _vertex(q.n, x)
+    if not q._source_after(0, x):
+        raise NotSourceError(f"{x} is not a source")
+    mask = 1 << x
+    dims, rows = _step(q, rep.dims, _dual(q, rep.dims, rep._rows, mask), x)
+    return Representation._trusted(q._flipped(mask), dims, _dual(q, dims, rows, mask))
 
 
 def apply_sequence(rep, seq):
     """Left-to-right fold of the positive reflection functor."""
     if seq.quiver != rep.quiver:
         raise AdmseqError("sequence and representation live on different quivers")
-    return _functor(rep, seq.letters, True)
+    dims, rows = _fold(rep.quiver, rep.dims, rep._rows, seq.letters)
+    return Representation._trusted(seq.final_quiver, dims, rows)
 
 
 def _coxeter_cycle(quiver):
@@ -285,19 +280,18 @@ def canonical_complete_sequence(quiver):
 
 def coxeter_plus(rep):
     """The positive Coxeter functor: one pass along the canonical complete
-    sequence, whose letters every step checks as sinks.  Lands back on
-    the same quiver."""
+    sequence, whose letters the level-set emitter finds as sinks.  Lands
+    back on the same quiver."""
     q = rep.quiver
-    _, dims, rows = _fold(q, 0, rep.dims, rep._rows, _coxeter_cycle(q), True)
-    return Representation._trusted(q, dims, rows)
+    return Representation._trusted(q, *_fold(q, rep.dims, rep._rows, _coxeter_cycle(q)))
 
 
 def build_module(seq):
     """The indecomposable representation M(S) of a sequence with reduced
     word: start from the simple at the last letter on the orientation
-    sigma_{x_{s-1}} ... sigma_{x_1} Lambda, whose parity mask is that of
-    x_1 ... x_{s-1}, and fold negative reflection functors back.  The
-    fold runs on dual rows, and every map of the dual simple is empty.
+    sigma_{x_{s-1}} ... sigma_{x_1} Lambda, and fold negative reflection
+    functors back over the letters ``seq`` checked as sinks.  The fold
+    runs on dual rows, and every map of the dual simple is empty.
     """
     if len(seq) == 0:
         raise AdmseqError("sequence must be nonempty")
@@ -306,9 +300,7 @@ def build_module(seq):
     letters, q = seq.letters, seq.quiver
     x = letters[-1]
     dims = tuple(int(v == x) for v in q.vertices())
-    flips, dims, rows = _fold(q, seq._flips ^ 1 << x, dims, ((),) * len(q.arrows),
-                              reversed(letters[:-1]), False)
-    assert flips == 0
+    dims, rows = _fold(q, dims, ((),) * len(q.arrows), reversed(letters[:-1]))
     return Representation._trusted(q, dims, _dual(q, dims, rows))
 
 
@@ -352,7 +344,7 @@ def _annihilating_power(rep, max_iter):
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
         if not p & (p - 1):
             saved = state
-        state = _fold(q, 0, *state, cycle, True)[1:]
+        state = _fold(q, *state, cycle)
         orbit.append(state[0])
     return orbit
 
@@ -417,7 +409,7 @@ def shortest_annihilator_bruteforce(rep, annihilator):
                 s = seq_from_multiplicities(q, m)
             except InvalidMultiplicityError:
                 s = None
-            if s is not None and not any(_fold(q, 0, rep.dims, rep._rows, s.letters, True)[1]):
+            if s is not None and not any(_fold(q, rep.dims, rep._rows, s.letters)[0]):
                 best, stepped = s, True
             else:
                 m[i] += 1
@@ -492,6 +484,8 @@ def rep_from_dict(data):
             matrix = [[Fraction(str(x)) for x in row] for row in matrix]
         except ZeroDivisionError:
             raise AdmseqError(f"matrix of arrow {i} has a zero denominator") from None
+        except (ValueError, TypeError):
+            raise AdmseqError(f"matrix of arrow {i} has an entry that is not a number") from None
         rows[i] = _sparse_matrix(matrix, dims, q.arrows[i])
     return Representation._trusted(q, dims, tuple(rows))
 

@@ -241,6 +241,8 @@ GOLDEN = [
     ('mult -q {q3} -s 1 --format json', 2, None),
     ('module -q {q3} -s 2', 2, None),
     ('module -q {q3} -s 2 --format json', 2, None),
+    ('apply --module {dec} -s 1', 2, None),
+    ('apply --module {dec} -s 1 --format json', 2, None),
     ('coxeter-check -q {q3} -s 3,2,1 -m 0', 2, None),
     ('coxeter-check -q {q3} -s 3,2,1 -m 0 --format json', 2, None),
     ('coxeter-check -q {q3} -s 3,2', 2, None),
@@ -331,6 +333,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out.strip(), out.err.strip()
+
+
+def test_apply_refuses_a_non_sink_before_any_fold(capsys, files):
+    # 1 is a source of 1 -> 2 -> 3: the sequence is refused as it is read,
+    # since no functor step checks its letter again
+    code, out, err = run(capsys, "apply", "--module", files["dec"], "-s", "1")
+    assert (code, out, err) == (2, "", "error: letter 1 at position 1 is not a sink")
 
 
 class TestSequenceVerbs:
@@ -641,8 +650,13 @@ class TestErrors:
         (["phi-plus"], "--module",
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["1e400"]]}]}),
         (["phi-plus"], "--module", {"quiver": Q3, "dims": [1, 1, 0], "maps": 5}),
+        (["phi-plus"], "--module",
+         {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["abc"]]}]}),
+        (["phi-plus"], "--module",
+         {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [[None]]}]}),
     ], ids=["cartan-list", "quiver-list", "arrows-int", "module-list", "dims-int",
-            "arrow-out-of-range", "zero-denominator", "exponent", "maps-int"])
+            "arrow-out-of-range", "zero-denominator", "exponent", "maps-int",
+            "entry-text", "entry-null"])
     def test_malformed_json_shape(self, capsys, tmp_path, verb, flag, data):
         # valid JSON of the wrong shape is an input error, not a crash
         path = tmp_path / "bad.json"

@@ -53,14 +53,14 @@ def qk_regular(qk):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The functor steps taken, one entry per letter: counted at the
+    """The letters of the functor steps taken, in order: recorded at the
     one per-letter step that every functor call goes through."""
     steps = []
     step = reps._step
 
-    def counted(quiver, flips, dims, rows, x, plus):
-        steps.append(plus)
-        return step(quiver, flips, dims, rows, x, plus)
+    def counted(quiver, dims, rows, x):
+        steps.append(x)
+        return step(quiver, dims, rows, x)
 
     monkeypatch.setattr(reps, "_step", counted)
     return steps
@@ -287,18 +287,18 @@ class TestCoxeter:
     def test_budget_counts_coxeter_calls(self, qk, steps):
         # an orbit that never repeats and is cut by a budget of 16 applies
         # the Coxeter functor exactly 16 times: on the Kronecker quiver that
-        # is 16 x 2 functor steps
+        # is 16 passes of the cycle 2, 1
         m = build_module(principal(qk, 17, 1))
         steps.clear()
         assert is_preprojective(m, 16) == Undecided()
-        assert steps == [True] * 32
+        assert steps == [2, 1] * 16
         steps.clear()
         with pytest.raises(UndecidedError, match="^not annihilated within 16 Coxeter steps$"):
             shortest_annihilator_indec(m, 16)
-        assert steps == [True] * 32
+        assert steps == [2, 1] * 16
         steps.clear()
         assert is_preprojective(m, 17) == Preprojective(17)
-        assert steps == [True] * 34
+        assert steps == [2, 1] * 17
 
     def test_periodic_orbit_stops_at_first_repeat(self, qk, steps):
         # the regular module's orbit repeats a state (dims and rows) at
@@ -493,14 +493,15 @@ class TestShortestAnnihilator:
         # on affine D4 (arrows 1, 2, 3, 4 -> 5) the sum of M(S_{2,4}),
         # M(S_{30,4}) and M(S_{30,5}) is killed by 30 Coxeter passes; the
         # answer is the join of the three principal sequences, read off
-        # the orbit's dims with no functor step beyond its 30 x 5
+        # the orbit's dims with no functor step beyond its 30 passes of the
+        # cycle 5, 1, 2, 3, 4
         q = quiver_from_arrows(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
         parts = [principal(q, r, x) for r, x in ((2, 4), (30, 4), (30, 5))]
         m = direct_sum([build_module(s) for s in parts])
         assert m.dims == (45, 45, 45, 43, 91)
         steps.clear()
         found = shortest_annihilator_indec(m)
-        assert steps == [True] * 150
+        assert steps == [5, 1, 2, 3, 4] * 30
         assert found.multiplicities() == (29, 29, 29, 30, 30)
         assert found == join_annihilators(parts)
 
@@ -528,6 +529,59 @@ class TestSerialization:
         )
         assert both.maps == (((Fraction(0),),), ())
         assert both == direct_sum([simple(q3, 1), simple(q3, 2)])
+
+
+    @pytest.mark.parametrize("entry", ["abc", None, float("inf"), float("nan"), "1/0"],
+                             ids=["text", "none", "inf", "nan", "zero-denominator"])
+    def test_bad_entry_of_a_map(self, entry):
+        # each used to escape as the bare error Fraction raised
+        q = quiver_from_arrows(2, [(1, 2)])
+        with pytest.raises(AdmseqError, match="is not a rational number"):
+            Representation(q, (1, 1), [[[entry]]])
+
+    @pytest.mark.parametrize("entry,message", [
+        ("abc", "not a number"),
+        (None, "not a number"),
+        (float("nan"), "not a number"),
+        (float("inf"), "not a number"),
+        ("1/0", "zero denominator"),
+        ("1e5", "exponent"),
+    ], ids=["text", "null", "nan", "inf", "zero-denominator", "exponent"])
+    def test_bad_entry_of_a_module_file(self, entry, message):
+        data = {"quiver": {"n": 2, "arrows": [[1, 2]]}, "dims": [1, 1],
+                "maps": [{"arrow": 0, "matrix": [[entry]]}]}
+        with pytest.raises(AdmseqError, match=f"matrix of arrow 0 has .*{message}"):
+            rep_from_dict(data)
+
+    def test_json_float_entry_is_read(self):
+        data = {"quiver": {"n": 2, "arrows": [[1, 2]]}, "dims": [1, 1],
+                "maps": [{"arrow": 0, "matrix": [[1e20]]}]}
+        assert rep_from_dict(data).maps == ((((Fraction(10**20),),),))
+
+
+def test_folds_do_not_recheck_their_letters(q3, qk, monkeypatch):
+    """A letter is checked once, where its walk is formed: no fold tests a
+    sink or a source, and a single reflection tests its one vertex."""
+    seq = AdmissibleSeq(q3, (3, 2, 1, 3, 2, 3))
+    m, l1 = build_module(principal(qk, 3, 1)), simple(q3, 1)
+    calls = []
+    sink_after = Quiver._sink_after
+
+    def counted(self, flips, x):
+        calls.append(x)
+        return sink_after(self, flips, x)
+
+    monkeypatch.setattr(Quiver, "_sink_after", counted)
+    for run in (lambda: is_preprojective(m), lambda: shortest_annihilator_indec(m),
+                lambda: build_module(seq), lambda: apply_sequence(l1, seq),
+                lambda: coxeter_plus(m)):
+        run()
+        assert calls == []
+    reflect_plus(l1, 3)
+    assert calls == [3]
+    calls.clear()
+    reflect_minus(l1, 1)
+    assert calls == [1]
 
 
 def _entries(rep):
