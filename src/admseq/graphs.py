@@ -11,9 +11,10 @@ immutable after construction.
 A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
 builds, once, three masks per vertex: its in-neighbours, its
 out-neighbours and the vertices it reaches.  These masks are the
-quiver's one adjacency store: sink and source tests, the path order,
-filters and hulls are mask operations on them, and the positions of the
-arrows at a vertex are found by a scan of the arrow tuple.  A walk of
+quiver's store for the path order: sink and source tests, filters and
+hulls are mask operations on them.  The functors read the arrows at each
+vertex with their other ends, listed on first use (``_incidence_of``);
+the list holds no orientation, so reflected quivers share it.  A walk of
 reflections at sinks or sources reverses the edge u-v exactly when u
 and v were reflected, together, an odd number of times, so the
 orientation after any prefix of a walk is this quiver plus one parity
@@ -25,6 +26,7 @@ only when asked for.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .errors import (
     AcyclicityError,
@@ -152,6 +154,18 @@ def graph_from_cartan(A):
     return Graph(len(A), _upper_edges(A))
 
 
+@lru_cache(maxsize=64)
+def _incidence_of(n, arrows):
+    """Per vertex, the (position, other end) of each arrow at it, in
+    arrow order; slot 0 unused.  Cached, so that quivers on the same
+    arrows, built apart, share one."""
+    at = [[] for _ in range(n + 1)]
+    for i, (s, e) in enumerate(arrows):
+        at[s].append((i, e))
+        at[e].append((i, s))
+    return tuple(map(tuple, at))
+
+
 def _members(mask):
     """The set of vertices whose bits are set in ``mask``."""
     out = set()
@@ -167,9 +181,9 @@ class Quiver:
 
     ``arrows`` is a tuple of ordered pairs (source, target), one entry
     per edge instance.  The per-vertex masks (see the module docstring),
-    built by the acyclicity check or on first use, are its one adjacency
-    store: sink and source tests, reachability, filters and hulls read
-    them, and ``arrows_in`` and ``arrows_out`` scan the arrow tuple.
+    built by the acyclicity check or on first use, serve sink and source
+    tests, reachability, filters and hulls, ``_incidence`` the functors,
+    and ``arrows_in`` and ``arrows_out`` scan the arrow tuple.
 
     ``reflect(x)`` at a sink or a source is trusted: reversing the
     arrows there keeps the multiplicities and cannot close a cycle
@@ -185,23 +199,30 @@ class Quiver:
     is not a vertex 1..n is an AdmseqError.
     """
 
-    __slots__ = ("graph", "arrows", "_masks")
+    __slots__ = ("graph", "arrows", "_masks", "_at")
 
     def __init__(self, graph, arrows):
         arrows = tuple(_ends(graph.n, a, "arrow") for a in arrows)
         # they orient the graph exactly when, unoriented and sorted, they are its edges
         if sorted((s, e) if s < e else (e, s) for s, e in arrows) != list(graph.edges):
             raise InvalidCartanError("arrows do not orient the edges of the graph")
-        self.graph, self.arrows, self._masks = graph, arrows, None
+        self.graph, self.arrows, self._masks, self._at = graph, arrows, None, None
         self._vertex_masks()  # the acyclicity check
 
     @classmethod
-    def _trusted(cls, graph, arrows):
+    def _trusted(cls, graph, arrows, at=None):
         """The quiver of arrows already known to orient ``graph``
-        acyclically: installed without validation."""
+        acyclically: installed without validation, sharing ``at``."""
         q = object.__new__(cls)
-        q.graph, q.arrows, q._masks = graph, arrows, None
+        q.graph, q.arrows, q._masks, q._at = graph, arrows, None, at
         return q
+
+    def _incidence(self):
+        """``_incidence_of`` this quiver, read once: it holds the ends of
+        the arrows, not their orientation."""
+        if self._at is None:
+            self._at = _incidence_of(self.n, self.arrows)
+        return self._at
 
     def _vertex_masks(self):
         """(into, out, reach): per vertex, the mask of the vertices with an
@@ -244,11 +265,11 @@ class Quiver:
         ``flips``, which must be the parity mask of a walk of sinks or
         sources from this quiver: the arrow at each position is reversed
         exactly when its two ends' bits differ, and is installed without
-        validation."""
+        validation, sharing this quiver's incidence."""
         arrows = tuple(
             (e, s) if (flips >> s ^ flips >> e) & 1 else (s, e) for s, e in self.arrows
         )
-        return Quiver._trusted(self.graph, arrows)
+        return Quiver._trusted(self.graph, arrows, self._at)
 
     def _mask(self, X):
         """The mask of the vertices of X, each read with ``_vertex``."""

@@ -21,7 +21,8 @@ element, which has determinant +-1, builds none.  The reduced form is
 unique, so kernel bases are reproducible across runs.  ``kernel`` reads
 the inclusion of the kernel off the echelon form, one sparse row per
 column of the matrix, and ``invert`` reads the right half of the echelon
-form of [m | I]; it serves only ``weyl.WeylElement.inverse``.
+form of [m | I]; it serves only ``weyl.WeylElement.inverse``.  ``rref``
+copies each row it reads, so a functor step hands it a module's own map.
 """
 
 from __future__ import annotations
@@ -64,7 +65,10 @@ def _clear(target, c, row, holders=None, key=None):
             x = target.get(j, 0) - b * y
             if x:
                 if holders is not None and j not in target:
-                    holders.setdefault(j, set()).add(key)
+                    if j in holders:
+                        holders[j].add(key)
+                    else:  # a set only for a column's first holder
+                        holders[j] = {key}
                 target[j] = x
             elif j in target:
                 del target[j]
@@ -88,8 +92,8 @@ def rref(m, rows, cols):
     stays zero in every other pivot column and starts at its own, and
     the pivot rows, in pivot order and each divided by its pivot, are
     the RREF, which is unique.  The result has ``rows`` rows: the pivot
-    rows, then empty rows.  Its entries are ``int`` where integral and
-    ``Fraction`` otherwise.  ``m`` is not changed.
+    rows, then empty rows, all new dicts.  Its entries are ``int`` where
+    integral and ``Fraction`` otherwise.  ``m`` is not changed.
     """
     echelon = {}  # pivot column -> its row
     holders = {}  # other column -> the pivot columns of the rows nonzero there
@@ -110,7 +114,10 @@ def rref(m, rows, cols):
         if i < last:  # the last row is cleared from no later one
             for j in row:
                 if j != c:
-                    holders.setdefault(j, set()).add(c)
+                    if j in holders:
+                        holders[j].add(c)
+                    else:
+                        holders[j] = {c}
         echelon[c] = row
     pivots = sorted(echelon)
     out = []
@@ -121,29 +128,39 @@ def rref(m, rows, cols):
             for j, x in row.items():
                 row[j] = x // p if not x % p else Fraction(x, p)
         out.append(row)
-    return out + [{} for _ in range(rows - len(pivots))], pivots
+    for _ in range(rows - len(pivots)):
+        out.append({})
+    return out, pivots
 
 
 def kernel(m, rows, cols):
     """The kernel of the sparse rows ``m``, a rows x cols matrix, as its
     inclusion: (k, the cols sparse rows of a cols x k matrix whose
-    columns are a kernel basis).
+    columns are a kernel basis).  ``m`` is not changed.
 
     Basis vectors are ordered by free column index and have a 1 in
     their own free coordinate, so the row of a free column is that 1 and
     the row of a pivot column is minus the free part of its pivot row.
     """
     red, pivots = rref(m, rows, cols)
-    pivot_set, index, out = set(pivots), {}, []
-    for c in range(cols):
-        if c in pivot_set:
+    index = [0] * cols  # free column -> its basis vector; pivot column -> None
+    for c in pivots:
+        index[c] = None
+    out, k = [], 0
+    for c, i in enumerate(index):
+        if i is None:
             out.append(None)
         else:
-            index[c] = len(index)
-            out.append({index[c]: 1})
+            index[c] = k
+            out.append({k: 1})
+            k += 1
     for row, c in zip(red, pivots):
-        out[c] = {index[j]: -x for j, x in row.items() if j != c}
-    return len(index), out
+        del row[c]  # its 1: rref's rows are its own
+        # a loop, not a comprehension, which is a call before Python 3.12
+        out[c] = inc = {}
+        for j, x in row.items():
+            inc[index[j]] = -x
+    return k, out
 
 
 def invert(m, n):

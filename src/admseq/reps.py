@@ -13,20 +13,21 @@ negative one, F_x^- = D F_x^+ D with D the transpose of every map, is
 the same kernel step on dual rows, transposed once as a fold begins and
 once as it ends.  Every walk of functors, from a single reflection to a
 Coxeter orbit, is that step letter by letter, so a chain of reflections
-stays in integers.  A step reads the ends of arrows, not their
+stays in integers.  A step changes one dims list and one rows list in
+place and reads only the arrows at its letter, so it costs deg x and the
+nonzeros it reads, not n.  It reads the ends of arrows, not their
 orientation: a letter is checked once, where its walk is formed
 (``AdmissibleSeq``, the level-set emitter, or the one vertex of
 ``reflect_plus`` and ``reflect_minus``), and never in a fold.  The
-Coxeter functor returns to its quiver, so its letters are found once
-per call as a cycle; the Coxeter orbit loop folds pass after pass of
-it, builds no quiver, and stops at zero, at its budget or at its first
-repeated state.  The
-shortest annihilating sequence of a preprojective module is the join of
-the principal sequences S_{j,x} of the summands M(S_{j,x}) that the
-step at x of pass j kills, read off the dims of that orbit; only the
-reference search from a known annihilator descends in the lattice, one
-functor fold per step tried.  Bases come from deterministic echelon
-forms, so results are bit-reproducible.
+Coxeter functor returns to its quiver, so its letters are found once per
+call as a cycle; the Coxeter orbit loop folds pass after pass of it,
+builds no quiver, and stops at zero, at its budget or at its first
+repeated state.  The shortest annihilating sequence of a preprojective
+module is the join of the principal sequences S_{j,x} of the summands
+M(S_{j,x}) that the step at x of pass j kills, read off the dims of that
+orbit; only the reference search from a known annihilator descends in
+the lattice, one functor fold per step tried.  Bases come from
+deterministic echelon forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ from . import sequences as seqmod
 from . import weyl as weylmod
 
 
+def _has_exponent(x):
+    """A string with an exponent: Fraction("1e10000000") builds it in full."""
+    return isinstance(x, str) and ("e" in x or "E" in x)
+
+
 def _int_first(x):
     """The value of Fraction(x), as an ``int`` when it is integral; raises
-    AdmseqError for a value that Fraction refuses."""
+    AdmseqError for a value that Fraction refuses or ``_has_exponent``."""
+    if _has_exponent(x):
+        raise AdmseqError(f"map entry {x!r} has an exponent")
     try:
         x = Fraction(x)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
@@ -167,22 +175,28 @@ def simple(quiver, x):
     return Representation._trusted(quiver, dims, _zero_rows(quiver, dims))
 
 
-def _step(quiver, dims, rows, x):
-    """F_x^+ at a sink x on raw rows over ``quiver``, or F_x^- at a source
-    x on dual rows (F_x^- = D F_x^+ D, see ``_dual``); returns (dims,
-    rows).  It reads the ends of the arrows, not their orientation: the
-    maps at x go side by side as rows of x, in increasing position, and
-    the rows of the kernel inclusion are sliced into the new maps.  A
-    zero space at x keeps all of its neighbours' spaces, and no neighbour
-    space leaves nothing, so neither needs an elimination.  Every caller
-    has read x as a vertex and checked it as a sink (or source)."""
+def _step(at_x, dims, rows, x):
+    """F_x^+ at a sink x on raw rows, or F_x^- at a source x on dual rows
+    (F_x^- = D F_x^+ D, see ``_dual``), in place on the lists ``dims``
+    and ``rows``, reading the arrows ``at_x`` at x (``Quiver._incidence``):
+    their maps go side by side as rows of x, and the rows of the kernel
+    inclusion are sliced into the new maps.  A zero space at x keeps all
+    of its neighbours' spaces, and no neighbour space leaves nothing, so
+    neither needs an elimination.  Every caller has read x as a vertex
+    and checked it as a sink (or source)."""
     blocks, total = [], 0  # (arrow, first column, end column) of each map at x
-    for i, (s, e) in enumerate(quiver.arrows):
-        if s == x or e == x:
-            start, total = total, total + dims[s + e - x - 1]  # s + e - x: the other end
-            blocks.append((i, start, total))
+    for i, y in at_x:
+        start, total = total, total + dims[y - 1]
+        blocks.append((i, start, total))
     dx = dims[x - 1]
-    if dx and total:
+    if not (dx and total):
+        dims[x - 1] = total
+        for i, start, end in blocks:
+            rows[i] = tuple([{j: 1} for j in range(start, end)])
+        return
+    if len(blocks) == 1:
+        h = rows[blocks[0][0]]
+    else:  # loops, not comprehensions, which are calls before Python 3.12
         h = []
         for r in range(dx):
             row = {}
@@ -190,39 +204,35 @@ def _step(quiver, dims, rows, x):
                 for j, a in rows[i][r].items():
                     row[j + start] = a
             h.append(row)
-        k, inclusion = linalg.kernel(h, dx, total)
-    else:
-        k, inclusion = total, [{j: 1} for j in range(total)]
-    new_rows = list(rows)
+    dims[x - 1], inclusion = linalg.kernel(h, dx, total)
     for i, start, end in blocks:
-        new_rows[i] = tuple(inclusion[start:end])
-    return dims[:x - 1] + (k,) + dims[x:], tuple(new_rows)
+        rows[i] = tuple(inclusion[start:end])
 
 
-def _dual(quiver, dims, rows, mask=-1):
-    """D on the maps of the arrows with an end in the vertex mask ``mask``,
-    every arrow by default: each transposed in one pass over its
-    nonzeros, the others passed through.  A map has one row per dimension
-    of its target, whichever way its arrow points, so its transpose has
-    dims(s) + dims(e) - len(m) rows."""
-    out = []
-    for (s, e), m in zip(quiver.arrows, rows):
-        if (mask >> s | mask >> e) & 1:
-            t = [{} for _ in range(dims[s - 1] + dims[e - 1] - len(m))]
-            for i, row in enumerate(m):
-                for j, a in row.items():
-                    t[j][i] = a
-            m = tuple(t)
-        out.append(m)
-    return tuple(out)
+def _dual(dims, rows, arrows):
+    """D on the maps ``rows[i]`` of the (i, (s, e)) in ``arrows``, each
+    transposed in one pass over its nonzeros; returns the rows tuple.  A
+    map has one row per dimension of its target, whichever way its arrow
+    points, so its transpose has dims(s) + dims(e) - len(m) rows."""
+    rows = list(rows)
+    for i, (s, e) in arrows:
+        m = rows[i]
+        t = [{} for _ in range(dims[s - 1] + dims[e - 1] - len(m))]
+        for r, row in enumerate(m):
+            for j, a in row.items():
+                t[j][r] = a
+        rows[i] = tuple(t)
+    return tuple(rows)
 
 
 def _fold(quiver, dims, rows, letters):
     """(dims, rows) after one functor step per letter, in order, on
-    letters checked where their walk was formed."""
+    letters checked where their walk was formed: one dims list and one
+    rows list stepped in place, made tuples at the end."""
+    at, dims, rows = quiver._incidence(), list(dims), list(rows)
     for x in letters:
-        dims, rows = _step(quiver, dims, rows, x)
-    return dims, rows
+        _step(at[x], dims, rows, x)
+    return tuple(dims), tuple(rows)
 
 
 def reflect_plus(rep, x):
@@ -236,7 +246,8 @@ def reflect_plus(rep, x):
     x = _vertex(q.n, x)
     if not q._sink_after(0, x):
         raise NotSinkError(f"{x} is not a sink")
-    return Representation._trusted(q._flipped(1 << x), *_step(q, rep.dims, rep._rows, x))
+    dims, rows = _fold(q, rep.dims, rep._rows, (x,))
+    return Representation._trusted(q._flipped(1 << x), dims, rows)
 
 
 def reflect_minus(rep, x):
@@ -251,9 +262,9 @@ def reflect_minus(rep, x):
     x = _vertex(q.n, x)
     if not q._source_after(0, x):
         raise NotSourceError(f"{x} is not a source")
-    mask = 1 << x
-    dims, rows = _step(q, rep.dims, _dual(q, rep.dims, rep._rows, mask), x)
-    return Representation._trusted(q._flipped(mask), dims, _dual(q, dims, rows, mask))
+    maps = [(i, (x, y)) for i, y in q._incidence()[x]]
+    dims, rows = _fold(q, rep.dims, _dual(rep.dims, rep._rows, maps), (x,))
+    return Representation._trusted(q._flipped(1 << x), dims, _dual(dims, rows, maps))
 
 
 def apply_sequence(rep, seq):
@@ -301,7 +312,7 @@ def build_module(seq):
     x = letters[-1]
     dims = tuple(int(v == x) for v in q.vertices())
     dims, rows = _fold(q, dims, ((),) * len(q.arrows), reversed(letters[:-1]))
-    return Representation._trusted(q, dims, _dual(q, dims, rows))
+    return Representation._trusted(q, dims, _dual(dims, rows, enumerate(q.arrows)))
 
 
 class Preprojective:
@@ -374,9 +385,9 @@ def shortest_annihilator_indec(rep, max_iter=64):
         return AdmissibleSeq(q, ())
     # each letter x with the other end y of each arrow at x, and whether
     # the pass reflects y before x, so that the step reads its new dim
-    cycle = _coxeter_cycle(q)
-    steps = [(x, [(s + e - x - 1, s + e - x in cycle[:i]) for s, e in q.arrows if x in (s, e)])
-             for i, x in enumerate(cycle)]
+    cycle, at = _coxeter_cycle(q), q._incidence()
+    place = {x: i for i, x in enumerate(cycle)}
+    steps = [(x, [(y - 1, place[y] < place[x]) for _, y in at[x]]) for x in cycle]
     for j in range(1, len(orbit)):
         dims = orbit[j - 1], orbit[j]
         for x, ends in steps:
@@ -477,8 +488,7 @@ def rep_from_dict(data):
         if type(i) is not int or not 0 <= i < len(rows):
             raise AdmseqError(f"arrow {i!r} is not an arrow index 0..{len(rows) - 1}")
         matrix = entry["matrix"]
-        # Fraction("1e10000000") builds the whole power of ten
-        if any(isinstance(x, str) and ("e" in x or "E" in x) for row in matrix for x in row):
+        if any(_has_exponent(x) for row in matrix for x in row):
             raise AdmseqError(f"matrix of arrow {i} has an entry with an exponent")
         try:
             matrix = [[Fraction(str(x)) for x in row] for row in matrix]

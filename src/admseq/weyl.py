@@ -14,8 +14,9 @@ P = sigma_{x_1} ... sigma_{x_{k-1}}, u = P^T (1, ..., 1) holds the
 height of each root P(e_j); column j of P sigma_x is column j - a_xj
 column x, so every walk steps by one rule, u_j -= a_xj u_x
 (``_heights``), at O(deg x) integer operations a letter.  Word
-evaluation steps whole columns by ``_right_reflect``; full matrix
-products serve only ``WeylElement.__mul__`` and ``preserves_form``.
+evaluation steps whole columns by the same rule and the same sparse rows
+of A (``_right_reflect``); full matrix products serve only
+``WeylElement.__mul__`` and ``preserves_form``.
 
 ``WeylElement.inverse`` hands the integer matrix straight to
 ``linalg.invert``.  An element of W has determinant +-1, so its inverse
@@ -50,15 +51,13 @@ def _int_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _right_reflect(cartan, cols, x):
+def _right_reflect(rows, cols, x):
     """Turn the columns of P into those of P sigma_x, in place: column j
-    loses a_xj times column x, and column x changes sign."""
-    i = x - 1
-    cx = cols[i]
-    for j, f in enumerate(cartan[i]):
-        if f and j != i:
-            cols[j] = [p - f * q for p, q in zip(cols[j], cx)]
-    cols[i] = [-q for q in cx]
+    loses a_xj times column x, for the nonzero a_xj of ``_sparse_rows``,
+    so column x, with a_xx = 2, changes sign."""
+    cx = cols[x - 1]
+    for j, f in rows[x - 1]:
+        cols[j] = [p - f * q for p, q in zip(cols[j], cx)]
 
 
 class WeylElement:
@@ -150,9 +149,9 @@ class WeylWord:
         return len(self.letters)
 
     def evaluate(self):
-        cols = _int_identity(len(self.cartan))
+        cols, rows = _int_identity(len(self.cartan)), _sparse_rows(self.cartan)
         for x in reversed(self.letters):
-            _right_reflect(self.cartan, cols, x)
+            _right_reflect(rows, cols, x)
         return WeylElement._trusted(self.cartan, tuple(zip(*cols)))
 
     def __repr__(self):

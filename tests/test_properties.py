@@ -437,6 +437,22 @@ def test_functor_folds_match_single_steps(case):
 
 @PROPERTY_SETTINGS
 @given(quivers())
+def test_incidence_lists_the_arrows_at_each_vertex(q):
+    # per vertex, the positions of arrows_in and arrows_out in arrow
+    # order, each with its other end; a reflected quiver keeps the arrow
+    # ends, so it reads the same pairs, shared or built afresh
+    at = q._incidence()
+    for x in q.vertices():
+        positions = sorted(q.arrows_in(x) + q.arrows_out(x))
+        assert at[x] == tuple((i, sum(q.arrows[i]) - x) for i in positions)
+    for x in sorted(q.sinks() | q.sources()):
+        r = q.reflect(x)
+        assert r._incidence() == at
+        assert Quiver(q.graph, r.arrows)._incidence() == at
+
+
+@PROPERTY_SETTINGS
+@given(quivers())
 def test_trusted_reflection_matches_validated(q):
     # reflect at a sink or a source skips validation; it must agree with a
     # fully validated construction and with plain scans of the reflected
@@ -637,19 +653,22 @@ def test_is_reduced_matches_matrix_oracle(case):
     assert is_reduced(word) == expected
 
 
-@PROPERTY_SETTINGS
-@given(words())
-def test_evaluate_matches_matrix_product(case):
-    _, word = case
-    assert word.evaluate().matrix == word_matrix(word.cartan, word.letters)
-
-
 @st.composite
 def graph_words(draw):
     """(cartan, letters): a random graph on at most 8 vertices, wild ones
     included, and a word of at most 40 letters."""
     n, edges = draw(graph_edges(8))
     return Graph(n, edges).cartan(), draw(st.lists(st.integers(1, n), max_size=40))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(words().map(lambda case: (case[1].cartan, case[1].letters)), graph_words()))
+def test_evaluate_matches_matrix_product(case):
+    # quiver words, and words on graphs of up to 8 vertices, wild ones
+    # included, where the sparse Cartan rows that evaluation steps on
+    # leave out most of each dense row
+    cartan, letters = case
+    assert WeylWord(cartan, letters).evaluate().matrix == word_matrix(cartan, letters)
 
 
 @PROPERTY_SETTINGS
@@ -906,3 +925,43 @@ def test_rref_and_nullspace_match_fraction_elimination(case):
         m, rows, cols)
     assert _integer_first(inclusion)
     assert rows_in == before
+
+
+# Nonzero entries: Fractions, integral ones included, and some ints, so
+# that some rows are all ints and take the elimination's int path.
+ENTRIES = st.sampled_from(
+    [Fraction(1, 2), Fraction(-5, 3), Fraction(7, 6), Fraction(-3, 4), Fraction(2), -1, 3]
+)
+
+
+@st.composite
+def shared_pivot_matrices(draw):
+    """(m, rows, cols): Fraction and int entries, about one in three
+    nonzero, and every row nonzero in one of the first three columns, so
+    that rows share pivot columns and each is cleared by the rows before
+    it."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(3, 10))
+    entry = st.one_of(st.just(0), st.just(0), ENTRIES)
+    m = []
+    for _ in range(rows):
+        row = draw(st.lists(entry, min_size=cols, max_size=cols))
+        row[draw(st.integers(0, 2))] = draw(ENTRIES)
+        m.append(row)
+    return m, rows, cols
+
+
+@PROPERTY_SETTINGS
+@given(shared_pivot_matrices())
+def test_rref_and_kernel_leave_their_input_rows_alone(case):
+    # a functor step hands a module's own rows to kernel: neither reader
+    # may change them, and neither may return one of them
+    m, rows, cols = case
+    rows_in = tuple(sparse(m))
+    before = [dict(row) for row in rows_in]
+    red, pivots = linalg.rref(rows_in, rows, cols)
+    assert (dense(red, cols), pivots) == fraction_rref(m, rows, cols)
+    k, inclusion = linalg.kernel(rows_in, rows, cols)
+    assert [[row.get(t, 0) for row in inclusion] for t in range(k)] == fraction_nullspace(
+        m, rows, cols)
+    assert list(rows_in) == before
+    assert not any(out is row for out in red + inclusion for row in rows_in)

@@ -58,9 +58,9 @@ def steps(monkeypatch):
     steps = []
     step = reps._step
 
-    def counted(quiver, dims, rows, x):
+    def counted(at_x, dims, rows, x):
         steps.append(x)
-        return step(quiver, dims, rows, x)
+        step(at_x, dims, rows, x)
 
     monkeypatch.setattr(reps, "_step", counted)
     return steps
@@ -538,6 +538,25 @@ class TestSerialization:
         q = quiver_from_arrows(2, [(1, 2)])
         with pytest.raises(AdmseqError, match="is not a rational number"):
             Representation(q, (1, 1), [[[entry]]])
+
+    def test_exponent_entry_of_a_map_is_refused_at_once(self):
+        # Fraction("1e10000000") would build the whole power of ten first
+        q = quiver_from_arrows(2, [(1, 2)])
+        start = time.perf_counter()
+        with pytest.raises(AdmseqError, match="^map entry '1e10000000' has an exponent$"):
+            Representation(q, (1, 1), [[["1e10000000"]]])
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("entry,value", [
+        (3, 3), (-4, -4), (Fraction(1, 3), Fraction(1, 3)), (Fraction(6, 2), 3),
+        ("1/3", Fraction(1, 3)), ("-8/4", -2), ("7", 7),
+    ], ids=["int", "negative", "fraction", "integral-fraction", "text-fraction",
+            "text-integral", "text-int"])
+    def test_entry_of_a_map_is_read_integer_first(self, entry, value):
+        q = quiver_from_arrows(2, [(1, 2)])
+        rep = Representation(q, (1, 1), [[[entry]]])
+        assert rep._rows == (({0: value},),)
+        assert type(rep._rows[0][0][0]) is type(value)
 
     @pytest.mark.parametrize("entry,message", [
         ("abc", "not a number"),
