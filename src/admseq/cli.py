@@ -251,27 +251,33 @@ VERBS = {
 }
 
 
-def build_parser():
+def build_parser(verbs=VERBS):
+    """The parser with a subparser for each of ``verbs``; its usage names
+    every verb whichever are built."""
     parser = argparse.ArgumentParser(
         prog="admseq",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (flags, _, _) in VERBS.items():
+    every = None if verbs is VERBS else "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=every)
+    for name in verbs:
         p = sub.add_parser(name)
-        for flag in flags.split():
+        for flag in VERBS[name][0].split():
             names, options = FLAGS[flag]
             p.add_argument(*names, **options)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one verb; only its subparser is built when the verb comes first,
+    as it must to run, and every verb's otherwise, for help and errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[:1] if argv and argv[0] in VERBS else VERBS).parse_args(argv)
     _, call, shape = VERBS[args.verb]
     try:
         text, payload, verdict = shape(call(args))
-    except (AdmseqError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (AdmseqError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "format", "text") == "json":

@@ -20,14 +20,14 @@ orientation: a letter is checked once, where its walk is formed
 (``AdmissibleSeq``, the level-set emitter, or the one vertex of
 ``reflect_plus`` and ``reflect_minus``), and never in a fold.  The
 Coxeter functor returns to its quiver, so its letters are found once per
-call as a cycle; the Coxeter orbit loop folds pass after pass of it,
+call as a cycle; the one Coxeter orbit loop steps it pass after pass,
 builds no quiver, and stops at zero, at its budget or at its first
 repeated state.  The shortest annihilating sequence of a preprojective
 module is the join of the principal sequences S_{j,x} of the summands
-M(S_{j,x}) that the step at x of pass j kills, read off the dims of that
-orbit; only the reference search from a known annihilator descends in
-the lattice, one functor fold per step tried.  Bases come from
-deterministic echelon forms, so results are bit-reproducible.
+M(S_{j,x}) that the step at x of pass j kills, which that loop records
+as the step runs; only the reference search from a known annihilator
+descends in the lattice, one functor fold per step tried.  Bases come
+from deterministic echelon forms, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -339,32 +339,39 @@ class Undecided:
 
 
 def _annihilating_power(rep, max_iter):
-    """The dims of (Phi^+)^j rep for j = 0..p, p the least power with
-    (Phi^+)^p rep = 0, from at most max_iter raw passes over one cycle.
-    Raises UndecidedError when the orbit is still nonzero then or repeats
-    a state, seen at one checkpoint moved when p is 0 or a power of two
-    (Brent): a pass is a function of (dims, rows)."""
+    """(p, kills): p the least power with (Phi^+)^p rep = 0, from at most
+    max_iter raw passes over one cycle, and the (j, x), in order, of the
+    steps at x of pass j that kill d_x + d'_x - t > 0 simples: d_x and d'_x
+    the dims at x before and after and t, summed only when d_x + d'_x > 0,
+    those at the other ends of x's arrows as the step leaves them.  Raises
+    UndecidedError when the orbit is still nonzero then or repeats a state,
+    seen at one checkpoint moved when p is 0 or a power of two (Brent): a
+    pass is a function of (dims, rows)."""
     q, max_iter = rep.quiver, _int(max_iter, "Coxeter budget")
     if max_iter < 0:
         raise AdmseqError("Coxeter budget must not be negative")
-    cycle = _coxeter_cycle(q)
-    orbit, state, saved = [rep.dims], (rep.dims, rep._rows), None
-    while any(state[0]):
-        p = len(orbit) - 1
-        if p >= max_iter or state == saved:
+    cycle, at = _coxeter_cycle(q), q._incidence()
+    dims, rows, saved, p, kills = list(rep.dims), list(rep._rows), None, 0, []
+    while any(dims):
+        if p >= max_iter or (dims, rows) == saved:
             raise UndecidedError(f"not annihilated within {max_iter} Coxeter steps")
         if not p & (p - 1):
-            saved = state
-        state = _fold(q, *state, cycle)
-        orbit.append(state[0])
-    return orbit
+            saved = dims.copy(), rows.copy()  # a step replaces rows, never changes one
+        p += 1
+        for x in cycle:
+            at_x, d = at[x], dims[x - 1]
+            _step(at_x, dims, rows, x)
+            d += dims[x - 1]
+            if d and d > sum(dims[y - 1] for _, y in at_x):
+                kills.append((p, x))
+    return p, kills
 
 
 def is_preprojective(rep, max_iter=64):
     """The least annihilating power of the Coxeter functor, applied at
     most max_iter times, or Undecided."""
     try:
-        return Preprojective(len(_annihilating_power(rep, max_iter)) - 1)
+        return Preprojective(_annihilating_power(rep, max_iter)[0])
     except UndecidedError:
         return Undecided()
 
@@ -374,26 +381,13 @@ def shortest_annihilator_indec(rep, max_iter=64):
 
     Iterates the Coxeter functor until zero, at most max_iter times.  A
     summand M(S_{j,x}) = tau^{-(j-1)} P_x is the simple at the sink x when
-    pass j reaches x, and F_x^+ kills it; that step kills d_x + d'_x - t
-    simples, d_x and d'_x the dims at x before and after it and t the sum
-    of the dims at the other ends of x's arrows then, all read off the
-    orbit.  The answer is the join of those S_{j,x}.
+    pass j reaches x, and F_x^+ kills it; the orbit loop records the steps
+    that kill one as they run.  The answer is the join of those S_{j,x}.
     """
-    orbit = _annihilating_power(rep, max_iter)
-    q, seqs = rep.quiver, []
-    if len(orbit) == 1:
+    q, kills = rep.quiver, _annihilating_power(rep, max_iter)[1]
+    if not kills:
         return AdmissibleSeq(q, ())
-    # each letter x with the other end y of each arrow at x, and whether
-    # the pass reflects y before x, so that the step reads its new dim
-    cycle, at = _coxeter_cycle(q), q._incidence()
-    place = {x: i for i, x in enumerate(cycle)}
-    steps = [(x, [(y - 1, place[y] < place[x]) for _, y in at[x]]) for x in cycle]
-    for j in range(1, len(orbit)):
-        dims = orbit[j - 1], orbit[j]
-        for x, ends in steps:
-            if dims[0][x - 1] + dims[1][x - 1] > sum(dims[b][y] for y, b in ends):
-                seqs.append(seqmod.principal(q, j, x))
-    return join_annihilators(seqs)
+    return join_annihilators([seqmod.principal(q, j, x) for j, x in kills])
 
 
 def shortest_annihilator_bruteforce(rep, annihilator):

@@ -289,6 +289,31 @@ def budget_orbit_power(rep, max_iter):
     return p, last
 
 
+def orbit_kills(n, arrows, orbit):
+    """The (j, x), in pass and cycle order, of the steps that kill a
+    simple, read off the dims vectors ``orbit`` of rep, Phi^+ rep, ... and
+    the positions of the letters in a pass, the smallest sink not yet
+    reflected at every step: the step at x of pass j kills one when
+    d_x + d'_x > t, d_x and d'_x the dims at x in passes j - 1 and j and t
+    the sum over x's arrows of the dims at their other ends y, read in
+    pass j when the pass reflects y before x and in pass j - 1 if not."""
+    cycle, cur = [], arrows
+    for _ in range(n):
+        x = min(set(raw_sinks(n, cur)) - set(cycle))
+        cycle.append(x)
+        cur = raw_reflect(cur, x)
+    place = {x: i for i, x in enumerate(cycle)}
+    kills = []
+    for j in range(1, len(orbit)):
+        before, after = orbit[j - 1], orbit[j]
+        for x in cycle:
+            ends = [s + e - x for s, e in arrows if x in (s, e)]
+            t = sum((after if place[y] < place[x] else before)[y - 1] for y in ends)
+            if before[x - 1] + after[x - 1] > t:
+                kills.append((j, x))
+    return kills
+
+
 # ------------------------------------------------------------ direct sums
 
 

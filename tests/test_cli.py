@@ -544,6 +544,35 @@ class TestErrors:
         code, _, err = run(capsys, "canon", "-s", "3")
         assert code == 2
 
+    def test_library_key_error_propagates(self, monkeypatch, q3_file):
+        # no input raises KeyError, so one raised in a library call is a
+        # bug and ends in a traceback, not in exit 2
+        def broken(seq):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("admseq.sequences.canonical_form", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["canon", "-q", q3_file, "-s", "3"])
+
+    def test_only_the_chosen_verb_is_built(self, capsys, monkeypatch, q3_file):
+        # a leading verb builds its subparser alone, and anything else every
+        # verb's; the usage a usage error prints names every verb either way
+        from admseq import cli
+        built, build = [], cli.build_parser
+
+        def recorded(verbs=VERBS):
+            built.append(list(verbs))
+            return build(verbs)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        assert main(["canon", "-q", q3_file, "-s", "3"]) == 0
+        for argv in (["canon", "-q", q3_file, "-s", "3", "extra"], ["cano"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "{" + ",".join(VERBS) + "}" in capsys.readouterr().err
+        assert built == [["canon"], ["canon"], list(VERBS), list(VERBS)]
+
     def test_bad_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -86,6 +86,7 @@ from oracles import (
     matrix_first_non_reduced,
     matrix_length,
     matrix_sorting_blocks,
+    orbit_kills,
     raw_graph,
     raw_nq_reachable,
     raw_projective_dims,
@@ -278,6 +279,16 @@ def _stored_canonically(rep):
         for (s, e), m in zip(rep.quiver.arrows, rep._rows))
 
 
+def coxeter_dims(rep, budget):
+    """The dims of rep, Phi^+ rep, ... from a plain loop of the public
+    Coxeter functor, up to the first zero image or budget passes."""
+    orbit, cur = [rep.dims], rep
+    while not cur.is_zero() and len(orbit) <= budget:
+        cur = coxeter_plus(cur)
+        orbit.append(cur.dims)
+    return orbit
+
+
 @PROPERTY_SETTINGS
 @given(principal_modules())
 def test_module_dims_equal_weyl_root(case):
@@ -320,18 +331,18 @@ def test_reflect_plus_undoes_reflect_minus(case):
 @given(principal_modules())
 def test_principal_module_annihilated_by_its_sequence(case):
     # M(S_{r,x}) with reduced word is preprojective of power r, and S_{r,x}
-    # is its shortest annihilator; p and the last nonzero dims agree with a
-    # plain loop of the public Coxeter functor
+    # is its shortest annihilator; p agrees with a plain loop of the public
+    # Coxeter functor, and the one kill recorded, the step at x of pass r,
+    # with the kills read off that loop's dims
     s, _, r = case
     m = build_module(s)
     assert is_preprojective(m) == Preprojective(r)
     assert shortest_annihilator_indec(m).multiplicities() == s.multiplicities()
-    p, last, cur = 0, None, m
-    while not cur.is_zero():
-        p, last, cur = p + 1, cur.dims, coxeter_plus(cur)
-    orbit = reps._annihilating_power(m, 64)
-    assert (len(orbit) - 1, orbit[-2]) == (p, last) and not any(orbit[-1])
-    assert p == r and last in raw_projective_dims(m.quiver.n, m.quiver.arrows)
+    orbit = coxeter_dims(m, 64)
+    kills = [(r, s.letters[-1])]
+    assert reps._annihilating_power(m, 64) == (len(orbit) - 1, kills)
+    assert orbit_kills(m.quiver.n, m.quiver.arrows, orbit) == kills
+    assert len(orbit) - 1 == r and orbit[-2] in raw_projective_dims(m.quiver.n, m.quiver.arrows)
 
 
 @PROPERTY_SETTINGS
@@ -348,9 +359,10 @@ def test_orbit_power_matches_budget_only_oracle(m, budget):
             reps._annihilating_power(m, budget)
     else:
         assert is_preprojective(m, budget) == Preprojective(expected[0])
-        orbit = reps._annihilating_power(m, budget)
+        orbit = coxeter_dims(m, budget)
         assert (len(orbit) - 1, orbit[-2] if len(orbit) > 1 else None) == expected
-        assert not any(orbit[-1])
+        p, kills = reps._annihilating_power(m, budget)
+        assert p == expected[0] and kills == orbit_kills(m.quiver.n, m.quiver.arrows, orbit)
 
 
 @PROPERTY_SETTINGS

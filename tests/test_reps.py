@@ -39,7 +39,7 @@ from admseq.sequences import (
     principal,
 )
 from admseq.weyl import is_reduced, word_of
-from oracles import fraction_rref, raw_enumerate, raw_projective_dims
+from oracles import fraction_rref, orbit_kills, raw_enumerate, raw_projective_dims
 
 
 def p2_on_q3(q3):
@@ -320,8 +320,25 @@ class TestCoxeter:
         m = direct_sum([build_module(s) for s in parts])
         assert m.dims == coxeter_plus(m).dims == (1, 1, 1)
         assert is_preprojective(m, 16) == Preprojective(2)
-        orbit = reps._annihilating_power(m, 16)
-        assert len(orbit) - 1 == 2 and orbit[-2] == (1, 1, 1) and not any(orbit[-1])
+        orbit = [m.dims, coxeter_plus(m).dims, coxeter_plus(coxeter_plus(m)).dims]
+        assert orbit[-1] == (0, 0, 0)
+        kills = [(1, 1), (1, 3), (2, 2)]
+        assert reps._annihilating_power(m, 16) == (2, kills)
+        assert orbit_kills(3, q.arrows, orbit) == kills
+
+    def test_repeated_summand_is_one_kill(self, qk):
+        # the step at 1 of pass 3 kills both copies of M(S_{3,1}) and is
+        # recorded once, after the step at 2 of pass 1 that kills P_2
+        a, b = build_module(principal(qk, 3, 1)), build_module(principal(qk, 1, 2))
+        m = direct_sum([a, a, b])
+        orbit, cur = [m.dims], m
+        while not cur.is_zero():
+            cur = coxeter_plus(cur)
+            orbit.append(cur.dims)
+        kills = [(1, 2), (3, 1)]
+        assert reps._annihilating_power(m, 16) == (3, kills)
+        assert orbit_kills(2, qk.arrows, orbit) == kills
+        assert shortest_annihilator_indec(m) == principal(qk, 3, 1)
 
     def test_walks_call_no_reflect(self, monkeypatch):
         # every walk of sinks or sources runs on a parity mask over its
@@ -492,8 +509,8 @@ class TestShortestAnnihilator:
     def test_affine_d4_sum_is_read_off_its_orbit(self, steps):
         # on affine D4 (arrows 1, 2, 3, 4 -> 5) the sum of M(S_{2,4}),
         # M(S_{30,4}) and M(S_{30,5}) is killed by 30 Coxeter passes; the
-        # answer is the join of the three principal sequences, read off
-        # the orbit's dims with no functor step beyond its 30 passes of the
+        # answer is the join of the three principal sequences, recorded as
+        # the orbit steps, with no functor step beyond its 30 passes of the
         # cycle 5, 1, 2, 3, 4
         q = quiver_from_arrows(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
         parts = [principal(q, r, x) for r, x in ((2, 4), (30, 4), (30, 5))]
