@@ -89,6 +89,20 @@ def _int_tuple(values, what):
         raise AdmseqError(f"{what} must be integers") from None
 
 
+def _list(values, message, least=0):
+    """The values read once into a list; a value that cannot be iterated,
+    or that gives fewer than ``least`` items, is an AdmseqError with the
+    given message."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise AdmseqError(message) from None
+    values = list(items)
+    if len(values) < least:
+        raise AdmseqError(message)
+    return values
+
+
 def _int(value, what):
     """The value as an int, read with ``operator.index`` as ``_int_tuple`` reads."""
     try:

@@ -36,6 +36,7 @@ from .errors import (
     InvalidCartanError,
     _int,
     _int_tuple,
+    _list,
     _vertex,
 )
 
@@ -54,7 +55,7 @@ class Graph:
         n = _int(n, "vertex count")
         if n < 2:
             raise IndecomposabilityError("graph must have more than one vertex")
-        cartan = _cartan_of(n, edges, "edge")
+        cartan = _cartan_of(n, _list(edges, "edges must be a list of pairs"), "edge")
         seen, todo = {0}, [0]  # the rows of the vertices joined to vertex 1
         for i in todo:
             for j, a in enumerate(cartan[i]):
@@ -176,6 +177,9 @@ def _members(mask):
     return out
 
 
+_ARROWS = "arrows must be a list of pairs"
+
+
 class Quiver:
     """A graph together with an acyclic orientation.
 
@@ -202,7 +206,7 @@ class Quiver:
     __slots__ = ("graph", "arrows", "_masks", "_at")
 
     def __init__(self, graph, arrows):
-        arrows = tuple(_ends(graph.n, a, "arrow") for a in arrows)
+        arrows = tuple(_ends(graph.n, a, "arrow") for a in _list(arrows, _ARROWS))
         # they orient the graph exactly when, unoriented and sorted, they are its edges
         if sorted((s, e) if s < e else (e, s) for s, e in arrows) != list(graph.edges):
             raise InvalidCartanError("arrows do not orient the edges of the graph")
@@ -274,7 +278,7 @@ class Quiver:
     def _mask(self, X):
         """The mask of the vertices of X, each read with ``_vertex``."""
         mask = 0
-        for x in X:
+        for x in _list(X, "a vertex set must be a list of vertices"):
             mask |= 1 << _vertex(self.n, x)
         return mask
 
@@ -410,7 +414,7 @@ def quiver_from_arrows(n, arrows):
     it by construction and only the acyclicity check is left; an
     iterator of arrows is read like a list.
     """
-    arrows = tuple(arrows)
+    arrows = _list(arrows, _ARROWS)
     q = Quiver._trusted(Graph(n, arrows), tuple(_int_tuple(a, "arrow ends") for a in arrows))
     q._vertex_masks()  # the acyclicity check
     return q

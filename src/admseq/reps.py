@@ -45,6 +45,7 @@ from .errors import (
     UndecidedError,
     _int,
     _int_tuple,
+    _list,
     _vertex,
 )
 from .graphs import quiver_from_dict, quiver_to_dict
@@ -86,10 +87,12 @@ def _checked_dims(quiver, dims):
 def _sparse_matrix(m, dims, arrow):
     """The sparse integer-first rows of the dense matrix ``m`` of an
     arrow (s, e); raises AdmseqError unless it is dims(e) x dims(s)."""
-    (s, e), m = arrow, [[_int_first(x) for x in row] for row in m]
+    s, e = arrow
     r, c = dims[e - 1], dims[s - 1]
+    shape = f"matrix for arrow {s}->{e} must be {r} x {c}"
+    m = [[_int_first(x) for x in _list(row, shape)] for row in _list(m, shape)]
     if len(m) != r or any(len(row) != c for row in m):
-        raise AdmseqError(f"matrix for arrow {s}->{e} must be {r} x {c}")
+        raise AdmseqError(shape)
     return tuple({j: x for j, x in enumerate(row) if x} for row in m)
 
 
@@ -107,6 +110,9 @@ def _dense(rep, entry):
         yield dense
 
 
+_ONE_MATRIX = "one matrix per arrow instance is required"
+
+
 class Representation:
     """Spaces and maps over a fixed quiver; immutable.
 
@@ -121,9 +127,9 @@ class Representation:
     __slots__ = ("quiver", "dims", "_rows", "_maps")
 
     def __init__(self, quiver, dims, maps):
-        dims, maps = _checked_dims(quiver, dims), tuple(maps)
+        dims, maps = _checked_dims(quiver, dims), _list(maps, _ONE_MATRIX)
         if len(maps) != len(quiver.arrows):
-            raise AdmseqError("one matrix per arrow instance is required")
+            raise AdmseqError(_ONE_MATRIX)
         rows = tuple(_sparse_matrix(m, dims, a) for a, m in zip(quiver.arrows, maps))
         self.quiver, self.dims, self._rows, self._maps = quiver, dims, rows, None
 
@@ -424,8 +430,7 @@ def shortest_annihilator_bruteforce(rep, annihilator):
 def join_annihilators(seqs):
     """Lattice join of annihilating sequences: the shortest annihilator
     of a direct sum, given the summand answers."""
-    if not seqs:
-        raise AdmseqError("need at least one sequence")
+    seqs = _list(seqs, "need at least one sequence", 1)
     out = seqs[0]
     for s in seqs[1:]:
         out = seqmod.join(out, s)
@@ -434,8 +439,7 @@ def join_annihilators(seqs):
 
 def direct_sum(reps):
     """Blockwise direct sum of representations on the same quiver."""
-    if not reps:
-        raise AdmseqError("need at least one representation")
+    reps = _list(reps, "need at least one representation", 1)
     q = reps[0].quiver
     if any(r.quiver != q for r in reps):
         raise AdmseqError("representations live on different quivers")

@@ -13,10 +13,11 @@ its height, the sum of its entries, decides it.  For the product
 P = sigma_{x_1} ... sigma_{x_{k-1}}, u = P^T (1, ..., 1) holds the
 height of each root P(e_j); column j of P sigma_x is column j - a_xj
 column x, so every walk steps by one rule, u_j -= a_xj u_x
-(``_heights``), at O(deg x) integer operations a letter.  Word
-evaluation steps whole columns by the same rule and the same sparse rows
-of A (``_right_reflect``); full matrix products serve only
-``WeylElement.__mul__`` and ``preserves_form``.
+(``_heights``), at O(deg x) integer operations a letter.  Walking the
+letters L from any covector b gives (sigma_{L_1} ... sigma_{L_k})^T b,
+so word evaluation is the same walk: row i of the value of a word is
+the walk of e_i through its letters in reverse.  Full matrix products
+serve only ``WeylElement.__mul__`` and ``preserves_form``.
 
 ``WeylElement.inverse`` hands the integer matrix straight to
 ``linalg.invert``.  An element of W has determinant +-1, so its inverse
@@ -34,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg
-from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple
+from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple, _list
 from .graphs import _cartan_rows
 from .sequences import is_principal
 
@@ -47,19 +48,6 @@ def _int_matmul(a, b):
     )
 
 
-def _int_identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _right_reflect(rows, cols, x):
-    """Turn the columns of P into those of P sigma_x, in place: column j
-    loses a_xj times column x, for the nonzero a_xj of ``_sparse_rows``,
-    so column x, with a_xx = 2, changes sign."""
-    cx = cols[x - 1]
-    for j, f in rows[x - 1]:
-        cols[j] = [p - f * q for p, q in zip(cols[j], cx)]
-
-
 class WeylElement:
     """An element of the Weyl group as an integer matrix on Z^n."""
 
@@ -67,10 +55,11 @@ class WeylElement:
 
     def __init__(self, cartan, matrix):
         self.cartan = _cartan_rows(cartan)
-        self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in matrix)
         n = len(self.cartan)
+        shape = f"Weyl element matrix must be {n} x {n}"
+        self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in _list(matrix, shape))
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise AdmseqError(f"Weyl element matrix must be {n} x {n}")
+            raise AdmseqError(shape)
 
     @classmethod
     def _trusted(cls, cartan, matrix):
@@ -81,8 +70,7 @@ class WeylElement:
 
     @classmethod
     def identity(cls, cartan):
-        cartan = _cartan_rows(cartan)
-        return cls._trusted(cartan, tuple(map(tuple, _int_identity(len(cartan)))))
+        return WeylWord._trusted(_cartan_rows(cartan), ()).evaluate()
 
     def apply(self, v):
         v = _int_tuple(v, "vector entries")
@@ -104,7 +92,7 @@ class WeylElement:
         return WeylElement._trusted(self.cartan, tuple(map(tuple, inv)))
 
     def is_identity(self):
-        return list(map(list, self.matrix)) == _int_identity(len(self.matrix))
+        return all(x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row))
 
     def preserves_form(self):
         """Whether m^T A m = A, A the Cartan matrix."""
@@ -149,10 +137,11 @@ class WeylWord:
         return len(self.letters)
 
     def evaluate(self):
-        cols, rows = _int_identity(len(self.cartan)), _sparse_rows(self.cartan)
-        for x in reversed(self.letters):
-            _right_reflect(rows, cols, x)
-        return WeylElement._trusted(self.cartan, tuple(zip(*cols)))
+        """The matrix sigma_{x_s} ... sigma_{x_1}: row i is the walk of
+        e_i through the letters in reverse."""
+        rows, n, back = _sparse_rows(self.cartan), len(self.cartan), self.letters[::-1]
+        return WeylElement._trusted(self.cartan, tuple(
+            tuple(_walk(rows, [int(i == j) for j in range(n)], back)) for i in range(n)))
 
     def __repr__(self):
         return f"WeylWord({','.join(map(str, self.letters))})"

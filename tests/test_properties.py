@@ -729,6 +729,17 @@ def test_length_of_word_matches_matrix_peel(case):
 
 @PROPERTY_SETTINGS
 @given(quivers(), st.data())
+def test_word_value_of_a_concatenation_is_the_product(q, data):
+    # the first letter acts first: the word a + b acts as a, then as b,
+    # on finite, affine and wild quivers alike
+    cartan = q.graph.cartan()
+    a, b = (tuple(data.draw(st.lists(st.integers(1, q.n), max_size=12))) for _ in "ab")
+    value = WeylWord(cartan, a + b).evaluate()
+    assert value == WeylWord(cartan, b).evaluate() * WeylWord(cartan, a).evaluate()
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
 def test_sorting_word_matches_column_peel_of_inverse(q, data):
     # the two height walks and the product check against the peel of
     # whole columns of the inverse, on finite, affine and wild quivers;

@@ -11,7 +11,7 @@ from admseq.errors import (
     NotSourceError,
     UndecidedError,
 )
-from admseq.graphs import Quiver, quiver_from_arrows
+from admseq.graphs import Graph, Quiver, quiver_from_arrows
 from admseq.reps import (
     Preprojective,
     Representation,
@@ -38,7 +38,7 @@ from admseq.sequences import (
     equivalent,
     principal,
 )
-from admseq.weyl import is_reduced, word_of
+from admseq.weyl import WeylElement, is_reduced, word_of
 from oracles import fraction_rref, orbit_kills, raw_enumerate, raw_projective_dims
 
 
@@ -651,3 +651,38 @@ def test_maps_hold_fractions(q3, qk):
         entries = _entries(rep)
         assert all(type(x) is Fraction for x in entries), rep
     assert any(x.denominator != 1 for x in _entries(outs[0]))
+
+
+def _simples(q):
+    return [simple(q, 1), simple(q, 2)]
+
+
+def _principals(q):
+    return [principal(q, 1, 1), principal(q, 1, 2)]
+
+
+@pytest.mark.parametrize("call,expect", [
+    (lambda q: Representation(q, (1, 1), None), "one matrix per arrow instance"),
+    (lambda q: Representation(q, (1, 1), [5]), "matrix for arrow 1->2 must be 1 x 1"),
+    (lambda q: Representation(q, (1, 1), [[5]]), "matrix for arrow 1->2 must be 1 x 1"),
+    (lambda q: WeylElement(q.graph.cartan(), None), "Weyl element matrix must be 2 x 2"),
+    (lambda q: Graph(2, None), "edges must be a list of pairs"),
+    (lambda q: Quiver(q.graph, None), "arrows must be a list of pairs"),
+    (lambda q: quiver_from_arrows(2, None), "arrows must be a list of pairs"),
+    (lambda q: q.is_filter(None), "a vertex set must be a list of vertices"),
+    (lambda q: direct_sum(iter(_simples(q))), lambda q: direct_sum(_simples(q))),
+    (lambda q: join_annihilators(iter(_principals(q))),
+     lambda q: join_annihilators(_principals(q))),
+], ids=["maps-none", "maps-flat", "matrix-rows-flat", "weyl-none", "edges-none",
+        "quiver-none", "quiver-from-arrows-none", "vertex-set-none", "direct-sum-iterator",
+        "join-iterator"])
+def test_list_arguments_are_read_once(call, expect):
+    """A list-shaped argument is read once, as a list: an iterator is read
+    like one, and a value that cannot be iterated, at any depth, is an
+    AdmseqError with the shape message, never a bare TypeError."""
+    q = quiver_from_arrows(2, [(1, 2)])
+    if isinstance(expect, str):
+        with pytest.raises(AdmseqError, match=expect):
+            call(q)
+    else:
+        assert call(q) == expect(q)

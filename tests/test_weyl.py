@@ -85,6 +85,14 @@ class TestWordEvaluation:
         assert word_of(AdmissibleSeq(q3, ())).evaluate().is_identity()
         assert WeylElement.identity(A3) == WeylWord(A3, ()).evaluate()
 
+    def test_identity_of_rank_one(self):
+        assert WeylElement.identity([[2]]).is_identity()
+
+    @pytest.mark.parametrize("matrix", [((-1, 0), (0, -1)), ((1, 1), (0, 1))],
+                             ids=["minus-identity", "shear"])
+    def test_is_identity_false_off_the_identity(self, matrix):
+        assert not WeylElement(KRONECKER, matrix).is_identity()
+
     def test_equivalence_invariance(self, q3):
         a = word_of(AdmissibleSeq(q3, (3, 2, 1, 3))).evaluate()
         b = word_of(AdmissibleSeq(q3, (3, 2, 3, 1))).evaluate()
