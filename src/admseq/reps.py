@@ -33,6 +33,7 @@ from deterministic echelon forms, so results are bit-reproducible.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Set
 from fractions import Fraction
 
 from . import linalg
@@ -84,13 +85,22 @@ def _checked_dims(quiver, dims):
     return dims
 
 
+def _ordered(values, message):
+    """``_list`` of a list of maps, a matrix or a row: text, bytes, a
+    mapping or a set iterates, but not as items in order, and is an
+    AdmseqError with the given message."""
+    if isinstance(values, (str, bytes, bytearray, Mapping, Set)):
+        raise AdmseqError(message)
+    return _list(values, message)
+
+
 def _sparse_matrix(m, dims, arrow):
     """The sparse integer-first rows of the dense matrix ``m`` of an
     arrow (s, e); raises AdmseqError unless it is dims(e) x dims(s)."""
     s, e = arrow
     r, c = dims[e - 1], dims[s - 1]
     shape = f"matrix for arrow {s}->{e} must be {r} x {c}"
-    m = [[_int_first(x) for x in _list(row, shape)] for row in _list(m, shape)]
+    m = [[_int_first(x) for x in _ordered(row, shape)] for row in _ordered(m, shape)]
     if len(m) != r or any(len(row) != c for row in m):
         raise AdmseqError(shape)
     return tuple({j: x for j, x in enumerate(row) if x} for row in m)
@@ -127,7 +137,7 @@ class Representation:
     __slots__ = ("quiver", "dims", "_rows", "_maps")
 
     def __init__(self, quiver, dims, maps):
-        dims, maps = _checked_dims(quiver, dims), _list(maps, _ONE_MATRIX)
+        dims, maps = _checked_dims(quiver, dims), _ordered(maps, _ONE_MATRIX)
         if len(maps) != len(quiver.arrows):
             raise AdmseqError(_ONE_MATRIX)
         rows = tuple(_sparse_matrix(m, dims, a) for a, m in zip(quiver.arrows, maps))

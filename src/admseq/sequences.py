@@ -12,8 +12,9 @@ A walk of sinks runs on one base quiver and a parity mask of the
 vertices reflected an odd number of times (see ``graphs``): every sink
 test reads the mask, and the quiver at the end of a sequence is built
 on first read of ``final_quiver``.  Level sets are vertex masks here,
-checked as filters and hulls, and searched for minimal elements and
-principal generators, against the base quiver's per-vertex reach masks.
+checked as filters and hulls against the base quiver's per-vertex reach
+masks, and searched for minimal elements by ``principal_decomposition``,
+which also decides whether a sequence is principal.
 A sequence is emitted from its level masks one sink at a time, so it is
 admissible by construction and installed without a second sink pass.
 """
@@ -348,22 +349,13 @@ def principal(quiver, r, x):
 
 
 def is_principal(s):
-    """(r, x) when s is equivalent to the principal sequence S_{r,x};
-    None otherwise."""
+    """(r, x) when s is equivalent to the principal sequence S_{r,x},
+    that is when ``principal_decomposition`` gives the one pair (r, x);
+    None otherwise, and for the empty sequence."""
     if len(s) == 0:
         return None
-    q = s.quiver
-    supports = _level_masks(s.multiplicities())
-    top = supports[-1]
-    reach = q._vertex_masks()[2]
-    # Acyclicity makes the generator of a principal filter unique.
-    gens = [x for x in _members(top) if reach[x] == top]
-    if not gens:
-        return None
-    for i in range(len(supports) - 1):
-        if supports[i] != q._hull(supports[i + 1]):
-            return None
-    return len(supports), gens[0]
+    pairs = principal_decomposition(s)
+    return pairs[0] if len(pairs) == 1 else None
 
 
 def principal_precedes(pair, s):
@@ -381,7 +373,9 @@ def principal_decomposition(s):
 
     Returns pairs (h, v): for each level h, v runs over the minimal
     elements of the h-th support with the hull of the next support
-    removed.
+    removed.  The top level always gives a pair, so s is principal
+    exactly when it gives the only one: the top support is then the
+    principal filter of v, and each lower support the hull of the next.
     """
     if len(s) == 0:
         raise EmptySequenceError("empty sequence has no principal decomposition")
@@ -391,6 +385,8 @@ def principal_decomposition(s):
     out = []
     for h in range(1, len(supports)):
         rest = supports[h - 1] & ~q._hull(supports[h])
+        if not rest:
+            continue
         above = 0  # every vertex strictly above a member of rest
         for v in _members(rest):
             above |= reach[v] & ~(1 << v)

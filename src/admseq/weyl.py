@@ -380,6 +380,8 @@ def c_sorting_word(c_word, target):
     the right descents of w^-1, so the sort fires right descents on the
     heights of the columns of w^-1, found without inverting w:
 
+    - the Coxeter word must hold each vertex 1..n exactly once, or
+      AdmseqError names it;
     - the gate: w has determinant +-1 and every column c the norm
       c^T A c = 2 of a real root, as in W.  A singular matrix, or one
       whose inverse is not integral, raises the error
@@ -407,7 +409,10 @@ def c_sorting_word(c_word, target):
     """
     if c_word.cartan != target.cartan:
         raise AdmseqError("word and element over different Cartan matrices")
-    m = target.matrix
+    m, n = target.matrix, len(target.matrix)
+    if sorted(c_word.letters) != list(range(1, n + 1)):
+        raise AdmseqError(
+            f"{c_word!r} is not a Coxeter word: it must hold each vertex 1..{n} exactly once")
     det = _det(m)
     if not det:
         raise AdmseqError("matrix is singular")
@@ -423,7 +428,6 @@ def c_sorting_word(c_word, target):
                     norm += x * a * c[j]
         if norm != 2:
             raise AdmseqError(_STUCK)
-    n = len(m)
     heights = [sum(c) for c in cols]
     fired = _fire_descents(rows, list(heights), range(1, n + 1))
     u = _walk(rows, [1] * n, [x for block in fired for x in block])

@@ -188,6 +188,8 @@ GOLDEN = [
     ('sortable -q {q3} -w 3,2,1 -t 2,2 --format json', 0, '{"sortable": true}'),
     ('sortable -q {q3} -w 1,2,3 -t 1,3,2', 1, 'false'),
     ('sortable -q {q3} -w 1,2,3 -t 1,3,2 --format json', 1, '{"sortable": false}'),
+    ('sortable -q {q3} -w 3,2,1,3 -t 3,2,1', 2, None),
+    ('sortable -q {q3} -w 3,2,1,3 -t 3,2,1 --format json', 2, None),
     ('module -q {q3} -s 3,2,3', 0, 'dims (0, 1, 0)'),
     ('module -q {q3} -s 3,2,3 --format json', 0,
      '{"quiver": {"n": 3, "arrows": [[1, 2], [2, 3]]}, "dims": [0, 1, 0], '

@@ -50,6 +50,7 @@ from admseq.reps import (
 )
 from admseq.sequences import (
     AdmissibleSeq,
+    canonical_form,
     canonical_rep,
     complement_pair,
     is_principal,
@@ -603,6 +604,32 @@ def test_emitted_sequences_are_admissible(q, data):
         assert e.final_quiver == reduce(Quiver.reflect, e.letters, e.quiver)
 
 
+def _principal_join(data, q, sizes):
+    """The join of one to three principal sequences of q at distinct
+    vertices, each of a size drawn from ``sizes``."""
+    pairs = data.draw(st.lists(st.tuples(sizes, st.integers(1, q.n)), min_size=1, max_size=3,
+                               unique_by=lambda pair: pair[1]))
+    return reduce(join, [principal(q, r, x) for r, x in pairs])
+
+
+@settings(max_examples=400, deadline=None)
+@given(quivers(), st.data())
+def test_is_principal_matches_a_search_over_generators(q, data):
+    # a principal sequence is found with its own pair; a join of one to
+    # three of them is principal exactly when, for r' its largest
+    # multiplicity, some S_{r',x'} has its multiplicities, and then by
+    # that pair, which is the only one.  On small quivers two vertices
+    # are mostly comparable, so fewer than one join in ten is not
+    # principal: hence the 400 examples
+    r, x = data.draw(st.integers(1, 4)), data.draw(st.integers(1, q.n))
+    assert is_principal(principal(q, r, x)) == (r, x)
+    s = _principal_join(data, q, st.integers(1, 4))
+    m = s.multiplicities()
+    found = [(max(m), v) for v in q.vertices() if principal(q, max(m), v).multiplicities() == m]
+    assert len(found) <= 1
+    assert is_principal(s) == (found[0] if found else None)
+
+
 def test_ids_outside_the_quiver(q3, tmp_path, capsys):
     # an id outside 1..n is an input error, not a vertex with no arrows;
     # principal checks its generator before emitting a sequence
@@ -754,6 +781,24 @@ def test_sorting_word_matches_column_peel_of_inverse(q, data):
     assert c_sorting_word(c_word, target).blocks == blocks
     sets = [set(b) for b in blocks]
     assert is_c_sortable(c_word, target) == all(b <= a for a, b in zip(sets, sets[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
+def test_sorting_word_of_an_admissible_sequence_is_its_canonical_form(q, data):
+    """For S = x_1, ..., x_s a join of principal sequences with reduced
+    word, and c the canonical complete sequence, the c-sorting word of
+    w_S = sigma_{x_1} ... sigma_{x_s} has the segments of the canonical
+    form of S as its blocks.  A WeylWord acts first letter first, so w_S
+    is the element of the reversed letters of S, and the Coxeter word is
+    the reversed letters of c, whose sort scans c in its own order."""
+    cartan = q.graph.cartan()
+    s = _principal_join(data, q, st.integers(1, 3))
+    assume(is_reduced(word_of(s)))
+    c = canonical_complete_sequence(q)
+    c_word = WeylWord(cartan, reversed(c.letters))
+    w_s = WeylWord(cartan, reversed(s.letters)).evaluate()
+    assert c_sorting_word(c_word, w_s).blocks == canonical_form(s).segments
 
 
 @PROPERTY_SETTINGS

@@ -686,3 +686,34 @@ def test_list_arguments_are_read_once(call, expect):
             call(q)
     else:
         assert call(q) == expect(q)
+
+
+_ONE = "one matrix per arrow instance"
+_ROW_1X2, _ROW_1X1 = "matrix for arrow 1->2 must be 1 x 2", "matrix for arrow 1->2 must be 1 x 1"
+
+
+@pytest.mark.parametrize("dims,maps,message", [
+    ((2, 1), [["12"]], _ROW_1X2),
+    ((2, 1), [[b"12"]], _ROW_1X2),
+    ((2, 1), [[bytearray(b"12")]], _ROW_1X2),
+    ((2, 1), [[{3: 4, 5: 6}]], _ROW_1X2),
+    ((2, 1), [[{"1/2", "3"}]], _ROW_1X2),
+    ((2, 1), [[frozenset({1, 2})]], _ROW_1X2),
+    ((2, 1), [[{1: 0, 2: 0}.keys()]], _ROW_1X2),
+    ((1, 1), ["5"], _ROW_1X1),
+    ((1, 1), [{"7": 0}], _ROW_1X1),
+    ((2, 1), [{(1, 2)}], _ROW_1X2),
+    ((1, 1), "5", _ONE),
+    ((1, 1), {"5": 0}, _ONE),
+    ((2, 1), {((1, 2),)}, _ONE),
+], ids=["row-text", "row-bytes", "row-bytearray", "row-dict", "row-set", "row-frozenset",
+        "row-keys", "matrix-text", "matrix-dict", "matrix-set", "maps-text", "maps-dict",
+        "maps-set"])
+def test_unordered_or_text_maps_are_refused(dims, maps, message):
+    """Text, bytes, a mapping or a set iterates one character, key or
+    hash-ordered member at a time, so none of them is read as the list of
+    maps, the rows of a matrix or the entries of a row: each is refused
+    with the shape message at every depth."""
+    q = quiver_from_arrows(2, [(1, 2)])
+    with pytest.raises(AdmseqError, match=message):
+        Representation(q, dims, maps)

@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 from contextlib import contextmanager
 
@@ -392,6 +393,16 @@ class TestSorting:
     def test_column_that_is_not_a_real_root_is_a_stuck_peel(self, query, matrix):
         with deadline(5), pytest.raises(AdmseqError, match="stuck peel"):
             query(WeylWord(KRONECKER, (1, 2)), WeylElement(KRONECKER, matrix))
+
+    # the target sigma_2 is in W, so only the word can be at fault: a
+    # vertex missing or repeated
+    @pytest.mark.parametrize("letters", [(), (1,), (1, 1), (1, 2, 1), (2, 1, 2, 1)])
+    @pytest.mark.parametrize("query", [c_sorting_word, is_c_sortable])
+    def test_word_that_is_not_a_coxeter_word_is_refused(self, query, letters):
+        # a Coxeter word holds each vertex 1..n exactly once
+        word = WeylWord(A2, letters)
+        with pytest.raises(AdmseqError, match=re.escape(f"{word!r} is not a Coxeter word")):
+            query(word, WeylWord(A2, (2,)).evaluate())
 
     def test_sortable_from_principal(self, q3):
         c = coxeter_element(AdmissibleSeq(q3, (3, 2, 1)))
