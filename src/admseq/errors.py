@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the readers of
-integer inputs and vertex ids that raise them."""
+"""Exception types shared across the package, and the readers of integer
+inputs and vertex ids that raise them.  ``_ordered`` alone decides what an
+ordered argument is: it refuses text, bytes, a mapping or a set as one."""
 
+from collections.abc import Mapping, Set
 from operator import index
 
 
@@ -80,15 +82,6 @@ class UndecidedError(AdmseqError):
     """Preprojectivity could not be decided within the iteration budget."""
 
 
-def _int_tuple(values, what):
-    """The values as a tuple of ints, each read with ``operator.index``:
-    a float, a string or a Fraction is an AdmseqError, not truncated."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise AdmseqError(f"{what} must be integers") from None
-
-
 def _list(values, message, least=0):
     """The values read once into a list; a value that cannot be iterated,
     or that gives fewer than ``least`` items, is an AdmseqError with the
@@ -100,6 +93,29 @@ def _list(values, message, least=0):
     values = list(items)
     if len(values) < least:
         raise AdmseqError(message)
+    return values
+
+
+def _ordered(values, message):
+    """``_list`` of an ordered argument: text, bytes, a mapping or a set
+    iterates, but not in order, and is an AdmseqError with the message."""
+    if type(values) not in (tuple, list) and isinstance(values, (str, bytes, bytearray, Mapping, Set)):
+        raise AdmseqError(message)
+    return _list(values, message)
+
+
+def _int_tuple(values, what, length=None):
+    """The ordered argument ``values`` as a tuple of ints, each read with
+    ``operator.index``: a float, a string or a Fraction is an AdmseqError,
+    not truncated.  With ``length``, exactly that many."""
+    if type(values) not in (tuple, list):  # read as they are, with no list copy
+        values = _ordered(values, f"{what} must be integers")
+    try:
+        values = tuple(map(index, values))
+    except TypeError:
+        raise AdmseqError(f"{what} must be integers") from None
+    if length is not None and len(values) != length:
+        raise AdmseqError(f"{what} must be {length} integers, got {len(values)}")
     return values
 
 

@@ -1,10 +1,10 @@
 """Graphs, Cartan matrices, quivers, and the vertex poset.
 
 Vertices are contiguous ids 1..n.  A graph is held once, as its Cartan
-matrix, and its edge tuple is read off that matrix.  Edges and arrows
-are read by one pair reader, and a graph, a Cartan matrix and an
-orientation are each checked by one comparison with a matrix or an edge
-tuple.  Multiple edges are kept as individual arrow instances so that
+matrix, with the edges of that matrix in order as its edge tuple.  Edges
+and arrows are read by one pair reader, and a graph, a Cartan matrix and
+an orientation are each checked by one comparison with a matrix or an
+edge tuple.  Multiple edges are kept as individual arrow instances so that
 parallel arrows stay distinguishable by index.  All objects are
 immutable after construction.
 
@@ -37,6 +37,7 @@ from .errors import (
     _int,
     _int_tuple,
     _list,
+    _ordered,
     _vertex,
 )
 
@@ -45,8 +46,8 @@ class Graph:
     """Connected loop-free multigraph on vertices 1..n, with n >= 2, held
     once, as its Cartan matrix.
 
-    ``edges`` is read off that matrix: the pairs (u, v) with u < v, in
-    order, each repeated as often as the edge multiplicity.
+    ``edges`` holds the edges of that matrix: the pairs (u, v) with u < v,
+    in order, each repeated as often as the edge multiplicity.
     """
 
     __slots__ = ("n", "edges", "_cartan")
@@ -55,7 +56,10 @@ class Graph:
         n = _int(n, "vertex count")
         if n < 2:
             raise IndecomposabilityError("graph must have more than one vertex")
-        cartan = _cartan_of(n, _list(edges, "edges must be a list of pairs"), "edge")
+        pairs = [_ends(n, e, "edge") for e in _list(edges, "edges must be a list of pairs")]
+        if len(pairs) < n - 1:  # too few to connect n vertices: no n x n matrix is built
+            raise IndecomposabilityError("graph is disconnected")
+        cartan = _cartan_of(n, pairs)
         seen, todo = {0}, [0]  # the rows of the vertices joined to vertex 1
         for i in todo:
             for j, a in enumerate(cartan[i]):
@@ -64,7 +68,8 @@ class Graph:
                     todo.append(j)
         if len(seen) < n:
             raise IndecomposabilityError("graph is disconnected")
-        self.n, self.edges, self._cartan = n, _upper_edges(cartan), cartan
+        edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)  # no n x n scan
+        self.n, self.edges, self._cartan = n, tuple(edges), cartan
 
     def edge_mult(self, u, v):
         u, v = _vertex(self.n, u), _vertex(self.n, v)
@@ -92,10 +97,7 @@ class Graph:
 def _ends(n, pair, what):
     """The edge or arrow ``pair`` as (u, v): two distinct integer ids in
     1..n, or an AdmseqError naming it ``what``."""
-    ends = _int_tuple(pair, f"{what} ends")
-    if len(ends) != 2:
-        raise AdmseqError(f"{what} {ends} does not have two ends")
-    u, v = ends
+    u, v = ends = _int_tuple(pair, f"{what} ends", 2)
     if not (0 < u <= n and 0 < v <= n):
         raise InvalidCartanError(f"{what} ({u},{v}) out of vertex range 1..{n}")
     if u == v:
@@ -103,12 +105,11 @@ def _ends(n, pair, what):
     return ends
 
 
-def _cartan_of(n, pairs, what):
+def _cartan_of(n, pairs):
     """The Cartan matrix, as a tuple of rows, of the multigraph on 1..n
-    with one edge per pair, each pair read by ``_ends``."""
+    with one edge per pair (u, v) of distinct vertices."""
     rows = [[0] * n for _ in range(n)]
-    for pair in pairs:
-        u, v = _ends(n, pair, what)
+    for u, v in pairs:
         rows[u - 1][v - 1] -= 1
         rows[v - 1][u - 1] -= 1
     for i in range(n):
@@ -143,7 +144,7 @@ def _cartan_rows(A):
     if not _int_rows(A):
         raise InvalidCartanError("matrix is not a square list of integer rows")
     A = tuple(map(tuple, A))
-    if _cartan_of(len(A), _upper_edges(A), "edge") != A:
+    if _cartan_of(len(A), _upper_edges(A)) != A:
         raise InvalidCartanError("matrix is not symmetric with 2 on the diagonal and <= 0 off it")
     return A
 
@@ -206,7 +207,7 @@ class Quiver:
     __slots__ = ("graph", "arrows", "_masks", "_at")
 
     def __init__(self, graph, arrows):
-        arrows = tuple(_ends(graph.n, a, "arrow") for a in _list(arrows, _ARROWS))
+        arrows = tuple(_ends(graph.n, a, "arrow") for a in _ordered(arrows, _ARROWS))
         # they orient the graph exactly when, unoriented and sorted, they are its edges
         if sorted((s, e) if s < e else (e, s) for s, e in arrows) != list(graph.edges):
             raise InvalidCartanError("arrows do not orient the edges of the graph")
@@ -414,7 +415,7 @@ def quiver_from_arrows(n, arrows):
     it by construction and only the acyclicity check is left; an
     iterator of arrows is read like a list.
     """
-    arrows = _list(arrows, _ARROWS)
+    arrows = _ordered(arrows, _ARROWS)
     q = Quiver._trusted(Graph(n, arrows), tuple(_int_tuple(a, "arrow ends") for a in arrows))
     q._vertex_masks()  # the acyclicity check
     return q

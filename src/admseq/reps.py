@@ -33,7 +33,6 @@ from deterministic echelon forms, so results are bit-reproducible.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Set
 from fractions import Fraction
 
 from . import linalg
@@ -47,6 +46,7 @@ from .errors import (
     _int,
     _int_tuple,
     _list,
+    _ordered,
     _vertex,
 )
 from .graphs import quiver_from_dict, quiver_to_dict
@@ -83,15 +83,6 @@ def _checked_dims(quiver, dims):
     if len(dims) != quiver.n or any(d < 0 for d in dims):
         raise AdmseqError("dimension vector does not fit the quiver")
     return dims
-
-
-def _ordered(values, message):
-    """``_list`` of a list of maps, a matrix or a row: text, bytes, a
-    mapping or a set iterates, but not as items in order, and is an
-    AdmseqError with the given message."""
-    if isinstance(values, (str, bytes, bytearray, Mapping, Set)):
-        raise AdmseqError(message)
-    return _list(values, message)
 
 
 def _sparse_matrix(m, dims, arrow):

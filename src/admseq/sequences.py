@@ -313,19 +313,10 @@ def complement_pair(s, t):
     return w, u, v
 
 
-def _int_pair(pair, what, wrong):
-    """The pair as two ints, or AdmseqError ``wrong`` when there are not two."""
-    pair = _int_tuple(pair, what)
-    if len(pair) != 2:
-        raise AdmseqError(wrong)
-    return pair
-
-
 def _principal_pair(pair):
     """The pair (r, x) naming a principal sequence, as ints, for a size
     r >= 1; a caller with a quiver reads x with ``_vertex``."""
-    r, x = _int_pair(pair, "size and vertex",
-                     "a principal sequence is named by a size and a vertex")
+    r, x = _int_tuple(pair, "size and vertex", 2)
     if r < 1:
         raise AdmseqError("size must be positive")
     return r, x
@@ -434,8 +425,7 @@ def nq_reachable(quiver, a, b):
     level l form the hull of F, so (l, u) reaches (l + k, v) exactly when
     u lies in the k-th hull of the principal filter of v; hulls only grow,
     and no arrow lowers the level."""
-    (la, u), (lb, v) = (_int_pair(node, "node", "a node is a (level, vertex) pair")
-                        for node in (a, b))
+    (la, u), (lb, v) = (_int_tuple(node, "node", 2) for node in (a, b))
     u, v = _vertex(quiver.n, u), _vertex(quiver.n, v)
     if lb < la:
         return False

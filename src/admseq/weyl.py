@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg
-from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple, _list
+from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple, _ordered
 from .graphs import _cartan_rows
 from .sequences import is_principal
 
@@ -57,7 +57,7 @@ class WeylElement:
         self.cartan = _cartan_rows(cartan)
         n = len(self.cartan)
         shape = f"Weyl element matrix must be {n} x {n}"
-        self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in _list(matrix, shape))
+        self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in _ordered(matrix, shape))
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise AdmseqError(shape)
 

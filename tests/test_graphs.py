@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from admseq.errors import (
@@ -91,6 +93,24 @@ class TestQuiver:
     def test_non_integer_arrow_list_rejected(self):
         with pytest.raises(AdmseqError, match="must be integers"):
             quiver_from_arrows(3, [(1.9, 2.2), (2, 3)])
+
+    def test_too_few_edges_are_disconnected_before_any_matrix(self):
+        # a connected graph on n vertices has at least n - 1 edges, so one
+        # edge on 3000 vertices is refused without the 3000 x 3000 Cartan
+        # matrix; a bad edge is still named first
+        tracemalloc.start()
+        try:
+            for build in (lambda: Graph(3000, [(1, 2)]), lambda: quiver_from_arrows(3000, [(1, 2)])):
+                with pytest.raises(IndecomposabilityError, match="graph is disconnected"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(InvalidCartanError, match=r"edge \(1,3001\) out of vertex range"):
+            Graph(3000, [(1, 3001)])
+        with pytest.raises(AdmseqError, match="edge ends must be 2 integers, got 3"):
+            Graph(3000, [(1, 2, 3)])
 
     def test_two_cycle_rejected(self):
         with pytest.raises(AcyclicityError):

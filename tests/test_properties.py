@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -60,6 +61,7 @@ from admseq.sequences import (
     principal,
     principal_decomposition,
     principal_precedes,
+    psi,
     seq_from_multiplicities,
 )
 from admseq.weyl import (
@@ -364,6 +366,74 @@ def test_orbit_power_matches_budget_only_oracle(m, budget):
         assert (len(orbit) - 1, orbit[-2] if len(orbit) > 1 else None) == expected
         p, kills = reps._annihilating_power(m, budget)
         assert p == expected[0] and kills == orbit_kills(m.quiver.n, m.quiver.arrows, orbit)
+
+
+@st.composite
+def unimodular(draw, d):
+    """(P, P^-1): a d x d integer matrix of determinant +-1, a product of
+    elementary row operations (add k times a row to another, negate a
+    row), with its inverse carried along as the inverse column operations."""
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    inv = [row[:] for row in p]
+    for _ in range(draw(st.integers(0, 3 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        if i == j:
+            p[j] = [-x for x in p[j]]
+            for row in inv:
+                row[j] = -row[j]
+        else:
+            p[j] = [a + k * b for a, b in zip(p[j], p[i])]
+            for row in inv:
+                row[i] -= k * row[j]
+    return p, inv
+
+
+def _product(a, b, cols):
+    """The product of an r x t and a t x cols matrix, for any of them 0."""
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(cols)] for row in a]
+
+
+@st.composite
+def rebased(draw, m):
+    """m in another basis: each vertex space v conjugated by a random
+    unimodular P_v, so the map M of an arrow s -> e becomes P_e M P_s^-1."""
+    bases = [draw(unimodular(d)) for d in m.dims]
+    for (p, inv), d in zip(bases, m.dims):
+        assert _product(p, inv, d) == [[int(i == j) for j in range(d)] for i in range(d)]
+    return Representation(m.quiver, m.dims, [
+        _product(bases[e - 1][0], _product(a, bases[s - 1][1], m.dims[s - 1]), m.dims[s - 1])
+        for (s, e), a in zip(m.quiver.arrows, m.maps)])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(module_sums().map(lambda case: case[0]), quivers().flatmap(walk_modules)),
+       st.data())
+def test_a_change_of_basis_keeps_the_orbit(m, data):
+    # the orbit's power and kills, the shortest annihilator and the
+    # Coxeter image's dims are invariants of the isomorphism class, not
+    # of the basis the library chose for a direct sum of M(S)
+    other = data.draw(rebased(m))
+    assert reps._annihilating_power(other, 64) == reps._annihilating_power(m, 64)
+    assert shortest_annihilator_indec(other).letters == shortest_annihilator_indec(m).letters
+    assert coxeter_plus(other).dims == coxeter_plus(m).dims
+
+
+KRONECKER = quiver_from_arrows(2, [(1, 2), (1, 2)])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(regular_kronecker(KRONECKER), st.sampled_from([
+    Representation(KRONECKER, (2, 2), [[[1, 0], [0, 1]], [[2, 1], [0, 2]]]),
+    Representation(KRONECKER, (1, 1), [[[1]], [[3]]]),
+])), st.data())
+def test_a_change_of_basis_keeps_a_regular_module_undecided(m, data):
+    # a regular Kronecker module in any basis is still caught by the
+    # orbit's repeated state, long before a budget of 1000 passes runs out
+    other = data.draw(rebased(m))
+    with mock.patch.object(reps, "_step", wraps=reps._step) as step:
+        assert is_preprojective(other, 1000) == Undecided()
+    assert step.call_count < 2 * 64
 
 
 @PROPERTY_SETTINGS
@@ -681,6 +751,65 @@ def test_every_vertex_id_is_read_by_one_reader(q3, query, x):
         query(q3, x)
     if type(x) is int:
         assert str(exc.value) == f"{x} is not a vertex 1..3"
+
+
+A2 = ((2, -1), (-1, 2))
+
+# every reader of a positional argument whose order matters, handed text,
+# bytes, a mapping or a set, on the A3 quiver 1 -> 2 -> 3: each iterates
+# its characters, its keys or its members in hash order, never the items
+# in a given order, so each is refused with the reader's own message
+UNORDERED_ARGUMENTS = {
+    "weyl-element-rows": (lambda q: WeylElement(A2, [{0: "a", 1: "b"}, {1: 0, 0: 0}]),
+                          "Weyl element entries must be integers"),
+    "weyl-apply": (lambda q: WeylElement(A2, ((1, 0), (0, 1))).apply({0: 1, 1: 0}),
+                   "vector entries must be integers"),
+    "weyl-word": (lambda q: WeylWord(A2, {2: 0, 1: 0}), "word letters must be integers"),
+    "admissible-letters": (lambda q: AdmissibleSeq(q, {3: 0, 2: 0}), "letters must be integers"),
+    "multiplicities": (lambda q: seq_from_multiplicities(q, {0: 1, 1: 1, 2: 2}),
+                       "multiplicities must be integers"),
+    "representation-dims": (lambda q: Representation(q, {1: 0, 0: 0, 2: 0}, [[], [[], []]]),
+                            "dimensions must be integers"),
+    "edge-set": (lambda q: Graph(3, [{1, 2}, (2, 3)]), "edge ends must be integers"),
+    "arrow-set": (lambda q: quiver_from_arrows(2, [{2, 1}]), "edge ends must be integers"),
+    "arrow-bytes": (lambda q: quiver_from_arrows(2, [b"\x02\x01"]), "edge ends must be integers"),
+    "arrow-dict": (lambda q: Quiver(q.graph, [{1: 0, 2: 0}, (2, 3)]), "arrow ends must be integers"),
+    "arrows-set": (lambda q: quiver_from_arrows(3, {(1, 2), (2, 3)}),
+                   "arrows must be a list of pairs"),
+    "quiver-arrows-set": (lambda q: Quiver(q.graph, {(1, 2), (2, 3)}),
+                          "arrows must be a list of pairs"),
+    "psi": (lambda q: psi({3: 0, 1: 0}), "size and vertex must be integers"),
+    "principal_precedes": (lambda q: principal_precedes({1: 0, 3: 0}, AdmissibleSeq(q, (3,))),
+                           "size and vertex must be integers"),
+    "nq_reachable": (lambda q: nq_reachable(q, {0: 0, 1: 0}, (1, 1)), "node must be integers"),
+}
+
+
+@pytest.mark.parametrize("call,message", UNORDERED_ARGUMENTS.values(), ids=UNORDERED_ARGUMENTS)
+def test_ordered_arguments_refuse_text_mappings_and_sets(q3, call, message):
+    with pytest.raises(AdmseqError, match=f"^{message}$"):
+        call(q3)
+
+
+def test_pairs_name_their_count(q3):
+    # a pair of integers with another count is named by the one reader
+    with pytest.raises(AdmseqError, match="^size and vertex must be 2 integers, got 3$"):
+        psi((1, 2, 3))
+    with pytest.raises(AdmseqError, match="^node must be 2 integers, got 1$"):
+        nq_reachable(q3, (0, 1), (1,))
+    with pytest.raises(AdmseqError, match="^arrow ends must be 2 integers, got 3$"):
+        Quiver(q3.graph, [(1, 2, 3), (2, 3)])
+
+
+def test_sets_are_read_where_order_means_nothing(q3):
+    # a vertex set, the edges of a graph and the sequences of a join have
+    # no order to lose, and a set of them is read like a list
+    assert q3.is_filter({2, 3}) and q3.is_filter(frozenset({3}))
+    assert q3.upward_closure({2}) == {2, 3} == q3.upward_closure({2: 0}.keys())
+    assert q3.hull(frozenset({3})) == {2, 3}
+    assert Graph(3, {(2, 3), (1, 2)}) == Graph(3, [(1, 2), (2, 3)])
+    parts = {principal(q3, 1, 2), principal(q3, 2, 3)}
+    assert join_annihilators(parts) == join_annihilators(sorted(parts, key=lambda s: s.letters))
 
 
 @PROPERTY_SETTINGS

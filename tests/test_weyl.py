@@ -7,7 +7,8 @@ import pytest
 
 from admseq import weyl
 from admseq.errors import AdmseqError, InvalidCartanError, NotCompleteError, NotPrincipalError
-from admseq.graphs import Graph, graph_from_cartan
+from admseq.graphs import Graph, graph_from_cartan, quiver_from_arrows
+from admseq.reps import canonical_complete_sequence
 from admseq.sequences import AdmissibleSeq, principal
 from admseq.weyl import (
     SortingWord,
@@ -26,7 +27,7 @@ from admseq.weyl import (
     word_of,
 )
 
-from oracles import bfs_lengths, word_matrix
+from oracles import bfs_lengths, raw_enumerate, word_matrix
 
 
 @contextmanager
@@ -441,3 +442,29 @@ class TestSorting:
                 continue
             for block in c_sorting_word(c, elem).blocks:
                 assert block
+
+    @pytest.mark.parametrize("n,arrows,hit,sortable", [
+        (3, ((1, 2), (2, 3)), 7, 13),
+        (3, ((1, 2), (3, 2)), 8, 13),
+        (4, ((1, 2), (3, 2), (3, 4)), 19, 41),
+        (4, ((1, 2), (2, 3), (2, 4)), 21, 49),
+        (4, ((1, 2), (3, 2), (4, 2)), 24, 49),
+    ], ids=["A3-linear", "A3-alternating", "A4-mixed", "D4-path-and-leaf", "D4-star"])
+    def test_reduced_admissible_sequences_hit_c_sortable_elements(self, n, arrows, hit, sortable):
+        # w_S = sigma_{x_1} ... sigma_{x_s}, the value of the reversed word
+        # of S, is c-sortable for c the reversed canonical complete
+        # sequence; the nonempty reduced admissible S (none longer than the
+        # longest element) reach only part of the non-identity c-sortable
+        # elements, and how many depends on the orientation, not on the
+        # graph alone
+        q = quiver_from_arrows(n, arrows)
+        A = q.graph.cartan()
+        lengths = bfs_lengths(A)
+        c_word = WeylWord(A, tuple(reversed(canonical_complete_sequence(q).letters)))
+        c_sortable = {m for m, length in lengths.items()
+                      if length and is_c_sortable(c_word, WeylElement(A, m))}
+        w_s = {WeylWord(A, tuple(reversed(letters))).evaluate().matrix
+               for letters in raw_enumerate(n, arrows, max(lengths.values()))
+               if letters and is_reduced(WeylWord(A, letters))}
+        assert (len(w_s), len(c_sortable)) == (hit, sortable)
+        assert w_s <= c_sortable
