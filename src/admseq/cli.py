@@ -280,6 +280,9 @@ def main(argv=None):
     except (AdmseqError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # an input too large to answer, not a false property
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload, default=reps.rep_to_dict))
     else:

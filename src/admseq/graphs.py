@@ -1,12 +1,13 @@
 """Graphs, Cartan matrices, quivers, and the vertex poset.
 
-Vertices are contiguous ids 1..n.  A graph is held once, as its Cartan
-matrix, with the edges of that matrix in order as its edge tuple.  Edges
-and arrows are read by one pair reader, and a graph, a Cartan matrix and
-an orientation are each checked by one comparison with a matrix or an
-edge tuple.  Multiple edges are kept as individual arrow instances so that
-parallel arrows stay distinguishable by index.  All objects are
-immutable after construction.
+Vertices are contiguous ids 1..n.  A graph is held as its sorted edge
+tuple and, per vertex, the mask of its neighbours; its Cartan matrix is
+built from the edges only when asked for, so no n x n object lies on the
+path from an arrow list to a quiver.  Edges and arrows are read once, by
+one pair reader, and a Cartan matrix and an orientation are each checked
+by one comparison with a matrix or an edge tuple.  Multiple edges are
+kept as individual arrow instances so that parallel arrows stay
+distinguishable by index.  All objects are immutable after construction.
 
 A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
 builds, once, three masks per vertex: its in-neighbours, its
@@ -43,45 +44,61 @@ from .errors import (
 
 
 class Graph:
-    """Connected loop-free multigraph on vertices 1..n, with n >= 2, held
-    once, as its Cartan matrix.
+    """Connected loop-free multigraph on vertices 1..n, with n >= 2.
 
-    ``edges`` holds the edges of that matrix: the pairs (u, v) with u < v,
-    in order, each repeated as often as the edge multiplicity.
+    ``edges`` holds its edges: the pairs (u, v) with u < v, in order,
+    each repeated as often as the edge multiplicity.  Per vertex, a mask
+    of its neighbours serves the connectivity check and ``neighbors``;
+    the Cartan matrix is built from the edges on the first ``cartan()``
+    call and kept.
     """
 
-    __slots__ = ("n", "edges", "_cartan")
+    __slots__ = ("n", "edges", "_nbrs", "_cartan")
 
     def __init__(self, n, edges):
+        self._read(n, edges)
+
+    def _read(self, n, edges):
+        """Read the vertex count and the edge list into this graph, or
+        raise; returns the edges as read, (u, v) pairs in the order given."""
         n = _int(n, "vertex count")
         if n < 2:
             raise IndecomposabilityError("graph must have more than one vertex")
         pairs = [_ends(n, e, "edge") for e in _list(edges, "edges must be a list of pairs")]
-        if len(pairs) < n - 1:  # too few to connect n vertices: no n x n matrix is built
+        if len(pairs) < n - 1:  # too few to connect n vertices: no per-vertex list is built
             raise IndecomposabilityError("graph is disconnected")
-        cartan = _cartan_of(n, pairs)
-        seen, todo = {0}, [0]  # the rows of the vertices joined to vertex 1
-        for i in todo:
-            for j, a in enumerate(cartan[i]):
-                if a and j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-        if len(seen) < n:
+        nbrs = [0] * (n + 1)
+        for u, v in pairs:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        seen = rest = 2  # breadth first from vertex 1
+        while rest:
+            grown = 0
+            while rest:
+                low = rest & -rest
+                grown |= nbrs[low.bit_length() - 1]
+                rest ^= low
+            rest = grown & ~seen
+            seen |= rest
+        if seen != (1 << n + 1) - 2:
             raise IndecomposabilityError("graph is disconnected")
-        edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)  # no n x n scan
-        self.n, self.edges, self._cartan = n, tuple(edges), cartan
+        edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
+        self.n, self.edges, self._nbrs, self._cartan = n, tuple(edges), tuple(nbrs), None
+        return pairs
 
     def edge_mult(self, u, v):
         u, v = _vertex(self.n, u), _vertex(self.n, v)
-        return 0 if u == v else -self._cartan[u - 1][v - 1]
+        return self.edges.count((u, v) if u < v else (v, u))
 
     def neighbors(self, u):
         """The vertices joined to the vertex u by an edge."""
-        return {v for v, a in enumerate(self._cartan[_vertex(self.n, u) - 1], 1) if a < 0}
+        return _members(self._nbrs[_vertex(self.n, u)])
 
     def cartan(self):
         """The symmetric generalized Cartan matrix: 2 on the diagonal,
         minus the edge multiplicity off it."""
+        if self._cartan is None:
+            self._cartan = _cartan_of(self.n, self.edges)
         return self._cartan
 
     def __eq__(self, other):
@@ -153,7 +170,9 @@ def graph_from_cartan(A):
     """The graph whose Cartan matrix is ``A``; raises as ``_cartan_rows``
     does, and IndecomposabilityError when A splits into blocks."""
     A = _cartan_rows(A)
-    return Graph(len(A), _upper_edges(A))
+    g = Graph(len(A), _upper_edges(A))
+    g._cartan = A
+    return g
 
 
 @lru_cache(maxsize=64)
@@ -411,12 +430,12 @@ class Quiver:
 def quiver_from_arrows(n, arrows):
     """Quiver whose underlying graph is read off from the arrow list.
 
-    The arrows are read once, as the edges of that graph, so they orient
-    it by construction and only the acyclicity check is left; an
-    iterator of arrows is read like a list.
+    The arrows are read once, as the edges of that graph and as the
+    arrow tuple, so they orient it by construction and only the
+    acyclicity check is left; an iterator of arrows is read like a list.
     """
-    arrows = _ordered(arrows, _ARROWS)
-    q = Quiver._trusted(Graph(n, arrows), tuple(_int_tuple(a, "arrow ends") for a in arrows))
+    graph = object.__new__(Graph)
+    q = Quiver._trusted(graph, tuple(graph._read(n, _ordered(arrows, _ARROWS))))
     q._vertex_masks()  # the acyclicity check
     return q
 

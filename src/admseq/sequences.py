@@ -17,6 +17,11 @@ masks, and searched for minimal elements by ``principal_decomposition``,
 which also decides whether a sequence is principal.
 A sequence is emitted from its level masks one sink at a time, so it is
 admissible by construction and installed without a second sink pass.
+A level of every vertex reflects each vertex once, a complete sequence,
+and gives back the quiver it starts from (Bernstein-Gelfand-Ponomarev):
+full levels repeat.  The emitter reuses the letters of a full level for
+each full level after it, ``principal`` takes no hull of a full level,
+and ``principal_decomposition`` passes over a level equal to the next.
 """
 
 from __future__ import annotations
@@ -198,11 +203,21 @@ def _emit_segment(quiver, pool, flips):
 
 def _emit_levels(quiver, levels):
     """Segments emitted from level masks one by one, each from the parity
-    mask left by the ones before it; returns (segments, final flips)."""
+    mask left by the ones before it; returns (segments, final flips).
+
+    A full level reflects every vertex once, so it leaves ``flips ^
+    full``, at which every sink test reads as at ``flips``: a full level
+    that follows a full level repeats its letters."""
+    full = (1 << quiver.n + 1) - 2
     segments = []
     flips = 0
+    prev = None
     for level in levels:
-        letters, flips = _emit_segment(quiver, level, flips)
+        if level == prev == full:
+            flips ^= full
+        else:
+            letters, flips = _emit_segment(quiver, level, flips)
+            prev = level
         segments.append(letters)
     return segments, flips
 
@@ -330,11 +345,13 @@ def principal(quiver, r, x):
     a vertex 1..n.
     """
     r, x = _principal_pair((r, x))
+    full = (1 << quiver.n + 1) - 2
     level = quiver._vertex_masks()[2][_vertex(quiver.n, x)]
     filters = [level]
-    for _ in range(r - 1):
+    while len(filters) < r and level != full:
         level = quiver._hull(level)
         filters.append(level)
+    filters += [full] * (r - len(filters))  # the hull of every vertex is every vertex
     filters.reverse()
     return _from_levels(quiver, filters)
 
@@ -375,6 +392,8 @@ def principal_decomposition(s):
     supports = _level_masks(s.multiplicities()) + [0]
     out = []
     for h in range(1, len(supports)):
+        if supports[h - 1] == supports[h]:
+            continue  # a filter lies in its own hull: nothing is left
         rest = supports[h - 1] & ~q._hull(supports[h])
         if not rest:
             continue

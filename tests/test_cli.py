@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import admseq
 from admseq.cli import FLAGS, VERBS, export_component, main
 
 from oracles import raw_graph, raw_reflect, raw_sinks
@@ -623,6 +628,20 @@ class TestErrors:
         code, out, err = run(capsys, "coxeter-check", "-q", q3_file, "-s", "3,2,1", "-m", power)
         assert (code, out) == (2, "")
         assert "at least 1" in err
+
+    def test_out_of_memory_is_an_input_error(self, q3_file):
+        # c^m for m near 10^11 asks for a word of 3 * 10^11 letters: one line
+        # and exit 2, not a traceback and the exit 1 of a false property.
+        # The child caps its address space at 1 GB, so the request fails at
+        # once whatever the host's overcommit policy
+        child = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+                 "from admseq.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ["coxeter-check", "-q", q3_file, "-s", "3,2,1", "-m", "99999999999"]
+        env = {**os.environ, "PYTHONPATH": str(Path(admseq.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("verb", ["preproj", "sm"])
     def test_negative_coxeter_budget(self, capsys, l1_file, verb):

@@ -18,7 +18,7 @@ from admseq.graphs import (
 )
 from admseq.sequences import AdmissibleSeq
 
-from oracles import raw_filters
+from oracles import raw_filters, raw_graph
 
 
 A3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -111,6 +111,26 @@ class TestQuiver:
             Graph(3000, [(1, 3001)])
         with pytest.raises(AdmseqError, match="edge ends must be 2 integers, got 3"):
             Graph(3000, [(1, 2, 3)])
+
+    def test_a_long_path_builds_no_square_matrix(self):
+        # a graph keeps its edges and one neighbour mask per vertex, so the
+        # path on 3000 vertices peaks far below the 72 MB that the pointers
+        # of a 3000 x 3000 matrix alone would take; the Cartan matrix is
+        # still built when asked for (here on a 300-vertex path)
+        n = 3000
+        arrows = [(v, v + 1) for v in range(1, n)]
+        tracemalloc.start()
+        try:
+            g = Graph(n, arrows)
+            q = quiver_from_arrows(n, arrows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert q.graph == g and q.arrows == tuple(arrows) and q.sinks() == {n}
+        assert g.neighbors(1) == {2} and g.neighbors(n // 2) == {n // 2 - 1, n // 2 + 1}
+        short = Graph(300, arrows[:299])
+        assert short.cartan() == raw_graph(300, arrows[:299])[1]
 
     def test_two_cycle_rejected(self):
         with pytest.raises(AcyclicityError):

@@ -660,7 +660,8 @@ def test_emitted_sequences_are_admissible(q, data):
     # sets without a sink pass: each must pass a fresh validation, and its
     # final quiver must be the fold of reflect over its letters
     s, t = _walk(data, q), _walk(data, q)
-    r, x = data.draw(st.integers(1, 4)), data.draw(st.integers(1, q.n))
+    # sizes up to 2n + 2 reach full levels that repeat the one before
+    r, x = data.draw(st.integers(1, 2 * q.n + 2)), data.draw(st.integers(1, q.n))
     emitted = [
         principal(q, r, x),
         seq_from_multiplicities(q, s.multiplicities()),
@@ -672,6 +673,21 @@ def test_emitted_sequences_are_admissible(q, data):
     for e in emitted:
         assert e == AdmissibleSeq(e.quiver, e.letters)
         assert e.final_quiver == reduce(Quiver.reflect, e.letters, e.quiver)
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
+def test_a_full_level_is_the_canonical_complete_sequence(q, data):
+    # for r >= n the two lowest level sets of S_{r+1,x} are every vertex
+    # (a hull takes in the neighbours of its level, and every vertex is
+    # fewer than n edges from x), so its first segment is the canonical
+    # complete sequence k, which gives back q, and the rest is S_{r,x}
+    r, x = data.draw(st.integers(q.n, 3 * q.n)), data.draw(st.integers(1, q.n))
+    k, s = canonical_complete_sequence(q), principal(q, r, x)
+    longer = principal(q, r + 1, x)
+    assert longer.letters == k.letters + s.letters
+    assert longer._flips == s._flips ^ k._flips
+    assert longer == AdmissibleSeq(q, longer.letters)
 
 
 def _principal_join(data, q, sizes):
@@ -1021,6 +1037,15 @@ def test_graph_is_its_cartan_matrix(case, data):
                       lambda: quiver_from_arrows(n, replaced(arrows, not_pair))):
             with pytest.raises(AdmseqError):
                 build()
+    # quiver_from_arrows reads the arrows as the edges of their graph, so a
+    # broken arrow list fails there exactly as the same list fails in Graph
+    missing = arrows[:k] + arrows[k + 1:]  # broken only when it disconnects
+    for wrong in [missing, *(replaced(arrows, pair)
+                             for pair in ((u, u), (u, n + 1), (0, v), (), (u,), (u, v, u)))]:
+        expected = _outcome(lambda: Graph(n, wrong))
+        if wrong is missing and isinstance(expected, Graph):
+            continue
+        assert _outcome(lambda: quiver_from_arrows(n, wrong)) == expected
 
 
 def _outcome(build):
