@@ -137,15 +137,15 @@ def _word(args):
 
 
 def _reduced(args):
-    word = weyl.WeylWord(_graph(args).cartan(), parse(args.word))
+    word = weyl.WeylWord(_graph(args), parse(args.word))
     return weyl.is_reduced(word), len(word)
 
 
 def _sorting(args):
     """The Coxeter word -w and the element of the target word -t."""
-    cartan = _graph(args).cartan()
-    return (weyl.WeylWord(cartan, parse(args.word)),
-            weyl.WeylWord(cartan, parse(args.other)).evaluate())
+    graph = _graph(args)
+    return (weyl.WeylWord(graph, parse(args.word)),
+            weyl.WeylWord(graph, parse(args.other)).evaluate())
 
 
 def _apply(args):

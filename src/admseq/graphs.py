@@ -1,12 +1,14 @@
 """Graphs, Cartan matrices, quivers, and the vertex poset.
 
 Vertices are contiguous ids 1..n.  A graph is held as its sorted edge
-tuple and, per vertex, the mask of its neighbours; its Cartan matrix is
-built from the edges only when asked for, so no n x n object lies on the
-path from an arrow list to a quiver.  Edges and arrows are read once, by
-one pair reader, and a Cartan matrix and an orientation are each checked
-by one comparison with a matrix or an edge tuple.  Multiple edges are
-kept as individual arrow instances so that parallel arrows stay
+tuple and, per vertex, the mask of its neighbours.  Its Cartan matrix is
+kept once, as sparse rows built from the edges and cached per edge tuple
+(``_rows_of``), which Weyl words and elements share; only ``cartan()``
+builds the dense n x n matrix, so none lies on the path from an arrow
+list to a quiver or a Weyl walk.  Edges and arrows are read once, by one
+pair reader, and a Cartan matrix and an orientation are each checked by
+one comparison with a matrix or an edge tuple.  Multiple edges are kept
+as individual arrow instances so that parallel arrows stay
 distinguishable by index.  All objects are immutable after construction.
 
 A vertex set is also an ``int`` mask, bit v for vertex v.  Each quiver
@@ -48,12 +50,10 @@ class Graph:
 
     ``edges`` holds its edges: the pairs (u, v) with u < v, in order,
     each repeated as often as the edge multiplicity.  Per vertex, a mask
-    of its neighbours serves the connectivity check and ``neighbors``;
-    the Cartan matrix is built from the edges on the first ``cartan()``
-    call and kept.
+    of its neighbours serves the connectivity check and ``neighbors``.
     """
 
-    __slots__ = ("n", "edges", "_nbrs", "_cartan")
+    __slots__ = ("n", "edges", "_nbrs")
 
     def __init__(self, n, edges):
         self._read(n, edges)
@@ -83,7 +83,7 @@ class Graph:
         if seen != (1 << n + 1) - 2:
             raise IndecomposabilityError("graph is disconnected")
         edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
-        self.n, self.edges, self._nbrs, self._cartan = n, tuple(edges), tuple(nbrs), None
+        self.n, self.edges, self._nbrs = n, tuple(edges), tuple(nbrs)
         return pairs
 
     def edge_mult(self, u, v):
@@ -94,12 +94,13 @@ class Graph:
         """The vertices joined to the vertex u by an edge."""
         return _members(self._nbrs[_vertex(self.n, u)])
 
+    def _rows(self):
+        return _rows_of(self.n, self.edges)
+
     def cartan(self):
         """The symmetric generalized Cartan matrix: 2 on the diagonal,
-        minus the edge multiplicity off it."""
-        if self._cartan is None:
-            self._cartan = _cartan_of(self.n, self.edges)
-        return self._cartan
+        minus the edge multiplicity off it; built anew on each call."""
+        return _matrix_of(self._rows())
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -122,16 +123,25 @@ def _ends(n, pair, what):
     return ends
 
 
-def _cartan_of(n, pairs):
-    """The Cartan matrix, as a tuple of rows, of the multigraph on 1..n
-    with one edge per pair (u, v) of distinct vertices."""
-    rows = [[0] * n for _ in range(n)]
-    for u, v in pairs:
-        rows[u - 1][v - 1] -= 1
-        rows[v - 1][u - 1] -= 1
-    for i in range(n):
-        rows[i][i] = 2
-    return tuple(map(tuple, rows))
+@lru_cache(maxsize=64)
+def _rows_of(n, edges):
+    """Row x of the Cartan matrix of the multigraph on 1..n with one edge
+    per pair (u, v) in ``edges``, as its (j, a_xj) pairs with a_xj != 0,
+    0-based, for each x.  Cached: one Weyl group, one tuple of rows."""
+    rows = [{i: 2} for i in range(n)]
+    for u, v in edges:
+        rows[u - 1][v - 1] = rows[u - 1].get(v - 1, 0) - 1
+        rows[v - 1][u - 1] = rows[v - 1].get(u - 1, 0) - 1
+    return tuple(tuple(row.items()) for row in rows)
+
+
+def _matrix_of(rows):
+    """The dense matrix, as a tuple of rows, of the sparse rows."""
+    matrix = [[0] * len(rows) for _ in rows]
+    for dense, row in zip(matrix, rows):
+        for j, a in row:
+            dense[j] = a
+    return tuple(map(tuple, matrix))
 
 
 def _upper_edges(A):
@@ -154,25 +164,24 @@ def _int_rows(value, width=None):
 
 
 def _cartan_rows(A):
-    """A as a tuple of rows.  Raises InvalidCartanError for anything but a
-    square list of integer rows that form a symmetric generalized Cartan
-    matrix: A is one exactly when it is the Cartan matrix of the edges
-    read off its upper triangle.  Connectivity is not checked."""
+    """The rows (``_rows_of``) of a Graph, unchecked, or of A.  Raises
+    InvalidCartanError for anything but a square list of integer rows that
+    form a symmetric generalized Cartan matrix: A is one exactly when it is
+    the matrix of the edges read off its upper triangle, connected or not."""
+    if isinstance(A, Graph):
+        return A._rows()
     if not _int_rows(A):
         raise InvalidCartanError("matrix is not a square list of integer rows")
-    A = tuple(map(tuple, A))
-    if _cartan_of(len(A), _upper_edges(A)) != A:
+    rows = _rows_of(len(A), _upper_edges(A))
+    if _matrix_of(rows) != tuple(map(tuple, A)):
         raise InvalidCartanError("matrix is not symmetric with 2 on the diagonal and <= 0 off it")
-    return A
+    return rows
 
 
 def graph_from_cartan(A):
     """The graph whose Cartan matrix is ``A``; raises as ``_cartan_rows``
     does, and IndecomposabilityError when A splits into blocks."""
-    A = _cartan_rows(A)
-    g = Graph(len(A), _upper_edges(A))
-    g._cartan = A
-    return g
+    return Graph(len(_cartan_rows(A)), _upper_edges(A))
 
 
 @lru_cache(maxsize=64)

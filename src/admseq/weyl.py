@@ -4,7 +4,9 @@ Simple reflections act on the root lattice Z^n by
 sigma_i(e_j) = e_j - a_ij e_i.  Words follow the convention that the
 first letter acts first, matching the reading order of admissible
 sequences.  All matrix entries are Python ints, so nothing overflows for
-infinite types.
+infinite types.  Words and elements keep the Cartan matrix as the sparse
+rows of ``graphs._cartan_rows``, one tuple per Weyl group, read from a
+Graph or checked once from a matrix.
 
 Reducedness, word length, Coxeter powers, finiteness of W and the
 c-sorting word walk on heights.  A real root is positive or negative
@@ -16,8 +18,9 @@ column x, so every walk steps by one rule, u_j -= a_xj u_x
 (``_heights``), at O(deg x) integer operations a letter.  Walking the
 letters L from any covector b gives (sigma_{L_1} ... sigma_{L_k})^T b,
 so word evaluation is the same walk: row i of the value of a word is
-the walk of e_i through its letters in reverse.  Full matrix products
-serve only ``WeylElement.__mul__`` and ``preserves_form``.
+the walk of e_i through its letters in reverse.  The dense Cartan matrix
+and full matrix products serve only ``cartan``, ``WeylElement.__mul__``
+and ``preserves_form``.
 
 ``WeylElement.inverse`` hands the integer matrix straight to
 ``linalg.invert``.  An element of W has determinant +-1, so its inverse
@@ -32,41 +35,41 @@ of being truncated.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import linalg
 from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple, _ordered
-from .graphs import _cartan_rows
+from .graphs import _cartan_rows, _matrix_of
 from .sequences import is_principal
 
 
 def _int_matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 class WeylElement:
-    """An element of the Weyl group as an integer matrix on Z^n."""
+    """An element of the Weyl group of a Cartan matrix or a Graph, as an integer matrix on Z^n."""
 
-    __slots__ = ("cartan", "matrix")
+    __slots__ = ("_rows", "matrix")
 
     def __init__(self, cartan, matrix):
-        self.cartan = _cartan_rows(cartan)
-        n = len(self.cartan)
+        self._rows = _cartan_rows(cartan)
+        n = len(self._rows)
         shape = f"Weyl element matrix must be {n} x {n}"
         self.matrix = tuple(_int_tuple(row, "Weyl element entries") for row in _ordered(matrix, shape))
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise AdmseqError(shape)
 
     @classmethod
-    def _trusted(cls, cartan, matrix):
-        """The checked Cartan rows and n x n integer rows, unvalidated."""
+    def _trusted(cls, rows, matrix):
+        """The Cartan rows of ``_cartan_rows`` and n x n integer rows, unvalidated."""
         w = object.__new__(cls)
-        w.cartan, w.matrix = cartan, matrix
+        w._rows, w.matrix = rows, matrix
         return w
+
+    @property
+    def cartan(self):
+        """The Cartan matrix, built from the rows."""
+        return _matrix_of(self._rows)
 
     @classmethod
     def identity(cls, cartan):
@@ -79,9 +82,11 @@ class WeylElement:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.matrix)
 
     def __mul__(self, other):
-        if self.cartan != other.cartan:
+        if not isinstance(other, WeylElement):
+            raise AdmseqError(f"a factor must be a WeylElement, not {type(other).__name__}")
+        if self._rows != other._rows:
             raise AdmseqError("elements of different Weyl groups")
-        return WeylElement._trusted(self.cartan, _int_matmul(self.matrix, other.matrix))
+        return WeylElement._trusted(self._rows, _int_matmul(self.matrix, other.matrix))
 
     def inverse(self):
         """The inverse matrix; raises AdmseqError when the matrix is
@@ -89,25 +94,22 @@ class WeylElement:
         inv = linalg.invert(self.matrix, len(self.matrix))
         if any(type(x) is not int for row in inv for x in row):
             raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
-        return WeylElement._trusted(self.cartan, tuple(map(tuple, inv)))
+        return WeylElement._trusted(self._rows, tuple(map(tuple, inv)))
 
     def is_identity(self):
         return all(x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row))
 
     def preserves_form(self):
         """Whether m^T A m = A, A the Cartan matrix."""
-        mt = tuple(zip(*self.matrix))
-        return _int_matmul(_int_matmul(mt, self.cartan), self.matrix) == self.cartan
+        mt, cartan = tuple(zip(*self.matrix)), self.cartan
+        return _int_matmul(_int_matmul(mt, cartan), self.matrix) == cartan
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.cartan == other.cartan
-            and self.matrix == other.matrix
-        )
+        return (isinstance(other, WeylElement) and self._rows == other._rows
+                and self.matrix == other.matrix)
 
     def __hash__(self):
-        return hash((self.cartan, self.matrix))
+        return hash((self._rows, self.matrix))
 
     def __repr__(self):
         return f"WeylElement({self.matrix})"
@@ -115,23 +117,25 @@ class WeylElement:
 
 class WeylWord:
     """A generator word x_1,...,x_s denoting sigma_{x_s} ... sigma_{x_1}
-    (the first letter acts first)."""
+    (the first letter acts first), over a Cartan matrix or a Graph's."""
 
-    __slots__ = ("cartan", "letters")
+    __slots__ = ("_rows", "letters")
 
     def __init__(self, cartan, letters):
-        self.cartan = _cartan_rows(cartan)
+        self._rows = _cartan_rows(cartan)
         self.letters = _int_tuple(letters, "word letters")
-        n = len(self.cartan)
+        n = len(self._rows)
         if any(not 1 <= x <= n for x in self.letters):
             raise AdmseqError("word letter out of range")
 
     @classmethod
-    def _trusted(cls, cartan, letters):
-        """The checked Cartan rows and a tuple of letters 1..n, unvalidated."""
+    def _trusted(cls, rows, letters):
+        """The Cartan rows of ``_cartan_rows`` and a tuple of letters 1..n, unvalidated."""
         w = object.__new__(cls)
-        w.cartan, w.letters = cartan, letters
+        w._rows, w.letters = rows, letters
         return w
+
+    cartan = WeylElement.cartan
 
     def __len__(self):
         return len(self.letters)
@@ -139,8 +143,8 @@ class WeylWord:
     def evaluate(self):
         """The matrix sigma_{x_s} ... sigma_{x_1}: row i is the walk of
         e_i through the letters in reverse."""
-        rows, n, back = _sparse_rows(self.cartan), len(self.cartan), self.letters[::-1]
-        return WeylElement._trusted(self.cartan, tuple(
+        rows, n, back = self._rows, len(self._rows), self.letters[::-1]
+        return WeylElement._trusted(rows, tuple(
             tuple(_walk(rows, [int(i == j) for j in range(n)], back)) for i in range(n)))
 
     def __repr__(self):
@@ -153,13 +157,7 @@ def simple_reflection(cartan, i):
 
 def word_of(seq):
     """The Weyl word of an admissible sequence (letters copied as is)."""
-    return WeylWord._trusted(seq.quiver.graph.cartan(), seq.letters)
-
-
-@lru_cache(maxsize=64)
-def _sparse_rows(cartan):
-    """Row x of A as its (j, a_xj) pairs with a_xj != 0, for each x."""
-    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan)
+    return WeylWord._trusted(seq.quiver.graph._rows(), seq.letters)
 
 
 def _heights(rows, u, letters):
@@ -181,14 +179,13 @@ def _walk(rows, u, letters):
     return u
 
 
-def _first_non_reduced(cartan, letters, cap=None):
+def _first_non_reduced(rows, letters, cap=None):
     """1-based position of the first letter x_k whose root
     sigma_{x_1} ... sigma_{x_{k-1}}(e_{x_k}) is negative, or None.
     Given a cap, the walk also ends with None at the first root of
     height above it (see ``weyl_is_finite``).  The walk is ``_heights``
     written out, which spares a generator step per letter."""
-    rows = _sparse_rows(cartan)
-    u = [1] * len(cartan)
+    u = [1] * len(rows)
     for k, x in enumerate(letters, start=1):
         i = x - 1
         h = u[i]
@@ -206,14 +203,14 @@ def is_reduced(word):
     u adds one to the length exactly when the real root
     u^{-1}(e_x) = sigma_{x_1} ... sigma_{x_{k-1}}(e_x) is positive, that
     is when its height is.  No matrix is built."""
-    return _first_non_reduced(word.cartan, word.letters) is None
+    return _first_non_reduced(word._rows, word.letters) is None
 
 
 def length_of_word(word):
     """Length of the element the word evaluates to, which is that of its
     inverse P = sigma_{x_1} ... sigma_{x_s}: l(P sigma_x) = l(P) + 1 when
     the root P(e_x) is positive and l(P) - 1 when it is negative."""
-    rows = _sparse_rows(word.cartan)
+    rows = word._rows
     return sum(1 if h > 0 else -1 for h in _heights(rows, [1] * len(rows), word.letters))
 
 
@@ -226,10 +223,8 @@ def principal_root(seq):
     """
     if is_principal(seq) is None:
         raise NotPrincipalError("criterion applies to principal sequences only")
-    cartan = seq.quiver.graph.cartan()
-    rows = _sparse_rows(cartan)
-    letters = seq.letters
-    v = [int(j == letters[-1] - 1) for j in range(len(cartan))]
+    rows, letters = seq.quiver.graph._rows(), seq.letters
+    v = [int(j == letters[-1] - 1) for j in range(len(rows))]
     for x in reversed(letters[:-1]):
         # sigma_x(v) = v - <row x of A, v> e_x changes entry x only, and
         # every other entry is already known to be non-negative
@@ -241,11 +236,9 @@ def principal_root(seq):
 
 
 def principal_reduced_criterion(seq):
-    """Positivity test for principal sequences: all partial right
-    products applied to the last simple root stay positive.
-
-    Agrees with is_reduced(word_of(seq)) on principal sequences.
-    """
+    """Positivity test for principal sequences: all partial right products
+    applied to the last simple root stay positive, exactly when
+    is_reduced(word_of(seq))."""
     return principal_root(seq) is not None
 
 
@@ -267,7 +260,7 @@ def weyl_is_finite(graph):
     above that height proves W infinite and ends the walk early."""
     n = graph.n
     letters = tuple(range(1, n + 1)) * (max(n, 15) + 1)
-    return _first_non_reduced(graph.cartan(), letters, cap=max(2 * n - 3, 29)) is not None
+    return _first_non_reduced(graph._rows(), letters, cap=max(2 * n - 3, 29)) is not None
 
 
 def coxeter_powers_reduced(seq, m_max):
@@ -285,7 +278,7 @@ def coxeter_powers_reduced(seq, m_max):
     if not seq.is_complete():
         raise NotCompleteError("sequence is not complete")
     n = len(seq.letters)
-    bad = _first_non_reduced(seq.quiver.graph.cartan(), seq.letters * m_max)
+    bad = _first_non_reduced(seq.quiver.graph._rows(), seq.letters * m_max)
     return [(m, bad is None or bad > m * n, m * n) for m in range(1, m_max + 1)]
 
 
@@ -407,7 +400,10 @@ def c_sorting_word(c_word, target):
     failed check means w is not in W, and raises AdmseqError ("stuck
     peel").
     """
-    if c_word.cartan != target.cartan:
+    if not (isinstance(c_word, WeylWord) and isinstance(target, WeylElement)):
+        raise AdmseqError(f"a sort takes a WeylWord and a WeylElement, not "
+                          f"{type(c_word).__name__} and {type(target).__name__}")
+    if c_word._rows != target._rows:
         raise AdmseqError("word and element over different Cartan matrices")
     m, n = target.matrix, len(target.matrix)
     if sorted(c_word.letters) != list(range(1, n + 1)):
@@ -418,15 +414,10 @@ def c_sorting_word(c_word, target):
         raise AdmseqError("matrix is singular")
     if det * det != 1:
         raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
-    rows = _sparse_rows(target.cartan)
+    rows = target._rows
     cols = list(zip(*m))
-    for c in cols:
-        norm = 0
-        for x, row in zip(c, rows):
-            if x:
-                for j, a in row:
-                    norm += x * a * c[j]
-        if norm != 2:
+    for c in cols:  # c^T A c, from the rows at the nonzero entries of c
+        if sum(x * a * c[j] for x, row in zip(c, rows) if x for j, a in row) != 2:
             raise AdmseqError(_STUCK)
     heights = [sum(c) for c in cols]
     fired = _fire_descents(rows, list(heights), range(1, n + 1))

@@ -774,13 +774,21 @@ A2 = ((2, -1), (-1, 2))
 # every reader of a positional argument whose order matters, handed text,
 # bytes, a mapping or a set, on the A3 quiver 1 -> 2 -> 3: each iterates
 # its characters, its keys or its members in hash order, never the items
-# in a given order, so each is refused with the reader's own message
+# in a given order, so each is refused with the reader's own message; and a
+# Weyl operand of the wrong type, refused with the type it should have
 UNORDERED_ARGUMENTS = {
     "weyl-element-rows": (lambda q: WeylElement(A2, [{0: "a", 1: "b"}, {1: 0, 0: 0}]),
                           "Weyl element entries must be integers"),
     "weyl-apply": (lambda q: WeylElement(A2, ((1, 0), (0, 1))).apply({0: 1, 1: 0}),
                    "vector entries must be integers"),
     "weyl-word": (lambda q: WeylWord(A2, {2: 0, 1: 0}), "word letters must be integers"),
+    "weyl-product-int": (lambda q: WeylElement.identity(A2) * 3,
+                         "a factor must be a WeylElement, not int"),
+    "weyl-product-word": (lambda q: WeylElement.identity(A2) * WeylWord(A2, (1,)),
+                          "a factor must be a WeylElement, not WeylWord"),
+    "c-sorting-swapped": (
+        lambda q: c_sorting_word(WeylElement.identity(A2), WeylWord(A2, (1, 2))),
+        "a sort takes a WeylWord and a WeylElement, not WeylElement and WeylWord"),
     "admissible-letters": (lambda q: AdmissibleSeq(q, {3: 0, 2: 0}), "letters must be integers"),
     "multiplicities": (lambda q: seq_from_multiplicities(q, {0: 1, 1: 1, 2: 2}),
                        "multiplicities must be integers"),
@@ -853,6 +861,29 @@ def test_evaluate_matches_matrix_product(case):
     # leave out most of each dense row
     cartan, letters = case
     assert WeylWord(cartan, letters).evaluate().matrix == word_matrix(cartan, letters)
+
+
+@PROPERTY_SETTINGS
+@given(quivers(), st.data())
+def test_words_on_a_graph_and_on_its_matrix_agree(q, data):
+    # a word or element built on a Graph holds the rows its Cartan matrix
+    # gives: values, hashes, reducedness, lengths and the read-only matrix
+    # agree, a sort mixes the two, and the word of a sequence agrees too
+    cartan = q.graph.cartan()
+    letters = data.draw(st.lists(st.integers(1, q.n), max_size=20))
+    on_graph, on_matrix = WeylWord(q.graph, letters), WeylWord(cartan, letters)
+    value = on_graph.evaluate()
+    assert value == on_matrix.evaluate() and hash(value) == hash(on_matrix.evaluate())
+    assert is_reduced(on_graph) == is_reduced(on_matrix)
+    assert length_of_word(on_graph) == length_of_word(on_matrix)
+    assert on_graph.cartan == on_matrix.cartan == value.cartan == cartan
+    c_letters = data.draw(st.permutations(range(1, q.n + 1)))
+    c_on_graph, c_on_matrix = WeylWord(q.graph, c_letters), WeylWord(cartan, c_letters)
+    blocks = c_sorting_word(c_on_matrix, WeylElement(cartan, value.matrix)).blocks
+    assert c_sorting_word(c_on_graph, value).blocks == blocks
+    assert c_sorting_word(c_on_matrix, WeylElement(q.graph, value.matrix)).blocks == blocks
+    s = principal(q, data.draw(st.integers(1, 3)), data.draw(st.integers(1, q.n)))
+    assert word_of(s).evaluate() == WeylWord(cartan, s.letters).evaluate()
 
 
 @PROPERTY_SETTINGS

@@ -1,11 +1,14 @@
+import json
 import random
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 
 from admseq import weyl
+from admseq.cli import main
 from admseq.errors import AdmseqError, InvalidCartanError, NotCompleteError, NotPrincipalError
 from admseq.graphs import Graph, graph_from_cartan, quiver_from_arrows
 from admseq.reps import canonical_complete_sequence
@@ -468,3 +471,39 @@ class TestSorting:
                if letters and is_reduced(WeylWord(A, letters))}
         assert (len(w_s), len(c_sortable)) == (hit, sortable)
         assert w_s <= c_sortable
+
+
+def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
+    # words, elements and the walks over them hold the sparse Cartan rows of
+    # the graph, so each call on the path on 3000 vertices peaks far below
+    # the 72 MB that the pointers of its 3000 x 3000 matrix alone would take
+    n = 3000
+    arrows = [(v, v + 1) for v in range(1, n)]
+    q = quiver_from_arrows(n, arrows)
+    s = principal(q, 2, 1)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": n, "arrows": arrows}))
+
+    def reduced_and_length():
+        word = WeylWord(q.graph, (1, 2, 1))
+        return is_reduced(word), length_of_word(word)
+
+    calls = {
+        "word": reduced_and_length,
+        "principal": lambda: (len(word_of(s)), principal_root(s)),
+        "coxeter-powers": lambda: coxeter_powers_reduced(canonical_complete_sequence(q), 1),
+        "cli": lambda: main(["reduced", "-q", str(path), "-w", "1,2"]),
+    }
+    results, peaks = {}, {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            results[name] = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < 16 << 20 for peak in peaks.values()), peaks
+    assert results["word"] == (True, 3)
+    assert results["principal"] == (2 * n, None)  # the square of a Coxeter word of A_n
+    assert results["coxeter-powers"] == [(1, True, n)]
+    assert results["cli"] == 0 and capsys.readouterr().out == "reduced (length 2)\n"
