@@ -1,11 +1,11 @@
 """Graphs, Cartan matrices, quivers, and the vertex poset.
 
 Vertices are contiguous ids 1..n.  A graph is held as its sorted edge
-tuple and, per vertex, the mask of its neighbours.  Its Cartan matrix is
-kept once, as sparse rows built from the edges and cached per edge tuple
-(``_rows_of``), which Weyl words and elements share; only ``cartan()``
-builds the dense n x n matrix, so none lies on the path from an arrow
-list to a quiver or a Weyl walk.  Edges and arrows are read once, by one
+tuple alone.  Its Cartan matrix is kept once, as sparse rows built from
+the edges and cached per edge tuple (``_rows_of``), which Weyl words and
+elements share and ``neighbors`` reads; only ``cartan()`` builds the
+dense n x n matrix, so none lies on the path from an arrow list to a
+quiver or a Weyl walk.  Edges and arrows are read once, by one
 pair reader, and a Cartan matrix and an orientation are each checked by
 one comparison with a matrix or an edge tuple.  Multiple edges are kept
 as individual arrow instances so that parallel arrows stay
@@ -49,11 +49,11 @@ class Graph:
     """Connected loop-free multigraph on vertices 1..n, with n >= 2.
 
     ``edges`` holds its edges: the pairs (u, v) with u < v, in order,
-    each repeated as often as the edge multiplicity.  Per vertex, a mask
-    of its neighbours serves the connectivity check and ``neighbors``.
+    each repeated as often as the edge multiplicity; ``neighbors`` reads
+    the off-diagonal entries of the cached Cartan rows (``_rows_of``).
     """
 
-    __slots__ = ("n", "edges", "_nbrs")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n, edges):
         self._read(n, edges)
@@ -67,7 +67,7 @@ class Graph:
         pairs = [_ends(n, e, "edge") for e in _list(edges, "edges must be a list of pairs")]
         if len(pairs) < n - 1:  # too few to connect n vertices: no per-vertex list is built
             raise IndecomposabilityError("graph is disconnected")
-        nbrs = [0] * (n + 1)
+        nbrs = [0] * (n + 1)  # per vertex, its neighbours as a mask, for this search only
         for u, v in pairs:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
@@ -83,7 +83,7 @@ class Graph:
         if seen != (1 << n + 1) - 2:
             raise IndecomposabilityError("graph is disconnected")
         edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
-        self.n, self.edges, self._nbrs = n, tuple(edges), tuple(nbrs)
+        self.n, self.edges = n, tuple(edges)
         return pairs
 
     def edge_mult(self, u, v):
@@ -92,7 +92,7 @@ class Graph:
 
     def neighbors(self, u):
         """The vertices joined to the vertex u by an edge."""
-        return _members(self._nbrs[_vertex(self.n, u)])
+        return {j + 1 for j, a in self._rows()[_vertex(self.n, u) - 1] if a < 0}
 
     def _rows(self):
         return _rows_of(self.n, self.edges)
@@ -179,9 +179,9 @@ def _cartan_rows(A):
 
 
 def graph_from_cartan(A):
-    """The graph whose Cartan matrix is ``A``; raises as ``_cartan_rows``
-    does, and IndecomposabilityError when A splits into blocks."""
-    return Graph(len(_cartan_rows(A)), _upper_edges(A))
+    """The graph whose Cartan matrix is ``A``, A itself if a Graph; raises
+    as ``_cartan_rows`` does, and IndecomposabilityError when A splits."""
+    return A if isinstance(A, Graph) else Graph(len(_cartan_rows(A)), _upper_edges(A))
 
 
 @lru_cache(maxsize=64)
@@ -453,12 +453,12 @@ def quiver_from_dict(data):
     """Parse the JSON quiver format.
 
     Either {"n": int, "arrows": [[s, e], ...]} or
-    {"cartan": [[...]], "arrows": [[s, e], ...]}; in the latter case the
-    arrow multiplicities must agree with the Cartan matrix.  Raises
-    AdmseqError for any other shape.
+    {"cartan": [[...]], "arrows": [[s, e], ...]}, whose arrow multiplicities
+    must agree with the Cartan matrix.  Raises AdmseqError for any other
+    shape, both keys included.
     """
     if not (isinstance(data, dict) and _int_rows(data.get("arrows"), 2)
-            and ("cartan" in data or type(data.get("n")) is int)):
+            and ("cartan" in data) != ("n" in data) and type(data.get("n", 0)) is int):
         raise AdmseqError('a quiver is {"n": int or "cartan": [[...]], "arrows": [[s, e]]}')
     arrows = [tuple(a) for a in data["arrows"]]
     if "cartan" in data:

@@ -482,10 +482,14 @@ def rep_from_dict(data):
         and all(isinstance(row, lists) for row in e["matrix"]) for e in entries
     ):
         raise AdmseqError('maps must be a list of {"arrow": i, "matrix": [[...]]}')
+    given = set()
     for entry in entries:
         i = entry.get("arrow")
         if type(i) is not int or not 0 <= i < len(rows):
             raise AdmseqError(f"arrow {i!r} is not an arrow index 0..{len(rows) - 1}")
+        if i in given:
+            raise AdmseqError(f"arrow {i} is given more than one matrix")
+        given.add(i)
         matrix = entry["matrix"]
         if any(_has_exponent(x) for row in matrix for x in row):
             raise AdmseqError(f"matrix of arrow {i} has an entry with an exponent")

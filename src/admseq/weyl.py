@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import AdmseqError, NotCompleteError, NotPrincipalError, _int, _int_tuple, _ordered
-from .graphs import _cartan_rows, _matrix_of
+from .graphs import _cartan_rows, _matrix_of, graph_from_cartan
 from .sequences import is_principal
 
 
@@ -249,17 +249,18 @@ def coxeter_element(seq):
     return word_of(seq)
 
 
-def weyl_is_finite(graph):
-    """Whether the Weyl group is finite, by the Coxeter-power theorem: W
-    is infinite exactly when every power of a Coxeter element c is
-    reduced.  A finite W has Coxeter number h <= max(2n - 2, 30) and a
-    longest element of length nh/2, so c^m is not reduced once m > h/2;
-    one height walk over c^m, c = 1, 2, ..., n and m = max(n, 15) + 1,
-    looks for its first non-reduced letter.  The highest root of A_n, D_n
-    or E_6-8 has height h - 1 <= max(2n - 3, 29), so a positive root
-    above that height proves W infinite and ends the walk early."""
+def weyl_is_finite(cartan):
+    """Whether the Weyl group of a Cartan matrix or Graph, read by
+    ``graph_from_cartan`` (so indecomposable), is finite: W is infinite
+    exactly when every power of a Coxeter element c is reduced.  A finite W
+    has Coxeter number h <= max(2n - 2, 30) and a longest element of length
+    nh/2, so c^m is not reduced once m > h/2; one height walk over c^m, its
+    letters generated one at a time, c = 1, ..., n and m = max(n, 15) + 1,
+    looks for its first non-reduced letter.  It ends early at a root of height
+    above max(2n - 3, 29) >= h - 1, that of the highest root: W is infinite."""
+    graph = graph_from_cartan(cartan)
     n = graph.n
-    letters = tuple(range(1, n + 1)) * (max(n, 15) + 1)
+    letters = (x for _ in range(max(n, 15) + 1) for x in range(1, n + 1))
     return _first_non_reduced(graph._rows(), letters, cap=max(2 * n - 3, 29)) is not None
 
 

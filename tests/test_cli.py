@@ -704,9 +704,15 @@ class TestErrors:
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [["abc"]]}]}),
         (["phi-plus"], "--module",
          {"quiver": Q3, "dims": [1, 1, 0], "maps": [{"arrow": 0, "matrix": [[None]]}]}),
+        # a file that contradicts itself: n beside a Cartan matrix, and one
+        # arrow given two matrices
+        (["canon", "-s", "2,1"], "-q", {"n": 7, "cartan": [[2, -1], [-1, 2]], "arrows": [[1, 2]]}),
+        (["preproj"], "--module",
+         {"quiver": {"n": 2, "arrows": [[1, 2]]}, "dims": [1, 1],
+          "maps": [{"arrow": 0, "matrix": [["1"]]}, {"arrow": 0, "matrix": [["0"]]}]}),
     ], ids=["cartan-list", "quiver-list", "arrows-int", "module-list", "dims-int",
             "arrow-out-of-range", "zero-denominator", "exponent", "maps-int",
-            "entry-text", "entry-null"])
+            "entry-text", "entry-null", "n-and-cartan", "arrow-repeated"])
     def test_malformed_json_shape(self, capsys, tmp_path, verb, flag, data):
         # valid JSON of the wrong shape is an input error, not a crash
         path = tmp_path / "bad.json"

@@ -996,6 +996,26 @@ def test_weyl_is_finite_matches_ade_classification(case):
     assert weyl_is_finite(Graph(n, edges)) == ade_is_finite(n, edges)
 
 
+@PROPERTY_SETTINGS
+@given(quivers())
+def test_weyl_is_finite_reads_a_matrix_or_a_graph(q):
+    # graph_from_cartan hands a Graph back as it is and reads a matrix
+    # into the same graph, so both walk one group
+    assert graph_from_cartan(q.graph) is q.graph
+    assert weyl_is_finite(q.graph) == weyl_is_finite(q.graph.cartan())
+
+
+# what weyl_is_finite refuses, with the class and message of the refusal:
+# the Coxeter-power theorem holds only for an indecomposable Cartan matrix
+@pytest.mark.parametrize("call,error,message", [
+    (lambda q: weyl_is_finite([[2, 0], [0, 2]]), IndecomposabilityError, "graph is disconnected"),
+    (lambda q: weyl_is_finite(q), InvalidCartanError, "matrix is not a square list of integer rows"),
+], ids=["split-matrix", "quiver"])
+def test_weyl_is_finite_refuses_all_but_one_indecomposable_group(q3, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(q3)
+
+
 @st.composite
 def multigraphs(draw):
     """(n, edges) on 1..n, n <= 8: at most 12 pairs, each drawn either way

@@ -380,6 +380,7 @@ class TestSorting:
         ([[0, 0], [-1, 1]], "matrix is singular"),
         ([[-2, 0], [0, 1]], "inverse is not an integer matrix"),
         ([[-2, 0], [0, -2]], "inverse is not an integer matrix"),
+        ([[0, 1], [0, 1]], "matrix is singular"),  # no pivot in column 1
     ])
     @pytest.mark.parametrize("query", [c_sorting_word, is_c_sortable])
     def test_gate_rejects_matrices_with_no_integer_inverse(self, query, matrix, message):
@@ -475,8 +476,10 @@ class TestSorting:
 
 def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
     # words, elements and the walks over them hold the sparse Cartan rows of
-    # the graph, so each call on the path on 3000 vertices peaks far below
-    # the 72 MB that the pointers of its 3000 x 3000 matrix alone would take
+    # the graph, and the finiteness walk generates its letters, so each call
+    # on the path on 3000 vertices peaks far below the 72 MB that the
+    # pointers of its 3000 x 3000 matrix, or of the n(n+1) letters of
+    # c^(n+1), alone would take
     n = 3000
     arrows = [(v, v + 1) for v in range(1, n)]
     q = quiver_from_arrows(n, arrows)
@@ -492,6 +495,7 @@ def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
         "word": reduced_and_length,
         "principal": lambda: (len(word_of(s)), principal_root(s)),
         "coxeter-powers": lambda: coxeter_powers_reduced(canonical_complete_sequence(q), 1),
+        "finite": lambda: weyl_is_finite(q.graph),
         "cli": lambda: main(["reduced", "-q", str(path), "-w", "1,2"]),
     }
     results, peaks = {}, {}
@@ -506,4 +510,5 @@ def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
     assert results["word"] == (True, 3)
     assert results["principal"] == (2 * n, None)  # the square of a Coxeter word of A_n
     assert results["coxeter-powers"] == [(1, True, n)]
+    assert results["finite"] is True
     assert results["cli"] == 0 and capsys.readouterr().out == "reduced (length 2)\n"
