@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import graphs, reps, sequences, weyl
-from .errors import AdmseqError, NotAdmissibleError
+from .errors import AdmseqError, NotAdmissibleError, _int
 
 parse = sequences.parse_letters
 
@@ -142,10 +142,9 @@ def _reduced(args):
 
 
 def _sorting(args):
-    """The Coxeter word -w and the element of the target word -t."""
+    """The Coxeter word -w and the target word -t, sorted as a word."""
     graph = _graph(args)
-    return (weyl.WeylWord(graph, parse(args.word)),
-            weyl.WeylWord(graph, parse(args.other)).evaluate())
+    return weyl.WeylWord(graph, parse(args.word)), weyl.WeylWord(graph, parse(args.other))
 
 
 def _apply(args):
@@ -165,6 +164,7 @@ def export_component(quiver, levels):
     quiver, labeled with principal sequences, reducedness, and module
     dimension vectors, read off the principal roots: dim M(S) is
     sigma_{x_1} ... sigma_{x_{s-1}}(e_{x_s}), so no module is built."""
+    levels = _int(levels, "levels")
     if levels < 1:
         raise AdmseqError(f"levels must be at least 1, got {levels}")
     lines = ["digraph component {", "  rankdir=LR;"]

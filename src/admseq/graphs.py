@@ -165,13 +165,16 @@ def _int_rows(value, width=None):
 
 def _cartan_rows(A):
     """The rows (``_rows_of``) of a Graph, unchecked, or of A.  Raises
-    InvalidCartanError for anything but a square list of integer rows that
-    form a symmetric generalized Cartan matrix: A is one exactly when it is
-    the matrix of the edges read off its upper triangle, connected or not."""
+    InvalidCartanError for anything but a nonempty square list of integer
+    rows that form a symmetric generalized Cartan matrix: A is one exactly
+    when it is the matrix of the edges read off its upper triangle,
+    connected or not."""
     if isinstance(A, Graph):
         return A._rows()
     if not _int_rows(A):
         raise InvalidCartanError("matrix is not a square list of integer rows")
+    if not A:
+        raise InvalidCartanError("matrix has no rows")
     rows = _rows_of(len(A), _upper_edges(A))
     if _matrix_of(rows) != tuple(map(tuple, A)):
         raise InvalidCartanError("matrix is not symmetric with 2 on the diagonal and <= 0 off it")

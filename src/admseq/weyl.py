@@ -28,9 +28,9 @@ is an integer matrix, which the fraction-free elimination finds without
 building a Fraction; a singular matrix, or one whose inverse has a
 non-integral entry, is not in W and raises AdmseqError.  No library
 function inverts: the c-sorting word reads the heights of w^-1 off a
-descent walk of w.  Letters and matrix entries are read with
-``operator.index``, so a float or a Fraction raises AdmseqError instead
-of being truncated.
+walk of a word for w, the target word or a descent walk of an element.
+Letters and matrix entries are read with ``operator.index``, so a float
+or a Fraction raises AdmseqError instead of being truncated.
 """
 
 from __future__ import annotations
@@ -354,13 +354,43 @@ def _fire_descents(rows, u, scan):
         blocks.append(block)
 
 
-def _probe(rows, cols, letters, s):
-    """Whether Q^T b = w^T b for the covector b = (1, 2^s, ..., 2^(s(n-1))),
-    Q the product sigma_{x_1} ... sigma_{x_k} of the letters and w the
-    matrix with columns ``cols``: Q^T b is the walk of b through the
-    letters, and (w^T b)_j packs column j of w into one integer."""
-    b = [1 << s * i for i in range(len(cols))]
-    return _walk(rows, b, letters) == [sum(x << s * i for i, x in enumerate(c)) for c in cols]
+def _peel(target):
+    """Letters r_1, ..., r_k of a word whose value is the WeylElement
+    target w, or AdmseqError.
+
+    - The gate: w has determinant +-1 and every column the norm
+      c^T A c = 2 of a real root, as in W; a singular matrix, or one with
+      no integral inverse, raises the error ``WeylElement.inverse``
+      raises.  Outside W the walk may run for ever; the gate stops many
+      such matrices, but not -I.
+    - The walk fires right descents of w, from the heights of its
+      columns, in passes over 1..n, and ends at the heights of
+      w sigma_{r_1} ... sigma_{r_k}.
+    - The check that Q = sigma_{r_k} ... sigma_{r_1}, in W, is w: the
+      final heights must all be 1, so Q^T 1 = w^T 1, and each |Q_ij| is
+      at most H, the largest absolute height of w, as a real root's
+      entries share the sign of its height.  The walk of the letters in
+      reverse from b = (1, B, ..., B^(n-1)), B = 2^s above H + max |w_ij|,
+      gives Q^T b and must give w^T b, w's columns packed: then every
+      |Q_ij - w_ij| < B, so Q = w.  Else w is not in W ("stuck peel").
+    """
+    m, rows, n = target.matrix, target._rows, len(target.matrix)
+    det = _det(m)
+    if not det:
+        raise AdmseqError("matrix is singular")
+    if det * det != 1:
+        raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
+    cols = list(zip(*m))
+    for c in cols:  # c^T A c, from the rows at the nonzero entries of c
+        if sum(x * a * c[j] for x, row in zip(c, rows) if x for j, a in row) != 2:
+            raise AdmseqError(_STUCK)
+    u = [sum(c) for c in cols]  # the heights of w
+    s = (max(map(abs, u)) + max(abs(x) for row in m for x in row)).bit_length()
+    letters = [x for block in _fire_descents(rows, u, range(1, n + 1)) for x in block]
+    if u != [1] * n or (_walk(rows, [1 << s * i for i in range(n)], letters[::-1])
+                        != [sum(x << s * i for i, x in enumerate(c)) for c in cols]):
+        raise AdmseqError(_STUCK)
+    return letters
 
 
 def c_sorting_word(c_word, target):
@@ -376,62 +406,31 @@ def c_sorting_word(c_word, target):
 
     - the Coxeter word must hold each vertex 1..n exactly once, or
       AdmseqError names it;
-    - the gate: w has determinant +-1 and every column c the norm
-      c^T A c = 2 of a real root, as in W.  A singular matrix, or one
-      whose inverse is not integral, raises the error
-      ``WeylElement.inverse`` raises.  Outside W the first walk may run
-      for ever; the gate stops many such matrices, but not -I;
-    - the first walk fires right descents of w, from the heights of its
-      columns, in passes over 1..n.  Its letters r_1, ..., r_k give
-      w sigma_{r_1} ... sigma_{r_k} = 1, so walking them from the
-      heights 1 of the identity gives those of
-      w^-1 = sigma_{r_1} ... sigma_{r_k};
-    - the sort fires on those heights in passes over the scan, one
-      divider block per pass.
+    - the target is a WeylWord, or a WeylElement that ``_peel`` gates,
+      peels into a word and checks: a word x_1, ..., x_s whose value w
+      is in W.  Walking its letters from the heights 1 of the identity
+      gives those of w^-1 = sigma_{x_1} ... sigma_{x_s};
+    - the sort fires on them in passes over the scan, one divider block
+      per pass.  Inside W heights decide descents: the sort needs no check.
 
-    Heights decide descents only inside W, so one product check ends
-    the sort.  The product Q of the blocks is in W, and each of its
-    columns is a real root, whose entries share the sign of its height.
-    A walk of the blocks from 1 gives the heights of Q's columns; they
-    must be those of w, which bounds every |Q_ij| by H, the largest of
-    their absolute values.  A walk from b = (1, B, ..., B^(n-1)), with B = 2^s above
-    H + max |w_ij|, gives Q^T b, which must be w^T b: then
-    sum_i (Q_ij - w_ij) B^i = 0 with every |Q_ij - w_ij| < B, so Q = w.
-    Each walk costs O(deg x) operations a letter, not O(n deg x).  A
-    failed check means w is not in W, and raises AdmseqError ("stuck
-    peel").
+    Each walk costs O(deg x) operations a letter; a word target builds
+    no n x n matrix.
     """
-    if not (isinstance(c_word, WeylWord) and isinstance(target, WeylElement)):
+    if not (isinstance(c_word, WeylWord) and isinstance(target, (WeylWord, WeylElement))):
         raise AdmseqError(f"a sort takes a WeylWord and a WeylElement, not "
                           f"{type(c_word).__name__} and {type(target).__name__}")
-    if c_word._rows != target._rows:
+    rows, n = c_word._rows, len(c_word._rows)
+    if target._rows != rows:
         raise AdmseqError("word and element over different Cartan matrices")
-    m, n = target.matrix, len(target.matrix)
     if sorted(c_word.letters) != list(range(1, n + 1)):
         raise AdmseqError(
             f"{c_word!r} is not a Coxeter word: it must hold each vertex 1..{n} exactly once")
-    det = _det(m)
-    if not det:
-        raise AdmseqError("matrix is singular")
-    if det * det != 1:
-        raise AdmseqError("inverse is not an integer matrix: element is not in the Weyl group")
-    rows = target._rows
-    cols = list(zip(*m))
-    for c in cols:  # c^T A c, from the rows at the nonzero entries of c
-        if sum(x * a * c[j] for x, row in zip(c, rows) if x for j, a in row) != 2:
-            raise AdmseqError(_STUCK)
-    heights = [sum(c) for c in cols]
-    fired = _fire_descents(rows, list(heights), range(1, n + 1))
-    u = _walk(rows, [1] * n, [x for block in fired for x in block])
-    blocks = _fire_descents(rows, u, tuple(reversed(c_word.letters)))
-    letters = [x for block in blocks for x in block]
-    bound = max(map(abs, heights)) + max(abs(x) for row in m for x in row)
-    if not (_probe(rows, cols, letters, 0) and _probe(rows, cols, letters, bound.bit_length())):
-        raise AdmseqError(_STUCK)
-    return SortingWord(blocks)
+    letters = target.letters if isinstance(target, WeylWord) else _peel(target)
+    u = _walk(rows, [1] * n, letters)
+    return SortingWord(_fire_descents(rows, u, c_word.letters[::-1]))
 
 
 def is_c_sortable(c_word, target):
-    """Whether the divider blocks of the c-sorting word are weakly
-    decreasing under inclusion."""
+    """Whether the divider blocks of the c-sorting word of the target, a
+    WeylWord or a WeylElement, are weakly decreasing under inclusion."""
     return c_sorting_word(c_word, target).is_sortable()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import admseq
 from admseq.cli import FLAGS, VERBS, export_component, main
+from admseq.errors import AdmseqError
 
 from oracles import raw_graph, raw_reflect, raw_sinks
 
@@ -539,6 +540,14 @@ class TestComponent:
         assert "not reduced" in dot  # Dynkin type runs out of reduced words
         dot = export_component(load_quiver(qk_file), 4)
         assert "not reduced" not in dot
+
+    @pytest.mark.parametrize("levels", [1.5, "2"])
+    def test_levels_must_be_an_integer(self, q3_file, levels):
+        # these used to end in a bare TypeError, from range and from <
+        from admseq.graphs import load_quiver
+
+        with pytest.raises(AdmseqError, match="levels must be an integer"):
+            export_component(load_quiver(q3_file), levels)
 
 
 class TestErrors:

@@ -944,19 +944,20 @@ def test_word_value_of_a_concatenation_is_the_product(q, data):
 @PROPERTY_SETTINGS
 @given(quivers(), st.data())
 def test_sorting_word_matches_column_peel_of_inverse(q, data):
-    # the two height walks and the product check against the peel of
-    # whole columns of the inverse, on finite, affine and wild quivers;
-    # the target is a bare matrix built from a random word, so it carries
-    # no word of its own
+    # the peel, its check and the sort against the peel of whole columns
+    # of the inverse, on finite, affine and wild quivers; one target is a
+    # bare matrix built from a random word, so it carries no word of its
+    # own, and the other is that word, sorted as it is
     cartan = q.graph.cartan()
     c_letters = data.draw(st.permutations(range(1, q.n + 1)))
     letters = data.draw(st.lists(st.integers(1, q.n), max_size=20))
     matrix = word_matrix(cartan, letters)
-    c_word, target = WeylWord(cartan, c_letters), WeylElement(cartan, matrix)
+    c_word = WeylWord(cartan, c_letters)
     blocks = matrix_sorting_blocks(cartan, c_letters, matrix)
-    assert c_sorting_word(c_word, target).blocks == blocks
     sets = [set(b) for b in blocks]
-    assert is_c_sortable(c_word, target) == all(b <= a for a, b in zip(sets, sets[1:]))
+    for target in (WeylElement(cartan, matrix), WeylWord(cartan, letters)):
+        assert c_sorting_word(c_word, target).blocks == blocks
+        assert is_c_sortable(c_word, target) == all(b <= a for a, b in zip(sets, sets[1:]))
 
 
 @PROPERTY_SETTINGS

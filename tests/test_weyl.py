@@ -171,9 +171,11 @@ class TestWordEvaluation:
     # the constructors used to accept all but the number, which was a bare
     # TypeError; then the ragged one gave a reduced word and a wrong matrix,
     # the 2 x 3 one ended in an IndexError, the string in a TypeError, and
-    # the positive one gave a word and a matrix
+    # the positive one gave a word and a matrix; the empty one was taken,
+    # and the sort of its identity ended in an IndexError
     NOT_CARTAN = {"ragged": [[2, -1], [-1]], "not-square": [[2, -1, 0], [-1, 2, -1]],
-                  "string": "ab", "positive-off-diagonal": [[2, 1], [1, 2]], "number": 2}
+                  "string": "ab", "positive-off-diagonal": [[2, 1], [1, 2]], "number": 2,
+                  "empty": []}
 
     @pytest.mark.parametrize("cartan", NOT_CARTAN.values(), ids=NOT_CARTAN)
     def test_word_rejects_what_is_no_cartan_matrix(self, cartan):
@@ -476,10 +478,10 @@ class TestSorting:
 
 def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
     # words, elements and the walks over them hold the sparse Cartan rows of
-    # the graph, and the finiteness walk generates its letters, so each call
-    # on the path on 3000 vertices peaks far below the 72 MB that the
-    # pointers of its 3000 x 3000 matrix, or of the n(n+1) letters of
-    # c^(n+1), alone would take
+    # the graph, the finiteness walk generates its letters, and a sort
+    # walks its target word, so each call on the path on 3000 vertices
+    # peaks far below the 72 MB that the pointers of its 3000 x 3000
+    # matrix, or of the n(n+1) letters of c^(n+1), alone would take
     n = 3000
     arrows = [(v, v + 1) for v in range(1, n)]
     q = quiver_from_arrows(n, arrows)
@@ -496,6 +498,8 @@ def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
         "principal": lambda: (len(word_of(s)), principal_root(s)),
         "coxeter-powers": lambda: coxeter_powers_reduced(canonical_complete_sequence(q), 1),
         "finite": lambda: weyl_is_finite(q.graph),
+        "sort": lambda: c_sorting_word(WeylWord(q.graph, tuple(range(n, 0, -1))),
+                                       WeylWord(q.graph, (2, 1, 3, 2))).render(),
         "cli": lambda: main(["reduced", "-q", str(path), "-w", "1,2"]),
     }
     results, peaks = {}, {}
@@ -511,4 +515,5 @@ def test_a_long_path_walks_no_square_matrix(tmp_path, capsys):
     assert results["principal"] == (2 * n, None)  # the square of a Coxeter word of A_n
     assert results["coxeter-powers"] == [(1, True, n)]
     assert results["finite"] is True
+    assert results["sort"] == "2,3 | 1,2"
     assert results["cli"] == 0 and capsys.readouterr().out == "reduced (length 2)\n"
